@@ -15,37 +15,64 @@
 //! 4. repeat passes until a pass improves the minimum EE by at most `δ`
 //!    (paper default 0.01 bits/mJ).
 //!
-//! Candidate evaluation rides on [`lora_model::ModelState::min_ee_if`],
-//! which touches only the two contention groups a move affects, with a
-//! rising floor that prunes non-improving candidates after a handful of
-//! arithmetic operations.
+//! ## Candidate evaluation
+//!
+//! A candidate is scored by its predicted network minimum `min` (from
+//! [`ModelState::min_ee_if_scanned`], which touches only the two
+//! contention groups a move affects) and the mover's own EE `own`
+//! (from [`ModelState::ee_if`]). With `M` and `O` the network minimum
+//! and the device's own EE before the scan, and the tie slack
+//! `s = max(|M|·10⁻⁹, 10⁻¹⁵)`:
+//!
+//! * a **strict improver** has `min > M + s`; among improvers the winner
+//!   maximises `(min, own)` lexicographically under exact `f64`
+//!   comparison, ties broken by the earliest candidate in canonical grid
+//!   order (SF ascending, then channel, then TP);
+//! * a **plateau move** keeps the minimum within the tie slack,
+//!   `M − s < min ≤ M + s`, while raising the mover's own EE,
+//!   `own > O + s`; among plateau moves the winner maximises
+//!   `(own, min)`, same tie-break;
+//! * any strict improver beats every plateau move.
+//!
+//! The exact evaluation runs behind a rising floor that abandons a
+//! candidate as soon as one component EE falls to it, and most
+//! candidates never reach it: three exact bounds, all components of the
+//! same arithmetic, prove they cannot change the result. The
+//! untouched-groups cap `ub` ([`ModelState::untouched_groups_min`], O(1)
+//! from the per-scan [`lora_model::ScanCache`]) is one of the min
+//! components of the exact evaluation, so `min ≤ ub`; the energy
+//! ceiling ([`ModelState::own_ee_ceiling`], O(1)) and then the exact
+//! `own` bound the plateau test. Writing `I` and `P` for the best
+//! improver and plateau move found so far, a candidate is skipped when
+//!
+//! 1. `ub ≤ floor` — the exact evaluation would return nothing;
+//! 2. `ub ≤ M + s`, so it cannot be an improver, and either `I` exists
+//!    or its energy ceiling, failing that its exact `own`, is `≤ O + s`
+//!    or `< P.own` — it cannot become the plateau move;
+//! 3. `ub > M + s`, `I` exists and `ub < I.min` — it cannot beat `I`.
+//!
+//! Skipped candidates still count as evaluated.
 //!
 //! ## Parallel candidate scan
 //!
 //! The step-3 scan is read-only against [`ModelState`], so
 //! [`EfLora::with_threads`] partitions the (SF, channel, TP) grid into
 //! contiguous chunks scanned by scoped worker threads. Determinism is
-//! preserved by selecting winners with an *exact total order* instead of
-//! scan-order-dependent banded comparisons:
-//!
-//! * a **strict improver** raises the network minimum beyond the
-//!   tie slack; among improvers the winner maximises
-//!   `(min EE, own EE)` lexicographically under exact `f64` comparison,
-//!   ties broken by the earliest candidate in canonical grid order
-//!   (SF ascending, then channel, then TP);
-//! * a **plateau move** keeps the minimum within the tie slack while
-//!   raising the moving device's own EE; among plateau moves the winner
-//!   maximises `(own EE, min EE)`, same tie-break;
-//! * any strict improver beats every plateau move.
+//! preserved by selecting winners with the exact total order above
+//! instead of scan-order-dependent banded comparisons.
 //!
 //! Each chunk keeps its own pruning floor, raised only on strict-improver
-//! finds — a pruned candidate always loses the exact comparison to the
-//! candidate that raised the floor, and plateau winners are only
-//! consulted when *no* chunk found an improver (in which case no floor
-//! ever rose and plateau scanning saw identical pruning in every
-//! partitioning). The merged move is therefore a pure function of the
-//! model state, byte-identical for every thread count, and committed
-//! moves stay sequential so the pass semantics are unchanged.
+//! finds, and its own `I` and `P` for the skip rules. A candidate the
+//! floor or a rule drops could never have become the chunk's improver,
+//! so every chunk's improver is the exact best improver of its range.
+//! The floor and the rules that consult `I` can change a chunk's plateau
+//! move only once that chunk holds an improver — and the merge then
+//! commits an improver. When no chunk finds an improver, no floor ever
+//! rose and no rule consulted `I`, so every chunk's plateau move is the
+//! exact best plateau move of its range. The merged move is therefore a
+//! pure function of the model state, byte-identical for every thread
+//! count, and committed moves stay sequential so the pass semantics are
+//! unchanged.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -408,8 +435,10 @@ struct Incumbent {
 
 /// Scans `grid[range]` with a chunk-local pruning floor. The floor starts
 /// at the global eligibility bound and rises only when a strict improver
-/// is found; see the module docs for why this keeps the merged result
-/// partition-invariant.
+/// is found. Candidates the exact bounds prove unable to change the
+/// chunk's improver, or its plateau while it has no improver, skip the
+/// exact evaluation; see the module docs for why this keeps the merged
+/// result partition-invariant.
 fn scan_chunk(
     state: &ModelState<'_>,
     cache: &lora_model::ScanCache,
@@ -428,10 +457,34 @@ fn scan_chunk(
     for idx in range {
         let cfg = grid[idx];
         scan.evaluated += 1;
+        // The skip rules of the module docs. The exact minimum never
+        // exceeds the untouched groups' minimum, `cap`; rule 1:
+        let cap = state.untouched_groups_min(cache, cfg);
+        if cap <= floor {
+            continue;
+        }
+        let mut own = None;
+        if cap <= current_min + tie_slack {
+            // Rule 2, not an improver: only a plateau move of a chunk
+            // without an improver still matters, and only if its own EE
+            // can reach the plateau bar.
+            if scan.improver.is_some() {
+                continue;
+            }
+            own = state.ee_if_clearing(device, cfg, |ee| {
+                ee > current_own + tie_slack && scan.plateau.is_none_or(|p| ee >= p.own)
+            });
+            if own.is_none() {
+                continue;
+            }
+        } else if scan.improver.is_some_and(|b| cap < b.min) {
+            // Rule 3: cannot beat the chunk's improver.
+            continue;
+        }
         let Some(min) = state.min_ee_if_scanned(cache, cfg, floor) else {
             continue;
         };
-        let own = state.ee_if(device, cfg);
+        let own = own.unwrap_or_else(|| state.ee_if(device, cfg));
         let candidate = Candidate { min, own, idx, cfg };
         if min > current_min + tie_slack {
             let better = match scan.improver {
@@ -530,6 +583,8 @@ mod tests {
     use super::*;
     use lora_model::NetworkModel;
     use lora_sim::{SimConfig, Topology};
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+    use rand::Rng;
 
     fn setup(n: usize, gws: usize, seed: u64) -> (SimConfig, Topology) {
         let config = SimConfig::default();
@@ -662,6 +717,124 @@ mod tests {
                 .allocate_with_report(&ctx)
                 .unwrap();
             assert_eq!(serial, parallel, "threads={threads}");
+        }
+    }
+
+    /// Brute-force reference for [`scan_device`]: scores every candidate
+    /// of the canonical grid with the unpruned evaluation and picks the
+    /// winner by the module docs' total order. Returns the winner and
+    /// the number of candidates scored.
+    fn oracle_scan(
+        state: &ModelState<'_>,
+        channels: usize,
+        device: usize,
+        tp_levels: &[TxPowerDbm],
+    ) -> (Option<Candidate>, u64) {
+        let m = state.min_ee();
+        let o = state.ee(device);
+        let s = (m.abs() * 1e-9).max(1e-15);
+        let current = state.alloc()[device];
+        let mut improver: Option<Candidate> = None;
+        let mut plateau: Option<Candidate> = None;
+        let mut idx = 0;
+        for sf in SpreadingFactor::ALL {
+            for channel in 0..channels {
+                for &tp in tp_levels {
+                    let cfg = TxConfig::new(sf, tp, channel);
+                    if cfg == current {
+                        continue;
+                    }
+                    let min = state
+                        .min_ee_if(device, cfg, f64::NEG_INFINITY)
+                        .expect("no floor prunes nothing");
+                    let own = state.ee_if(device, cfg);
+                    let c = Candidate { min, own, idx, cfg };
+                    idx += 1;
+                    if min > m + s {
+                        if improver.is_none_or(|b| (min, own) > (b.min, b.own)) {
+                            improver = Some(c);
+                        }
+                    } else if min > m - s
+                        && own > o + s
+                        && plateau.is_none_or(|b| (own, min) > (b.own, b.min))
+                    {
+                        plateau = Some(c);
+                    }
+                }
+            }
+        }
+        (improver.or(plateau), idx as u64)
+    }
+
+    /// The bits that make two winners the same move.
+    fn key(c: Option<Candidate>) -> Option<(usize, TxConfig, u64, u64)> {
+        c.map(|c| (c.idx, c.cfg, c.min.to_bits(), c.own.to_bits()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn pruned_scan_matches_brute_force_oracle(
+            n in 2usize..30,
+            gws in 1usize..4,
+            seed in any::<u64>(),
+            fixed_tp in any::<bool>(),
+            ambient in any::<bool>(),
+        ) {
+            let (config, topo) = setup(n, gws, seed);
+            let mut model = NetworkModel::new(&config, &topo);
+            if ambient {
+                // Out-of-scope pressure on every group and gateway, as a
+                // sharded cell solve sees it.
+                let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xa5);
+                let groups = lora_model::contention::group_count(model.channel_count());
+                let mut offsets = lora_model::Ambient::zeros(groups, gws);
+                for v in &mut offsets.power {
+                    *v = rng.gen_range(0.0..1e-10);
+                }
+                for v in &mut offsets.load {
+                    *v = rng.gen_range(0.0..0.05);
+                }
+                for v in &mut offsets.lambda {
+                    *v = rng.gen_range(0.0..1.0);
+                }
+                model = model.with_ambient(offsets);
+            }
+            let ctx = AllocationContext::new(&config, &topo, &model);
+            let tp_levels = if fixed_tp {
+                vec![TxPowerDbm::new(14.0)]
+            } else {
+                ctx.tp_levels().to_vec()
+            };
+            // Walk Algorithm 1's passes from a random allocation, checking
+            // every scan on the way: early scans find improvers, later
+            // ones plateau moves or nothing.
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let alloc = (0..n)
+                .map(|_| {
+                    let sf = *SpreadingFactor::ALL.choose(&mut rng).expect("six SFs");
+                    let tp = *tp_levels.choose(&mut rng).expect("one TP or more");
+                    TxConfig::new(sf, tp, rng.gen_range(0..ctx.channel_count()))
+                })
+                .collect();
+            let mut state = model.state(alloc).unwrap();
+            for _pass in 0..3 {
+                for device in 0..n {
+                    let (want, scored) =
+                        oracle_scan(&state, ctx.channel_count(), device, &tp_levels);
+                    for threads in [1usize, 2, 3, 7] {
+                        let got = scan_device(&state, &ctx, device, &tp_levels, threads);
+                        let at = format!("device {device} threads {threads}");
+                        prop_assert_eq!(got.evaluated, scored, "{}", at);
+                        prop_assert_eq!(key(got.winner()), key(want), "{}", at);
+                    }
+                    if let Some(c) = want {
+                        state.apply(device, c.cfg);
+                    }
+                }
+                state.refresh();
+            }
         }
     }
 

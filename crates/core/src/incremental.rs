@@ -293,18 +293,17 @@ fn scan_and_apply(
         // exceed the cached minimum of the untouched groups (it is one of
         // the min components of the full evaluation), so when that cap
         // cannot beat the incumbent minimum, only the own-EE tie-break
-        // could still accept the candidate. Test the tie-break against
-        // the O(1) energy ceiling first and the exact own EE second —
-        // if neither clears the incumbent, no acceptance clause can fire
-        // and the full evaluation is skipped.
-        let capped = state.untouched_groups_min(&scan, cfg) <= best_min + tie_slack;
-        if capped && state.own_ee_ceiling(device, cfg) <= best_own + tie_slack {
-            continue;
-        }
-        let own = state.ee_if(device, cfg);
-        if capped && own <= best_own + tie_slack {
-            continue;
-        }
+        // could still accept the candidate. If the own EE cannot clear
+        // the incumbent, no acceptance clause can fire and the full
+        // evaluation is skipped.
+        let own = if state.untouched_groups_min(&scan, cfg) <= best_min + tie_slack {
+            match state.ee_if_clearing(device, cfg, |ee| ee > best_own + tie_slack) {
+                Some(own) => own,
+                None => continue,
+            }
+        } else {
+            state.ee_if(device, cfg)
+        };
         let Some(min) = state.min_ee_if_scanned(&scan, cfg, floor) else {
             continue;
         };

@@ -670,33 +670,35 @@ pub struct ModelState<'m> {
     /// everywhere else, eliminating the Poisson tail from the
     /// per-candidate inner loop while producing bit-identical values.
     theta_cache: Vec<f64>,
+    /// Advanced by every [`ModelState::apply`] and [`ModelState::refresh`],
+    /// so a [`ScanCache`] can tell whether the state it was prepared
+    /// against has changed since.
+    generation: u64,
 }
 
 /// Per-device scratch for a candidate scan, produced by
 /// [`ModelState::prepare_scan`].
 ///
-/// During one scan of device `i` the allocation is fixed, so everything
-/// that does not depend on the candidate configuration can be computed
-/// once: the minimum EE of `i`'s old group after it leaves, and each
-/// device's contention load and interference with its *own* contribution
-/// removed. [`ModelState::min_ee_if_scanned`] then evaluates a candidate
-/// in `O(new-group members × gateways)` with arithmetic expressions
-/// identical to [`ModelState::min_ee_if`] — same values, fewer
-/// recomputations. The cache is invalidated by any [`ModelState::apply`];
-/// callers must re-prepare after committing a move.
+/// During one scan of device `i` the allocation is fixed, so the parts
+/// of a candidate's evaluation that do not depend on the candidate can be
+/// computed once: the minimum EE of `i`'s old group after it leaves, and
+/// the smallest cached group minima. Preparing costs
+/// `O(old-group members × gateways)`; [`ModelState::min_ee_if_scanned`]
+/// then evaluates a candidate in `O(new-group members × gateways)` with
+/// arithmetic expressions identical to [`ModelState::min_ee_if`] — same
+/// values, fewer recomputations. The cache is invalidated by any
+/// [`ModelState::apply`] or [`ModelState::refresh`]; using it afterwards
+/// panics, so callers must re-prepare after committing a move.
 #[derive(Debug, Clone)]
 pub struct ScanCache {
     /// The device being scanned.
     device: usize,
+    /// The state's generation at prepare time.
+    generation: u64,
     /// Minimum EE over the old group's other members after `device`
     /// leaves (`∞` when it is the sole member) — the candidate-independent
     /// part 2 of [`ModelState::min_ee_if`] for cross-group moves.
     exit_min: f64,
-    /// `α_sum[group(j)] − α_j` per device `j`.
-    base_load: Vec<f64>,
-    /// `power_sum[group(j)][k] − p_j·a_{j,k}` per device and gateway,
-    /// flat `[device][gateway]`.
-    base_interf: Vec<f64>,
     /// Contention group of `device` at prepare time.
     g_old: usize,
     /// Smallest cached `group_min` over groups other than `g_old`, and
@@ -723,6 +725,7 @@ impl<'m> ModelState<'m> {
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
             theta_cache: Vec::new(),
+            generation: 0,
         };
         if let Some(ambient) = &model.ambient {
             // Out-of-scope contributions seed the sums; the loop below
@@ -889,10 +892,27 @@ impl<'m> ModelState<'m> {
     /// `cfg`: the delivery ratio never exceeds 1, so the delivered bits
     /// over the cycle energy — a pure function of the device's reporting
     /// interval and the candidate's SF/TP, with no load or interference
-    /// terms — caps the achievable EE. `O(1)`, used by the incremental
-    /// scan to discard candidates without touching the contention model.
+    /// terms — caps the achievable EE. `O(1)`, used by the candidate
+    /// scans to discard candidates without touching the contention model.
     pub fn own_ee_ceiling(&self, i: usize, cfg: TxConfig) -> f64 {
         self.model.payload_bits / (self.model.cycle_energy_of(i, &cfg) * 1_000.0)
+    }
+
+    /// [`ModelState::ee_if`] when it passes `clears`, a test that can only
+    /// turn true as its argument rises; `None` otherwise. The `O(1)`
+    /// [`ModelState::own_ee_ceiling`] is tested first, so most failing
+    /// candidates never reach the `O(gateways)` exact value.
+    pub fn ee_if_clearing(
+        &self,
+        i: usize,
+        cfg: TxConfig,
+        clears: impl Fn(f64) -> bool,
+    ) -> Option<f64> {
+        if !clears(self.own_ee_ceiling(i, cfg)) {
+            return None;
+        }
+        let ee = self.ee_if(i, cfg);
+        clears(ee).then_some(ee)
     }
 
     /// The EE device `i` itself would have after moving to `cfg`
@@ -923,6 +943,20 @@ impl<'m> ModelState<'m> {
     /// soon as it can be shown not to exceed `floor` (pruning for the
     /// greedy scan). `floor = f64::NEG_INFINITY` disables pruning.
     pub fn min_ee_if(&self, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
+        self.min_ee_after(i, cfg, floor, None)
+    }
+
+    /// [`ModelState::min_ee_if`], with the minimum EE of `i`'s old group
+    /// after `i` leaves it passed in as `exit_min` when the caller has it
+    /// precomputed (it does not depend on the candidate). Only a
+    /// cross-group move reads `exit_min`.
+    fn min_ee_after(
+        &self,
+        i: usize,
+        cfg: TxConfig,
+        floor: f64,
+        exit_min: Option<f64>,
+    ) -> Option<f64> {
         let model = self.model;
         let g_old = self.group_of(&self.alloc[i]);
         let g_new = self.group_of(&cfg);
@@ -953,30 +987,25 @@ impl<'m> ModelState<'m> {
         let mut min = ee_i;
 
         // 2. Devices in the old group (losing i, or seeing its power change).
-        for &j in &self.members[g_old] {
-            if j == i {
-                continue;
-            }
-            let jc = self.alloc[j];
-            let jp = jc.tp.milliwatts();
-            let load_j = if same_group {
-                // Only i's power changed; its duty cycle is unchanged.
-                self.alpha_sum[g_old] - model.duty_of(j, jc.sf)
-            } else {
-                self.alpha_sum[g_old] - model.duty_of(j, jc.sf) - alpha_old
-            };
-            let ee_j = self.ee_raw(j, &jc, load_j, |k| {
-                let base = self.power_sum[g_old][k] - jp * model.attenuation.at(j, k);
-                if same_group {
-                    base - old_p * model.attenuation.at(i, k) + new_p * model.attenuation.at(i, k)
-                } else {
-                    base - old_p * model.attenuation.at(i, k)
+        match exit_min {
+            Some(exit_min) if !same_group => {
+                if exit_min <= floor {
+                    return None;
                 }
-            });
-            if ee_j <= floor {
-                return None;
+                min = min.min(exit_min);
             }
-            min = min.min(ee_j);
+            _ => {
+                for &j in &self.members[g_old] {
+                    if j == i {
+                        continue;
+                    }
+                    let ee_j = self.old_member_ee(i, j, same_group.then_some(new_p));
+                    if ee_j <= floor {
+                        return None;
+                    }
+                    min = min.min(ee_j);
+                }
+            }
         }
 
         // 3. Devices in the new group (gaining i).
@@ -1012,6 +1041,32 @@ impl<'m> ModelState<'m> {
         } else {
             None
         }
+    }
+
+    /// EE of device `j`, a co-member of device `i`'s group, once `i`
+    /// moves: `stay_p` is `i`'s new power in mW when it stays in the
+    /// group (only its power changes), `None` when it leaves.
+    fn old_member_ee(&self, i: usize, j: usize, stay_p: Option<f64>) -> f64 {
+        let model = self.model;
+        let old_cfg = self.alloc[i];
+        let grp = self.group_of(&old_cfg);
+        let old_p = old_cfg.tp.milliwatts();
+        let jc = self.alloc[j];
+        let jp = jc.tp.milliwatts();
+        let load_j = match stay_p {
+            // Only i's power changed; its duty cycle is unchanged.
+            Some(_) => self.alpha_sum[grp] - model.duty_of(j, jc.sf),
+            None => self.alpha_sum[grp] - model.duty_of(j, jc.sf) - model.duty_of(i, old_cfg.sf),
+        };
+        self.ee_raw(j, &jc, load_j, |k| {
+            let base = self.power_sum[grp][k] - jp * model.attenuation.at(j, k);
+            match stay_p {
+                Some(new_p) => {
+                    base - old_p * model.attenuation.at(i, k) + new_p * model.attenuation.at(i, k)
+                }
+                None => base - old_p * model.attenuation.at(i, k),
+            }
+        })
     }
 
     /// Commits the move of device `i` to `cfg`, updating all aggregates and
@@ -1065,56 +1120,32 @@ impl<'m> ModelState<'m> {
         if g_new != g_old {
             self.recompute_group_min(g_new);
         }
+        self.generation += 1;
     }
 
     /// Recomputes every aggregate and cached value from scratch, flushing
     /// the θ/Λ drift accumulated across committed moves. The greedy
     /// allocator calls this between passes.
     pub fn refresh(&mut self) {
-        let rebuilt = ModelState::build(self.model, std::mem::take(&mut self.alloc));
-        *self = rebuilt;
+        let generation = self.generation + 1;
+        *self = ModelState::build(self.model, std::mem::take(&mut self.alloc));
+        self.generation = generation;
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
     /// scan of device `i` (see [`ScanCache`]). Invalidated by any
-    /// [`ModelState::apply`] — prepare again after committing.
+    /// [`ModelState::apply`] or [`ModelState::refresh`] — prepare again
+    /// after committing.
     pub fn prepare_scan(&self, i: usize) -> ScanCache {
-        let model = self.model;
-        let g = model.gateway_count();
-        let n = self.alloc.len();
-        let old_cfg = self.alloc[i];
-        let g_old = self.group_of(&old_cfg);
-        let old_p = old_cfg.tp.milliwatts();
-        let alpha_old = model.duty_of(i, old_cfg.sf);
+        let g_old = self.group_of(&self.alloc[i]);
 
-        let mut base_load = Vec::with_capacity(n);
-        let mut base_interf = Vec::with_capacity(n * g);
-        for j in 0..n {
-            let jc = self.alloc[j];
-            let jp = jc.tp.milliwatts();
-            let grp = self.group_of(&jc);
-            base_load.push(self.alpha_sum[grp] - model.duty_of(j, jc.sf));
-            for k in 0..g {
-                base_interf.push(self.power_sum[grp][k] - jp * model.attenuation.at(j, k));
-            }
-        }
-
-        // Part 2 of `min_ee_if` for a cross-group move — identical
-        // expressions, computed once instead of per candidate.
-        let mut exit_min = f64::INFINITY;
-        for &j in &self.members[g_old] {
-            if j == i {
-                continue;
-            }
-            let jc = self.alloc[j];
-            let jp = jc.tp.milliwatts();
-            let load_j = self.alpha_sum[g_old] - model.duty_of(j, jc.sf) - alpha_old;
-            let ee_j = self.ee_raw(j, &jc, load_j, |k| {
-                let base = self.power_sum[g_old][k] - jp * model.attenuation.at(j, k);
-                base - old_p * model.attenuation.at(i, k)
-            });
-            exit_min = exit_min.min(ee_j);
-        }
+        // Part 2 of `min_ee_if` for a cross-group move, computed once
+        // instead of per candidate.
+        let exit_min = self.members[g_old]
+            .iter()
+            .filter(|&&j| j != i)
+            .map(|&j| self.old_member_ee(i, j, None))
+            .fold(f64::INFINITY, f64::min);
 
         let mut other_min = f64::INFINITY;
         let mut other_min_idx = usize::MAX;
@@ -1134,9 +1165,8 @@ impl<'m> ModelState<'m> {
 
         ScanCache {
             device: i,
+            generation: self.generation,
             exit_min,
-            base_load,
-            base_interf,
             g_old,
             other_min,
             other_min_idx,
@@ -1151,7 +1181,12 @@ impl<'m> ModelState<'m> {
     /// exact result can never exceed it — a caller whose acceptance test
     /// already fails at this bound can skip the exact evaluation without
     /// changing any decision.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the state changed since `scan` was prepared.
     pub fn untouched_groups_min(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
+        self.assert_fresh(scan);
         let g_new = self.group_of(&cfg);
         if g_new != scan.g_old && g_new == scan.other_min_idx {
             scan.other_min2
@@ -1162,69 +1197,24 @@ impl<'m> ModelState<'m> {
 
     /// [`ModelState::min_ee_if`] served from a [`ScanCache`]: the same
     /// component EEs (bitwise — every arithmetic expression matches),
-    /// hence the same pruning verdict and the same returned minimum,
-    /// evaluated in `O(new-group members × gateways)` per candidate.
-    ///
-    /// Same-group candidates (only the transmit power changes) fall back
-    /// to the plain path: their group shape is not covered by the cache.
+    /// hence the same pruning verdict and the same returned minimum.
+    /// A cross-group candidate reads its old group's part from the cache
+    /// and costs `O(new-group members × gateways)`; a same-group
+    /// candidate (only the transmit power changes) evaluates both parts.
     ///
     /// # Panics
     ///
-    /// Panics when `scan` was prepared for a different allocation shape.
+    /// Panics when the state changed since `scan` was prepared.
     pub fn min_ee_if_scanned(&self, scan: &ScanCache, cfg: TxConfig, floor: f64) -> Option<f64> {
-        let i = scan.device;
-        assert_eq!(scan.base_load.len(), self.alloc.len(), "stale scan cache");
-        let g_old = self.group_of(&self.alloc[i]);
-        let g_new = self.group_of(&cfg);
-        if g_old == g_new {
-            return self.min_ee_if(i, cfg, floor);
-        }
-        let model = self.model;
-        let g = model.gateway_count();
-        let new_p = cfg.tp.milliwatts();
-        let alpha_new = model.duty_of(i, cfg.sf);
+        self.assert_fresh(scan);
+        self.min_ee_after(scan.device, cfg, floor, Some(scan.exit_min))
+    }
 
-        // 1. The moved device itself (cross-group: joins g_new whole).
-        let ee_i = self.ee_raw(i, &cfg, self.alpha_sum[g_new], |k| self.power_sum[g_new][k]);
-        if ee_i <= floor {
-            return None;
-        }
-        let mut min = ee_i;
-
-        // 2. The old group after i leaves — precomputed.
-        if scan.exit_min <= floor {
-            return None;
-        }
-        min = min.min(scan.exit_min);
-
-        // 3. Devices in the new group (gaining i).
-        for &j in &self.members[g_new] {
-            let jc = self.alloc[j];
-            let ee_j = self.ee_raw(j, &jc, scan.base_load[j] + alpha_new, |k| {
-                scan.base_interf[j * g + k] + new_p * model.attenuation.at(i, k)
-            });
-            if ee_j <= floor {
-                return None;
-            }
-            min = min.min(ee_j);
-        }
-
-        // 4. Every other group, from the cached per-group minima.
-        for (grp, &gm) in self.group_min.iter().enumerate() {
-            if grp == g_old || grp == g_new {
-                continue;
-            }
-            if gm <= floor {
-                return None;
-            }
-            min = min.min(gm);
-        }
-
-        if min > floor {
-            Some(min)
-        } else {
-            None
-        }
+    fn assert_fresh(&self, scan: &ScanCache) {
+        assert_eq!(
+            scan.generation, self.generation,
+            "stale scan cache: the state changed after prepare_scan"
+        );
     }
 }
 
@@ -1593,6 +1583,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "stale scan cache")]
+    fn scan_cache_is_rejected_after_apply() {
+        let topo = line_topology(12, 150.0, 2);
+        let model = model_for(&topo);
+        let mut state = model
+            .state(uniform_alloc(12, SpreadingFactor::Sf7, 0))
+            .unwrap();
+        let scan = state.prepare_scan(3);
+        // Same allocation length: the move leaves nothing a length check
+        // could notice.
+        state.apply(
+            5,
+            TxConfig::new(SpreadingFactor::Sf8, TxPowerDbm::new(14.0), 1),
+        );
+        let cfg = TxConfig::new(SpreadingFactor::Sf9, TxPowerDbm::new(8.0), 2);
+        let _ = state.min_ee_if_scanned(&scan, cfg, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale scan cache")]
+    fn scan_cache_is_rejected_after_refresh() {
+        let topo = line_topology(12, 150.0, 2);
+        let model = model_for(&topo);
+        let mut state = model
+            .state(uniform_alloc(12, SpreadingFactor::Sf7, 0))
+            .unwrap();
+        let scan = state.prepare_scan(3);
+        state.refresh();
+        let cfg = TxConfig::new(SpreadingFactor::Sf9, TxPowerDbm::new(8.0), 2);
+        let _ = state.untouched_groups_min(&scan, cfg);
     }
 
     #[test]
