@@ -10,8 +10,7 @@
 //! * [`collision`] — the paper's collision rule (same SF, same channel, any
 //!   overlap) plus the optional inter-SF interference matrix extension,
 //! * [`gateway`] — the SX1301 demodulator bank that caps a gateway at eight
-//!   concurrent packets (paper Eq. 6),
-//! * [`dedup`] — network-server de-duplication of multi-gateway copies.
+//!   concurrent packets (paper Eq. 6).
 //!
 //! # Example
 //!
@@ -30,7 +29,6 @@ pub mod aloha;
 pub mod class_a;
 pub mod collision;
 pub mod crypto;
-pub mod dedup;
 pub mod error;
 pub mod frame;
 pub mod gateway;
@@ -38,7 +36,6 @@ pub mod gateway;
 pub use aloha::AlohaSchedule;
 pub use class_a::ClassAParams;
 pub use collision::InterSfPolicy;
-pub use dedup::{Deduplicator, Reception};
 pub use error::MacError;
 pub use frame::UplinkFrame;
 pub use gateway::DemodulatorBank;

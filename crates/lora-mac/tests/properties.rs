@@ -4,7 +4,7 @@ use lora_mac::aloha::{duty_cycle, AlohaSchedule};
 use lora_mac::collision::{collides, AirInterval, InterSfPolicy};
 use lora_mac::crypto::{Aes128, Cmac};
 use lora_mac::frame::UplinkFrame;
-use lora_mac::{Deduplicator, DemodulatorBank, Reception};
+use lora_mac::DemodulatorBank;
 use lora_phy::SpreadingFactor;
 use proptest::prelude::*;
 
@@ -102,20 +102,6 @@ proptest! {
             bank.try_acquire(*start, start + dur);
             prop_assert!(bank.busy_at(*start) <= capacity);
         }
-    }
-
-    #[test]
-    fn dedup_delivers_each_frame_exactly_once(
-        offers in proptest::collection::vec((0u32..8, 0u32..16), 1..300),
-    ) {
-        let mut dedup = Deduplicator::new();
-        let mut seen = std::collections::HashSet::new();
-        for (dev, cnt) in offers {
-            let outcome = dedup.observe(dev, cnt);
-            let first = seen.insert((dev, cnt));
-            prop_assert_eq!(outcome == Reception::FirstCopy, first);
-        }
-        prop_assert_eq!(dedup.delivered(), seen.len() as u64);
     }
 
     #[test]

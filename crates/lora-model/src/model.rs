@@ -826,7 +826,7 @@ impl<'m> ModelState<'m> {
     }
 
     /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
-    /// (served from the cache maintained by [`ModelState::rebuild_theta`]).
+    /// (served from a cache rebuilt whenever the loads change).
     pub fn theta(&self, i: usize, k: usize) -> f64 {
         self.theta_cache[i * self.model.gateway_count() + k]
     }

@@ -7,7 +7,7 @@
 //! [`lora_sim::Topology::try_disc`] established).
 //!
 //! The legacy shape — [`SpatialSpec::UniformDisc`] with grid gateways and
-//! no classes — never reaches this module: [`crate::compile`] delegates it
+//! no classes — never reaches this module: [`crate::compile()`] delegates it
 //! to `Topology::try_disc` so the historical byte-identical stream is
 //! preserved.
 

@@ -2,7 +2,7 @@
 //!
 //! A [`ScenarioSpec`] is plain serde data — read it from JSON with
 //! [`crate::from_json`] or assemble it with [`ScenarioSpecBuilder`] — and
-//! compiles (see [`crate::compile`]) into concrete `(Topology, SimConfig,
+//! compiles (see [`crate::compile()`]) into concrete `(Topology, SimConfig,
 //! churn timeline)` inputs for the existing allocator/simulator stack.
 
 use serde::{Deserialize, Serialize};

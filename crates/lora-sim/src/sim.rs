@@ -4,7 +4,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use lora_mac::{Deduplicator, DemodulatorBank, Reception};
+use lora_mac::DemodulatorBank;
 use lora_phy::link::noise_floor_dbm;
 use lora_phy::toa::ToaParams;
 use lora_phy::{dbm_to_mw, Bandwidth, TxConfig};
@@ -65,8 +65,8 @@ impl Simulation {
     ///   entry per device;
     /// * [`SimError::ChannelOutOfRange`] if an entry names a channel outside
     ///   the regional plan;
-    /// * [`SimError::InvalidConfig`] for non-positive durations/intervals or
-    ///   an over-size payload.
+    /// * [`SimError::InvalidConfig`] for non-positive durations/intervals, a
+    ///   gateway without demodulator paths or an over-size payload.
     pub fn new(
         config: SimConfig,
         topology: Topology,
@@ -118,6 +118,11 @@ impl Simulation {
         if !(config.report_interval_s.is_finite() && config.report_interval_s > 0.0) {
             return Err(SimError::InvalidConfig {
                 reason: "report interval must be positive",
+            });
+        }
+        if config.demod_capacity == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "a gateway needs at least one demodulator path",
             });
         }
         if let Some(intervals) = &config.per_device_intervals_s {
@@ -306,7 +311,11 @@ impl Simulation {
             .map(|_| DemodulatorBank::with_capacity(self.config.demod_capacity))
             .collect();
         let mut gw_stats = vec![GatewayStats::default(); n_gw];
-        let mut dedup = Deduplicator::new();
+        // Network-server de-duplication: the last frame counter delivered
+        // per device (`u32::MAX` before the first) and two network totals.
+        let mut last_delivered = vec![u32::MAX; n_dev];
+        let mut frames_delivered = 0u64;
+        let mut duplicate_copies = 0u64;
 
         let mut attempts = vec![0u32; n_dev];
         let mut delivered = vec![0u32; n_dev];
@@ -520,9 +529,22 @@ impl Simulation {
                                     gateway: gw,
                                     outcome: ReceptionOutcome::Decoded,
                                 });
-                                match dedup.observe(device as u32, seq) {
-                                    Reception::FirstCopy => any_copy = true,
-                                    Reception::Duplicate => {}
+                                // One counter per device is exact because a
+                                // device's `TxEnd`s pop in non-decreasing
+                                // `seq` order. First attempts start one
+                                // interval apart and last one ToA each, so
+                                // they end in order (equal times pop in push
+                                // order); a retry of frame `seq` is scheduled
+                                // only if it ends before `next_cycle_start`,
+                                // where frame `seq + 1` starts. So a copy
+                                // repeats a delivered frame exactly when
+                                // `seq` is the last counter delivered.
+                                if last_delivered[device] == seq {
+                                    duplicate_copies += 1;
+                                } else {
+                                    last_delivered[device] = seq;
+                                    frames_delivered += 1;
+                                    any_copy = true;
                                 }
                             }
                         } else if jam_mw > 0.0
@@ -631,8 +653,8 @@ impl Simulation {
         SimReport {
             devices,
             gateways: gw_stats,
-            frames_delivered: dedup.delivered(),
-            duplicate_copies: dedup.duplicates(),
+            frames_delivered,
+            duplicate_copies,
             duration_s: duration,
         }
     }
@@ -717,6 +739,19 @@ mod tests {
             SimError::AllocationLengthMismatch {
                 devices: 3,
                 allocation: 2
+            }
+        );
+    }
+
+    #[test]
+    fn zero_demod_capacity_is_validated() {
+        let mut c = quiet_config();
+        c.demod_capacity = 0;
+        let err = Simulation::new(c, near_topology(1), sf7_alloc(1)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidConfig {
+                reason: "a gateway needs at least one demodulator path"
             }
         );
     }
