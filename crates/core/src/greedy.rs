@@ -270,9 +270,12 @@ impl EfLora {
         let mut state: ModelState<'_> = ctx.model().state(initial)?;
         let initial_min_ee = state.min_ee();
 
-        // Because Λ/θ are frozen during a pass (see lora-model docs), the
-        // post-refresh objective of a pass can occasionally dip below an
-        // earlier pass; keep the best refreshed allocation ever seen.
+        // Λ and θ follow every committed move, but until `refresh` the
+        // cached EE of devices in untouched groups goes stale and the
+        // incrementally updated Λ carries rounding (see lora-model docs),
+        // so the post-refresh objective of a pass can occasionally dip
+        // below an earlier pass; keep the best refreshed allocation ever
+        // seen.
         let mut best_alloc = state.alloc().to_vec();
         let mut best_ee = initial_min_ee;
 

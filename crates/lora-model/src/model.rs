@@ -14,14 +14,20 @@
 //!
 //! * The gateway-capacity factor `θ` uses a Poisson tail with mean
 //!   `Λ_k − q_{i,k}` where `Λ_k` is the total expected demodulator
-//!   occupancy at gateway `k`. `Λ` is updated on committed moves but *not*
-//!   during a hypothetical candidate scan (one device among thousands
-//!   perturbs it negligibly); [`ModelState::refresh`] recomputes it, and the
-//!   allocator calls it between passes. The exact Poisson–binomial is
-//!   available in [`crate::capacity`] and is used by
+//!   occupancy at gateway `k`. `Λ` is updated incrementally on committed
+//!   moves but *not* during a hypothetical candidate scan (one device among
+//!   thousands perturbs it negligibly). θ is held as one row per device,
+//!   computed on the row's first read after a committed move or a refresh
+//!   changed `Λ`, so every read sees the live `Λ` and `q` while rows that
+//!   are never read are never computed. [`ModelState::refresh`] re-sums
+//!   `Λ` in full, dropping the rounding its incremental updates
+//!   accumulate; the allocator calls it between passes. The exact
+//!   Poisson–binomial is available in [`crate::capacity`] and is used by
 //!   [`NetworkModel::evaluate_exact_theta`].
 //! * EE values cached for devices in *unaffected* groups are not
-//!   recomputed when `Λ` drifts; `refresh` flushes this too.
+//!   recomputed when `Λ` moves; `refresh` flushes these too.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lora_phy::energy::RadioEnergyModel;
 use lora_phy::link::noise_floor_dbm;
@@ -554,7 +560,7 @@ impl NetworkModel {
     /// Returns the validation errors of [`NetworkModel::validate`].
     pub fn state(&self, alloc: Vec<TxConfig>) -> Result<ModelState<'_>, ModelError> {
         self.validate(&alloc)?;
-        Ok(ModelState::build(self, alloc))
+        Ok(ModelState::build(self, alloc, 0))
     }
 
     /// Re-derives the reporting-interval fields from `config` after a
@@ -654,6 +660,10 @@ pub struct ModelState<'m> {
     /// `Σ_{j∈group} α_j` per group — the ALOHA contention load used by the
     /// heterogeneous-rates generalisation of Eq. (14).
     alpha_sum: Vec<f64>,
+    /// Transmit power of each device's bound configuration, mW
+    /// (`alloc[i].tp.milliwatts()`), so exact evaluations read it instead
+    /// of converting from dBm for every group member.
+    power_mw: Vec<f64>,
     /// Occupancy probability `q_{i,k}` per device and gateway.
     q: Vec<Vec<f64>>,
     /// Total expected occupancy `Λ_k` per gateway.
@@ -662,18 +672,95 @@ pub struct ModelState<'m> {
     ee: Vec<f64>,
     /// Cached minimum EE per group (`∞` for empty groups).
     group_min: Vec<f64>,
-    /// Cached capacity factor `θ_{i,k}`, flat `[device][gateway]`.
+    /// The capacity factor `θ_{i,k}`, one lazily filled row per device.
     ///
     /// `θ` depends only on `Λ` and `q` — not on the candidate being
-    /// scanned — so it is recomputed exactly where `Λ`/`q` change
-    /// ([`ModelState::build`] and [`ModelState::apply`]) and *read*
-    /// everywhere else, eliminating the Poisson tail from the
-    /// per-candidate inner loop while producing bit-identical values.
-    theta_cache: Vec<f64>,
+    /// scanned — so a row is computed on its first read at the current
+    /// generation and then read until the next [`ModelState::apply`] or
+    /// [`ModelState::refresh`]. This keeps the Poisson tail out of the
+    /// per-candidate inner loop, and out of every row nobody reads,
+    /// while producing bit-identical values.
+    theta: ThetaRows,
     /// Advanced by every [`ModelState::apply`] and [`ModelState::refresh`],
     /// so a [`ScanCache`] can tell whether the state it was prepared
-    /// against has changed since.
+    /// against has changed since, and a θ row whether it was computed
+    /// against the current `Λ` and `q`.
     generation: u64,
+}
+
+// `ModelState` must stay `Sync`, because the parallel dense scan shares
+// `&ModelState` across worker threads, and `Clone`.
+const _: () = {
+    const fn assert_sync_clone<T: Sync + Clone>() {}
+    assert_sync_clone::<ModelState<'static>>();
+};
+
+/// Stamp of a θ row that has never been filled.
+const UNFILLED: u64 = u64::MAX;
+
+/// `θ_{i,k}` of every device, as rows over the gateways filled on demand
+/// by [`ModelState::theta_row`].
+///
+/// The rows are atomics so that a shared `&ModelState` stays `Sync`: the
+/// parallel dense scan reads, and therefore fills, rows from several
+/// workers at once. A filler stores the row's values `Relaxed` and then
+/// the row's stamp `Release`; a reader loads the stamp `Acquire`, so a
+/// reader that finds the current generation there also sees the values
+/// stored before it. Workers that race to fill one row compute the same
+/// bits from the same `Λ` and `q`, so the order in which their stores
+/// land does not matter. The generation itself only moves through
+/// `&mut ModelState`, when no reader can hold the state.
+#[derive(Debug)]
+struct ThetaRows {
+    /// Number of gateways (the row length).
+    gateways: usize,
+    /// `θ` as `f64` bits, flat `[device][gateway]`.
+    bits: Vec<AtomicU64>,
+    /// Generation each device's row was last filled at, or [`UNFILLED`].
+    stamp: Vec<AtomicU64>,
+}
+
+impl ThetaRows {
+    fn unfilled(devices: usize, gateways: usize) -> Self {
+        ThetaRows {
+            gateways,
+            bits: (0..devices * gateways).map(|_| AtomicU64::new(0)).collect(),
+            stamp: (0..devices).map(|_| AtomicU64::new(UNFILLED)).collect(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[AtomicU64] {
+        &self.bits[i * self.gateways..(i + 1) * self.gateways]
+    }
+}
+
+impl Clone for ThetaRows {
+    fn clone(&self) -> Self {
+        let mut bits = Vec::with_capacity(self.bits.len());
+        let mut stamp = Vec::with_capacity(self.stamp.len());
+        for (i, s) in self.stamp.iter().enumerate() {
+            // Stamp before values, with the reader's pairing: a stamp
+            // copied as current comes with the values published before
+            // it, and the values of a stale row are never read.
+            stamp.push(AtomicU64::new(s.load(Ordering::Acquire)));
+            bits.extend(
+                self.row(i)
+                    .iter()
+                    .map(|v| AtomicU64::new(v.load(Ordering::Relaxed))),
+            );
+        }
+        ThetaRows {
+            gateways: self.gateways,
+            bits,
+            stamp,
+        }
+    }
+}
+
+/// Reads one `θ` from a row returned by [`ModelState::theta_row`].
+#[inline]
+fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
+    f64::from_bits(row[k].load(Ordering::Relaxed))
 }
 
 /// Per-device scratch for a candidate scan, produced by
@@ -710,7 +797,9 @@ pub struct ScanCache {
 }
 
 impl<'m> ModelState<'m> {
-    fn build(model: &'m NetworkModel, alloc: Vec<TxConfig>) -> Self {
+    /// Binds `alloc` at `generation`; every θ row is filled at that
+    /// generation by the EE pass at the end.
+    fn build(model: &'m NetworkModel, alloc: Vec<TxConfig>, generation: u64) -> Self {
         let n = model.device_count();
         let g = model.gateway_count();
         let n_groups = group_count(model.n_channels);
@@ -720,12 +809,13 @@ impl<'m> ModelState<'m> {
             members: vec![Vec::new(); n_groups],
             power_sum: vec![vec![0.0; g]; n_groups],
             alpha_sum: vec![0.0; n_groups],
+            power_mw: vec![0.0; n],
             q: vec![vec![0.0; g]; n],
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
-            theta_cache: Vec::new(),
-            generation: 0,
+            theta: ThetaRows::unfilled(n, g),
+            generation,
         };
         if let Some(ambient) = &model.ambient {
             // Out-of-scope contributions seed the sums; the loop below
@@ -743,6 +833,7 @@ impl<'m> ModelState<'m> {
             state.members[grp].push(i);
             state.alpha_sum[grp] += model.duty_of(i, cfg.sf);
             let p_mw = cfg.tp.milliwatts();
+            state.power_mw[i] = p_mw;
             for k in 0..g {
                 state.power_sum[grp][k] += p_mw * model.attenuation.at(i, k);
                 let q = model.occupancy_probability(i, &cfg, k);
@@ -750,27 +841,26 @@ impl<'m> ModelState<'m> {
                 state.lambda[k] += q;
             }
         }
-        state.rebuild_theta();
         state.recompute_all_ee();
         state
     }
 
-    /// Recomputes the cached `θ_{i,k}` for every device and gateway from
-    /// the live `Λ`/`q` — called wherever those change so that reading
-    /// the cache is indistinguishable from evaluating the Poisson tail
-    /// on the fly.
-    fn rebuild_theta(&mut self) {
-        let g = self.model.gateway_count();
-        self.theta_cache.clear();
-        self.theta_cache.reserve(self.alloc.len() * g);
-        for i in 0..self.alloc.len() {
-            for k in 0..g {
-                self.theta_cache.push(poisson_at_most(
-                    (self.lambda[k] - self.q[i][k]).max(0.0),
-                    OTHERS_BUDGET,
-                ));
+    /// Device `i`'s θ row over the gateways, computed from the live `Λ`
+    /// and `q` first if it was not filled at the current generation.
+    /// Read its values with [`theta_at`]; [`ThetaRows`] explains why the
+    /// `Relaxed` loads there are enough.
+    fn theta_row(&self, i: usize) -> &[AtomicU64] {
+        let row = self.theta.row(i);
+        let stamp = &self.theta.stamp[i];
+        if stamp.load(Ordering::Acquire) != self.generation {
+            for (k, slot) in row.iter().enumerate() {
+                let theta =
+                    poisson_at_most((self.lambda[k] - self.q[i][k]).max(0.0), OTHERS_BUDGET);
+                slot.store(theta.to_bits(), Ordering::Relaxed);
             }
+            stamp.store(self.generation, Ordering::Release);
         }
+        row
     }
 
     #[inline]
@@ -822,32 +912,36 @@ impl<'m> ModelState<'m> {
     pub fn interference_on(&self, i: usize, k: usize) -> f64 {
         let cfg = &self.alloc[i];
         let grp = self.group_of(cfg);
-        (self.power_sum[grp][k] - cfg.tp.milliwatts() * self.model.attenuation.at(i, k)).max(0.0)
+        (self.power_sum[grp][k] - self.power_mw[i] * self.model.attenuation.at(i, k)).max(0.0)
     }
 
     /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
-    /// (served from a cache rebuilt whenever the loads change).
+    /// `Λ_k − q_{i,k}`. Device `i`'s row is computed on its first read
+    /// after the loads last changed and served from the state until they
+    /// change again.
     pub fn theta(&self, i: usize, k: usize) -> f64 {
-        self.theta_cache[i * self.model.gateway_count() + k]
+        theta_at(self.theta_row(i), k)
     }
 
     /// EE of device `i` under a hypothetical configuration and group shape:
-    /// `load` is the summed duty cycle of its co-group contenders and
-    /// `interference(k)` the mean co-group interference at each gateway.
+    /// `p_mw` is `cfg`'s transmit power in mW, `load` the summed duty
+    /// cycle of its co-group contenders and `interference(k)` the mean
+    /// co-group interference at each gateway.
     fn ee_raw(
         &self,
         i: usize,
         cfg: &TxConfig,
+        p_mw: f64,
         load: f64,
         interference: impl Fn(usize) -> f64,
     ) -> f64 {
         let model = self.model;
         let sfi = cfg.sf.index();
         let h = overlap_from_load(load.max(0.0));
-        let p_mw = cfg.tp.milliwatts();
+        let thetas = self.theta_row(i);
         let per_gw = (0..model.gateway_count()).map(|k| {
             let mean_rx = p_mw * model.attenuation.at(i, k);
-            let theta = self.theta(i, k);
+            let theta = theta_at(thetas, k);
             let p = pdr_with(
                 model.pdr_form,
                 mean_rx,
@@ -866,8 +960,8 @@ impl<'m> ModelState<'m> {
         let cfg = self.alloc[i];
         let grp = self.group_of(&cfg);
         let load = self.alpha_sum[grp] - self.model.duty_of(i, cfg.sf);
-        let own = cfg.tp.milliwatts();
-        self.ee_raw(i, &cfg, load, |k| {
+        let own = self.power_mw[i];
+        self.ee_raw(i, &cfg, own, load, |k| {
             self.power_sum[grp][k] - own * self.model.attenuation.at(i, k)
         })
     }
@@ -923,14 +1017,14 @@ impl<'m> ModelState<'m> {
         let g_old = self.group_of(&self.alloc[i]);
         let g_new = self.group_of(&cfg);
         let same_group = g_old == g_new;
-        let old_p = self.alloc[i].tp.milliwatts();
+        let old_p = self.power_mw[i];
         // Same group implies same SF, hence the same α for device i.
         let load = if same_group {
             self.alpha_sum[g_old] - self.model.duty_of(i, cfg.sf)
         } else {
             self.alpha_sum[g_new]
         };
-        self.ee_raw(i, &cfg, load, |k| {
+        self.ee_raw(i, &cfg, cfg.tp.milliwatts(), load, |k| {
             if same_group {
                 self.power_sum[g_old][k] - old_p * self.model.attenuation.at(i, k)
             } else {
@@ -962,7 +1056,7 @@ impl<'m> ModelState<'m> {
         let g_new = self.group_of(&cfg);
         let same_group = g_old == g_new;
         let old_cfg = self.alloc[i];
-        let old_p = old_cfg.tp.milliwatts();
+        let old_p = self.power_mw[i];
         let new_p = cfg.tp.milliwatts();
 
         let alpha_old = model.duty_of(i, old_cfg.sf);
@@ -974,7 +1068,7 @@ impl<'m> ModelState<'m> {
         } else {
             self.alpha_sum[g_new]
         };
-        let ee_i = self.ee_raw(i, &cfg, load_i, |k| {
+        let ee_i = self.ee_raw(i, &cfg, new_p, load_i, |k| {
             if same_group {
                 self.power_sum[g_old][k] - old_p * model.attenuation.at(i, k)
             } else {
@@ -1012,9 +1106,9 @@ impl<'m> ModelState<'m> {
         if !same_group {
             for &j in &self.members[g_new] {
                 let jc = self.alloc[j];
-                let jp = jc.tp.milliwatts();
+                let jp = self.power_mw[j];
                 let load_j = self.alpha_sum[g_new] - model.duty_of(j, jc.sf) + alpha_new;
-                let ee_j = self.ee_raw(j, &jc, load_j, |k| {
+                let ee_j = self.ee_raw(j, &jc, jp, load_j, |k| {
                     self.power_sum[g_new][k] - jp * model.attenuation.at(j, k)
                         + new_p * model.attenuation.at(i, k)
                 });
@@ -1050,15 +1144,15 @@ impl<'m> ModelState<'m> {
         let model = self.model;
         let old_cfg = self.alloc[i];
         let grp = self.group_of(&old_cfg);
-        let old_p = old_cfg.tp.milliwatts();
+        let old_p = self.power_mw[i];
         let jc = self.alloc[j];
-        let jp = jc.tp.milliwatts();
+        let jp = self.power_mw[j];
         let load_j = match stay_p {
             // Only i's power changed; its duty cycle is unchanged.
             Some(_) => self.alpha_sum[grp] - model.duty_of(j, jc.sf),
             None => self.alpha_sum[grp] - model.duty_of(j, jc.sf) - model.duty_of(i, old_cfg.sf),
         };
-        self.ee_raw(j, &jc, load_j, |k| {
+        self.ee_raw(j, &jc, jp, load_j, |k| {
             let base = self.power_sum[grp][k] - jp * model.attenuation.at(j, k);
             match stay_p {
                 Some(new_p) => {
@@ -1076,7 +1170,7 @@ impl<'m> ModelState<'m> {
         let g_old = self.group_of(&self.alloc[i]);
         let g_new = self.group_of(&cfg);
         let old_cfg = self.alloc[i];
-        let old_p = old_cfg.tp.milliwatts();
+        let old_p = self.power_mw[i];
         let new_p = cfg.tp.milliwatts();
 
         for k in 0..model.gateway_count() {
@@ -1099,9 +1193,11 @@ impl<'m> ModelState<'m> {
             self.power_sum[g_new][k] += new_p * model.attenuation.at(i, k);
         }
         self.alloc[i] = cfg;
-        // Λ and q just moved, which shifts θ for every device; refresh
-        // the cache before the EE refresh below reads it.
-        self.rebuild_theta();
+        self.power_mw[i] = new_p;
+        // Λ and q just moved, which shifts θ for every device. Advancing
+        // the generation marks every row stale, and must come before the
+        // EE refresh below, whose reads refill the rows they need.
+        self.generation += 1;
 
         // Refresh cached EEs in the affected groups.
         let affected: Vec<usize> = if g_new == g_old {
@@ -1120,16 +1216,17 @@ impl<'m> ModelState<'m> {
         if g_new != g_old {
             self.recompute_group_min(g_new);
         }
-        self.generation += 1;
     }
 
     /// Recomputes every aggregate and cached value from scratch, flushing
-    /// the θ/Λ drift accumulated across committed moves. The greedy
+    /// the rounding of the incrementally updated `Λ` and the stale EE of
+    /// devices outside the groups committed moves touched. The greedy
     /// allocator calls this between passes.
     pub fn refresh(&mut self) {
+        // Build at the new generation, so the build's EE pass fills each
+        // θ row once and for good.
         let generation = self.generation + 1;
-        *self = ModelState::build(self.model, std::mem::take(&mut self.alloc));
-        self.generation = generation;
+        *self = ModelState::build(self.model, std::mem::take(&mut self.alloc), generation);
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
@@ -1223,6 +1320,10 @@ mod tests {
     use super::*;
     use lora_phy::path_loss::LinkEnvironment;
     use lora_sim::{DeviceSite, Position};
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
 
     fn line_topology(n: usize, spacing: f64, gws: usize) -> Topology {
         let devices = (0..n)
@@ -1658,6 +1759,156 @@ mod tests {
         patched.patch_row(&config, 11, &sites[11], full.gateways());
         let moved = Topology::from_sites(sites, full.gateways().to_vec(), radius);
         assert_eq!(patched, NetworkModel::new(&config, &moved));
+    }
+
+    /// The θ the state's live `Λ` and `q` give for `(i, k)` right now,
+    /// computed eagerly.
+    fn eager_theta(state: &ModelState<'_>, i: usize, k: usize) -> f64 {
+        poisson_at_most((state.lambda[k] - state.q[i][k]).max(0.0), OTHERS_BUDGET)
+    }
+
+    /// Reads every `θ` of `state` in a shuffled order and checks each
+    /// against the eager tail, bit for bit.
+    fn check_theta_is_eager(
+        state: &ModelState<'_>,
+        rng: &mut ChaCha12Rng,
+    ) -> Result<(), TestCaseError> {
+        let g = state.model.gateway_count();
+        let mut reads: Vec<(usize, usize)> = (0..state.alloc.len())
+            .flat_map(|i| (0..g).map(move |k| (i, k)))
+            .collect();
+        reads.shuffle(rng);
+        for (i, k) in reads {
+            prop_assert_eq!(
+                state.theta(i, k).to_bits(),
+                eager_theta(state, i, k).to_bits(),
+                "theta({}, {}) at generation {}",
+                i,
+                k,
+                state.generation
+            );
+        }
+        Ok(())
+    }
+
+    fn random_config(rng: &mut ChaCha12Rng, channels: usize) -> TxConfig {
+        TxConfig::new(
+            SpreadingFactor::ALL[rng.gen_range(0..6usize)],
+            TxPowerDbm::new(2.0 * rng.gen_range(1..=7u32) as f64),
+            rng.gen_range(0..channels),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn lazy_theta_rows_equal_the_eager_tail(
+            devices in 1usize..40,
+            gateways in 1usize..=4,
+            ambient in any::<bool>(),
+            seed in any::<u64>(),
+            steps in 1usize..16,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let config = SimConfig::default();
+            let topo = Topology::disc(devices, gateways, 3_000.0, &config, seed);
+            let mut model = NetworkModel::new(&config, &topo);
+            if ambient {
+                let groups = group_count(model.channel_count());
+                let mut offsets = Ambient::zeros(groups, gateways);
+                for v in &mut offsets.power {
+                    *v = rng.gen_range(0.0..1e-9);
+                }
+                for v in &mut offsets.load {
+                    *v = rng.gen_range(0.0..0.2);
+                }
+                // Loads around the demodulator budget, where θ is far
+                // from 1 and sensitive to every bit of Λ.
+                for v in &mut offsets.lambda {
+                    *v = rng.gen_range(0.0..8.0);
+                }
+                model = model.with_ambient(offsets);
+            }
+            let channels = model.channel_count();
+            let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
+            let mut state = model.state(alloc).unwrap();
+            check_theta_is_eager(&state, &mut rng)?;
+            for _ in 0..steps {
+                // A few rows read between steps go stale on the next one.
+                for _ in 0..3 {
+                    let _ = state.theta(rng.gen_range(0..devices), rng.gen_range(0..gateways));
+                }
+                match rng.gen_range(0..8) {
+                    0 => state.refresh(),
+                    // Walk on from a clone whose rows are part filled.
+                    1 => state = state.clone(),
+                    _ => {
+                        let device = rng.gen_range(0..devices);
+                        let cfg = random_config(&mut rng, channels);
+                        let g_old = state.group_of(&state.alloc[device]);
+                        state.apply(device, cfg);
+                        // The move's EE refresh read rows of the new
+                        // generation, not the ones the move made stale.
+                        let g_new = state.group_of(&cfg);
+                        for &j in state.members[g_old].iter().chain(&state.members[g_new]) {
+                            prop_assert_eq!(
+                                state.ee(j).to_bits(),
+                                state.current_ee(j).to_bits(),
+                                "cached EE of device {} after moving {}",
+                                j,
+                                device
+                            );
+                        }
+                    }
+                }
+                check_theta_is_eager(&state.clone(), &mut rng)?;
+                check_theta_is_eager(&state, &mut rng)?;
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_theta_fills_agree() {
+        let config = SimConfig::default();
+        let topo = Topology::disc(150, 3, 3_000.0, &config, 41);
+        let model = NetworkModel::new(&config, &topo);
+        let mut rng = ChaCha12Rng::seed_from_u64(41);
+        let alloc = (0..150)
+            .map(|_| random_config(&mut rng, model.channel_count()))
+            .collect();
+        let mut state = model.state(alloc).unwrap();
+        // Every row goes stale; only the two touched groups' are refilled.
+        state.apply(
+            17,
+            TxConfig::new(SpreadingFactor::Sf10, TxPowerDbm::new(8.0), 3),
+        );
+        let g = model.gateway_count();
+        let reference: Vec<u64> = (0..150)
+            .flat_map(|i| (0..g).map(move |k| (i, k)))
+            .map(|(i, k)| eager_theta(&state, i, k).to_bits())
+            .collect();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4u64 {
+                let (state, barrier, reference) = (&state, &barrier, &reference);
+                scope.spawn(move || {
+                    let mut order: Vec<usize> = (0..150).collect();
+                    order.shuffle(&mut ChaCha12Rng::seed_from_u64(worker));
+                    barrier.wait();
+                    for i in order {
+                        let row = state.theta_row(i);
+                        for k in 0..g {
+                            assert_eq!(
+                                theta_at(row, k).to_bits(),
+                                reference[i * g + k],
+                                "worker {worker}: theta({i}, {k})"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

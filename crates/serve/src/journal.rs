@@ -192,9 +192,10 @@ pub enum JournalError {
         /// The record's `applied` stamp.
         found: u64,
     },
-    /// A previous append failed *and* rolling the file back to the last
-    /// record boundary failed too; the journal refuses further appends
-    /// rather than write frames at an unknown offset.
+    /// An fsync failed, or a previous append failed *and* rolling the
+    /// file back to the last record boundary failed too. The journal
+    /// refuses further appends and syncs rather than write frames at an
+    /// unknown offset or trust an fsync retried after a failure.
     Broken {
         /// What broke the journal.
         reason: String,
@@ -241,14 +242,18 @@ pub struct ScannedJournal {
 pub struct Journal {
     path: PathBuf,
     file: File,
-    /// Length of the fully-framed prefix — the rollback point when an
-    /// append fails partway.
+    /// Length of the prefix of accepted frames — the rollback point when
+    /// an append fails partway or its fsync fails.
     bytes: u64,
     policy: FsyncPolicy,
     /// Appends since the last sync (drives [`FsyncPolicy::Batch`]).
     pending: u32,
-    /// Set when a failed append could not be rolled back; fail-closed.
+    /// Set when an fsync failed or a failed append could not be rolled
+    /// back; fail-closed.
     broken: Option<String>,
+    /// Fail point: the next fsync fails instead of reaching the disk.
+    #[cfg(test)]
+    fail_next_sync: bool,
 }
 
 impl Journal {
@@ -295,6 +300,8 @@ impl Journal {
             policy,
             pending: 0,
             broken: None,
+            #[cfg(test)]
+            fail_next_sync: false,
         };
         journal
             .file
@@ -331,6 +338,8 @@ impl Journal {
             policy,
             pending: 0,
             broken: None,
+            #[cfg(test)]
+            fail_next_sync: false,
         };
         journal
             .file
@@ -361,52 +370,86 @@ impl Journal {
     /// the last record boundary so the next append starts on a clean
     /// frame; if even the rollback fails, the journal marks itself
     /// [`JournalError::Broken`] and rejects everything from then on.
+    /// When the write lands but the policy's fsync fails, the frame is
+    /// rolled back the same way — recovery must not replay a mutation
+    /// the caller refused — and the journal is marked broken: after a
+    /// failed fsync the kernel may have dropped the dirty pages, so a
+    /// retried fsync proves nothing.
     ///
     /// # Errors
     ///
     /// Filesystem failures and the broken state, typed.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        if let Some(reason) = &self.broken {
-            return Err(JournalError::Broken {
-                reason: reason.clone(),
-            });
-        }
+        self.check_unbroken()?;
         let frame = encode_frame(record);
         if let Err(e) = self.file.write_all(&frame) {
             let error = self.io("append", e);
-            if let Err(rollback) = self
-                .file
-                .set_len(self.bytes)
-                .and_then(|()| self.file.seek(SeekFrom::Start(self.bytes)).map(|_| ()))
-            {
-                self.broken = Some(format!(
-                    "append failed ({error}); rollback failed: {rollback}"
-                ));
-            }
+            self.roll_back(&error);
             return Err(error);
         }
-        self.bytes += frame.len() as u64;
         self.pending += 1;
-        match self.policy {
+        let synced = match self.policy {
             FsyncPolicy::Always => self.sync(),
             FsyncPolicy::Batch if self.pending >= BATCH_SYNC_EVERY => self.sync(),
             FsyncPolicy::Batch | FsyncPolicy::Never => Ok(()),
+        };
+        if let Err(error) = synced {
+            self.roll_back(&error);
+            return Err(error);
+        }
+        self.bytes += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Truncates the file to the last accepted frame after `error` and
+    /// moves the write cursor there. A rollback that fails breaks the
+    /// journal.
+    fn roll_back(&mut self, error: &JournalError) {
+        if let Err(rollback) = self
+            .file
+            .set_len(self.bytes)
+            .and_then(|()| self.file.seek(SeekFrom::Start(self.bytes)).map(|_| ()))
+        {
+            self.broken = Some(format!("{error}; rollback failed: {rollback}"));
         }
     }
 
     /// Forces appended records to stable storage (no-op when nothing is
-    /// pending).
+    /// pending). A failed fsync marks the journal
+    /// [`JournalError::Broken`]: it is never retried.
     ///
     /// # Errors
     ///
-    /// Filesystem failures, typed.
+    /// Filesystem failures and the broken state, typed.
     pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.check_unbroken()?;
         if self.pending == 0 {
             return Ok(());
         }
-        self.file.sync_data().map_err(|e| self.io("sync", e))?;
+        if let Err(e) = self.sync_data() {
+            let error = self.io("sync", e);
+            self.broken = Some(error.to_string());
+            return Err(error);
+        }
         self.pending = 0;
         Ok(())
+    }
+
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_sync) {
+            return Err(std::io::Error::other("injected fsync failure"));
+        }
+        self.file.sync_data()
+    }
+
+    fn check_unbroken(&self) -> Result<(), JournalError> {
+        match &self.broken {
+            Some(reason) => Err(JournalError::Broken {
+                reason: reason.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Truncates the journal down to a fresh `base` record — called
@@ -779,6 +822,65 @@ mod tests {
         assert!(matches!(scan(&path), Err(JournalError::Corrupt { .. })));
         std::fs::write(&path, b"EFLJ").unwrap(); // shorter than the magic
         assert!(matches!(scan(&path), Err(JournalError::Corrupt { .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_fsync_rolls_the_frame_back_and_breaks_the_journal() {
+        let path = tmp_dir("fsync").join("wal.journal");
+        let mut journal = Journal::create(&path, FsyncPolicy::Always, &genesis()).unwrap();
+        let a = mutation(0, 2);
+        journal.append(&a).unwrap();
+        let after_a = journal.bytes();
+
+        journal.fail_next_sync = true;
+        assert!(matches!(
+            journal.append(&mutation(1, 3)),
+            Err(JournalError::Io { op: "sync", .. })
+        ));
+        assert_eq!(journal.bytes(), after_a);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), after_a);
+        assert!(matches!(
+            journal.append(&mutation(1, 3)),
+            Err(JournalError::Broken { .. })
+        ));
+        assert!(matches!(journal.sync(), Err(JournalError::Broken { .. })));
+        drop(journal);
+
+        let mut live = ServeState::new(smoke_spec(), &EfLora::default()).unwrap();
+        let JournalRecord::Mutation {
+            request: Request::Churn(event),
+            ..
+        } = &a
+        else {
+            unreachable!()
+        };
+        live.apply_churn(event).unwrap();
+        assert_eq!(scan(&path).unwrap().records, vec![genesis(), a]);
+        let recovered = recover(&path, None, FsyncPolicy::Always).unwrap();
+        assert_eq!(recovered.info.replayed, 1);
+        assert_eq!(recovered.state.snapshot(), live.snapshot());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_explicit_sync_breaks_the_journal() {
+        let path = tmp_dir("sync").join("wal.journal");
+        let mut journal = Journal::create(&path, FsyncPolicy::Batch, &genesis()).unwrap();
+        journal.append(&mutation(0, 2)).unwrap();
+        let after_a = journal.bytes();
+        journal.fail_next_sync = true;
+        assert!(matches!(
+            journal.sync(),
+            Err(JournalError::Io { op: "sync", .. })
+        ));
+        // The frame was acknowledged before the sync, so it stays.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), after_a);
+        assert!(matches!(journal.sync(), Err(JournalError::Broken { .. })));
+        assert!(matches!(
+            journal.append(&mutation(1, 1)),
+            Err(JournalError::Broken { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
