@@ -36,19 +36,24 @@
 //!
 //! The exact evaluation runs behind a rising floor that abandons a
 //! candidate as soon as one component EE falls to it, and most
-//! candidates never reach it: three exact bounds, all components of the
-//! same arithmetic, prove they cannot change the result. The
+//! candidates never reach it: upper bounds that never fall below the
+//! exact values prove they cannot change the result. The
 //! untouched-groups cap `ub` ([`ModelState::untouched_groups_min`], O(1)
 //! from the per-scan [`lora_model::ScanCache`]) is one of the min
-//! components of the exact evaluation, so `min ≤ ub`; the energy
-//! ceiling ([`ModelState::own_ee_ceiling`], O(1)) and then the exact
-//! `own` bound the plateau test. Writing `I` and `P` for the best
-//! improver and plateau move found so far, a candidate is skipped when
+//! components of the exact evaluation, so `min ≤ ub`. The plateau
+//! test's `own` goes through [`ModelState::own_ee_clearing`], which
+//! tries three values, cheapest first: the energy ceiling (O(1)); the
+//! own EE at the easiest contention any channel of the candidate's SF
+//! offers, which caps `own` on every channel of that SF and is
+//! computed once per (SF, TP level) per chunk; and only then the exact
+//! `own`. Writing `I` and `P` for the best improver and plateau move
+//! found so far, a candidate is skipped when
 //!
 //! 1. `ub ≤ floor` — the exact evaluation would return nothing;
 //! 2. `ub ≤ M + s`, so it cannot be an improver, and either `I` exists
-//!    or its energy ceiling, failing that its exact `own`, is `≤ O + s`
-//!    or `< P.own` — it cannot become the plateau move;
+//!    or the first of its energy ceiling, its (SF, TP) bound and its
+//!    exact `own` that fails is `≤ O + s` or `< P.own` — it cannot
+//!    become the plateau move;
 //! 3. `ub > M + s`, `I` exists and `ub < I.min` — it cannot beat `I`.
 //!
 //! Skipped candidates still count as evaluated.
@@ -62,11 +67,14 @@
 //! instead of scan-order-dependent banded comparisons.
 //!
 //! Each chunk keeps its own pruning floor, raised only on strict-improver
-//! finds, and its own `I` and `P` for the skip rules. A candidate the
-//! floor or a rule drops could never have become the chunk's improver,
-//! so every chunk's improver is the exact best improver of its range.
-//! The floor and the rules that consult `I` can change a chunk's plateau
-//! move only once that chunk holds an improver — and the merge then
+//! finds, its own `I` and `P` for the skip rules, and its own memo of
+//! (SF, TP) bounds ([`lora_model::OwnEeBounds`]). The memo holds bounds,
+//! not verdicts, so which chunk computed one changes no skip. A
+//! candidate the floor or a rule drops could never have become the
+//! chunk's improver, so every chunk's improver is the exact best
+//! improver of its range. The floor and the rules that consult `I` can
+//! change a chunk's plateau move only once that chunk holds an
+//! improver — and the merge then
 //! commits an improver. When no chunk finds an improver, no floor ever
 //! rose and no rule consulted `I`, so every chunk's plateau move is the
 //! exact best plateau move of its range. The merged move is therefore a
@@ -78,7 +86,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use lora_model::ModelState;
+use lora_model::{ModelState, OwnEeBounds, ScanCache};
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
 
 use crate::allocation::Allocation;
@@ -438,13 +446,13 @@ struct Incumbent {
 
 /// Scans `grid[range]` with a chunk-local pruning floor. The floor starts
 /// at the global eligibility bound and rises only when a strict improver
-/// is found. Candidates the exact bounds prove unable to change the
-/// chunk's improver, or its plateau while it has no improver, skip the
-/// exact evaluation; see the module docs for why this keeps the merged
-/// result partition-invariant.
+/// is found. Candidates the bounds prove unable to change the chunk's
+/// improver, or its plateau while it has no improver, skip the exact
+/// evaluation; see the module docs for why this keeps the merged result
+/// partition-invariant.
 fn scan_chunk(
     state: &ModelState<'_>,
-    cache: &lora_model::ScanCache,
+    cache: &ScanCache,
     device: usize,
     grid: &[TxConfig],
     range: std::ops::Range<usize>,
@@ -457,6 +465,7 @@ fn scan_chunk(
     } = incumbent;
     let mut scan = DeviceScan::default();
     let mut floor = current_min - tie_slack;
+    let mut own_bounds = OwnEeBounds::new(cache);
     for idx in range {
         let cfg = grid[idx];
         scan.evaluated += 1;
@@ -474,7 +483,7 @@ fn scan_chunk(
             if scan.improver.is_some() {
                 continue;
             }
-            own = state.ee_if_clearing(device, cfg, |ee| {
+            own = state.own_ee_clearing(&mut own_bounds, cfg, |ee| {
                 ee > current_own + tie_slack && scan.plateau.is_none_or(|p| ee >= p.own)
             });
             if own.is_none() {
@@ -582,7 +591,7 @@ pub struct GreedyReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lora_model::NetworkModel;
     use lora_sim::{SimConfig, Topology};
@@ -769,6 +778,24 @@ mod tests {
         (improver.or(plateau), idx as u64)
     }
 
+    /// `model` under random out-of-scope pressure on every group and
+    /// gateway, as a sharded cell solve sees it.
+    pub(crate) fn with_random_ambient(model: NetworkModel, seed: u64) -> NetworkModel {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xa5);
+        let groups = lora_model::contention::group_count(model.channel_count());
+        let mut offsets = lora_model::Ambient::zeros(groups, model.gateway_count());
+        for v in &mut offsets.power {
+            *v = rng.gen_range(0.0..1e-10);
+        }
+        for v in &mut offsets.load {
+            *v = rng.gen_range(0.0..0.05);
+        }
+        for v in &mut offsets.lambda {
+            *v = rng.gen_range(0.0..1.0);
+        }
+        model.with_ambient(offsets)
+    }
+
     /// The bits that make two winners the same move.
     fn key(c: Option<Candidate>) -> Option<(usize, TxConfig, u64, u64)> {
         c.map(|c| (c.idx, c.cfg, c.min.to_bits(), c.own.to_bits()))
@@ -788,21 +815,7 @@ mod tests {
             let (config, topo) = setup(n, gws, seed);
             let mut model = NetworkModel::new(&config, &topo);
             if ambient {
-                // Out-of-scope pressure on every group and gateway, as a
-                // sharded cell solve sees it.
-                let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xa5);
-                let groups = lora_model::contention::group_count(model.channel_count());
-                let mut offsets = lora_model::Ambient::zeros(groups, gws);
-                for v in &mut offsets.power {
-                    *v = rng.gen_range(0.0..1e-10);
-                }
-                for v in &mut offsets.load {
-                    *v = rng.gen_range(0.0..0.05);
-                }
-                for v in &mut offsets.lambda {
-                    *v = rng.gen_range(0.0..1.0);
-                }
-                model = model.with_ambient(offsets);
+                model = with_random_ambient(model, seed);
             }
             let ctx = AllocationContext::new(&config, &topo, &model);
             let tp_levels = if fixed_tp {

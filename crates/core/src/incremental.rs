@@ -17,7 +17,8 @@
 //! verbatim, so the over-the-air reconfiguration cost is bounded by the
 //! group sizes rather than the network size.
 
-use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
+use lora_model::OwnEeBounds;
+use lora_phy::{SpreadingFactor, TxConfig};
 
 use crate::allocation::Allocation;
 use crate::context::AllocationContext;
@@ -281,6 +282,7 @@ fn scan_and_apply(
     // The allocation is fixed for the whole scan (apply happens once, at
     // the end), so hoist every candidate-independent quantity.
     let scan = state.prepare_scan(device);
+    let mut own_bounds = OwnEeBounds::new(&scan);
     for &cfg in ctx.candidates() {
         if cfg == current {
             continue;
@@ -297,7 +299,7 @@ fn scan_and_apply(
         // the incumbent, no acceptance clause can fire and the full
         // evaluation is skipped.
         let own = if state.untouched_groups_min(&scan, cfg) <= best_min + tie_slack {
-            match state.ee_if_clearing(device, cfg, |ee| ee > best_own + tie_slack) {
+            match state.own_ee_clearing(&mut own_bounds, cfg, |ee| ee > best_own + tie_slack) {
                 Some(own) => own,
                 None => continue,
             }
@@ -319,16 +321,18 @@ fn scan_and_apply(
     candidates
 }
 
-/// Convenience: the TP type re-exported for doc examples.
-pub type Power = TxPowerDbm;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::tests::with_random_ambient;
     use crate::greedy::EfLora;
     use crate::strategy::Strategy;
-    use lora_model::NetworkModel;
+    use lora_model::{ModelState, NetworkModel};
     use lora_sim::{SimConfig, Topology};
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha12Rng;
 
     fn grown_pair(n_old: usize, n_new: usize, seed: u64) -> (SimConfig, Topology, Topology) {
         let config = SimConfig::default();
@@ -449,6 +453,83 @@ mod tests {
             outcome.min_ee
         );
         assert_eq!(outcome.allocation.len(), 40);
+    }
+
+    /// Brute-force reference for [`scan_and_apply`]: scores every
+    /// candidate of the context's grid with the unpruned evaluation and
+    /// applies the scan's sequential banded rule, including the running
+    /// floor's strict `min > floor`. Returns the move it would commit and
+    /// the number of candidates scored.
+    fn oracle_scan(
+        ctx: &AllocationContext<'_>,
+        state: &ModelState<'_>,
+        device: usize,
+    ) -> (Option<TxConfig>, u64) {
+        let m = state.min_ee();
+        let o = state.ee(device);
+        let s = (m.abs() * 1e-9).max(1e-15);
+        let current = state.alloc()[device];
+        let mut floor = m - s;
+        let mut best: Option<(f64, f64, TxConfig)> = None;
+        let mut scored = 0;
+        for &cfg in ctx.candidates() {
+            if cfg == current {
+                continue;
+            }
+            scored += 1;
+            let min = state
+                .min_ee_if(device, cfg, f64::NEG_INFINITY)
+                .expect("no floor prunes nothing");
+            let own = state.ee_if(device, cfg);
+            let (best_min, best_own) = best.map_or((m, o), |(min, own, _)| (min, own));
+            if min > floor && (min > best_min + s || (min >= best_min - s && own > best_own + s)) {
+                best = Some((min, own, cfg));
+                floor = min - s;
+            }
+        }
+        (best.map(|(_, _, cfg)| cfg), scored)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn repair_scan_matches_brute_force_oracle(
+            n in 2usize..30,
+            gws in 1usize..4,
+            seed in any::<u64>(),
+            ambient in any::<bool>(),
+        ) {
+            let config = SimConfig::default();
+            // A 1.5 km disc: most devices reach SF7–SF8, whose channels
+            // fill, so a device's own group is often the easiest channel
+            // of its SF, where the own-EE bound must net it out.
+            let topo = Topology::disc(n, gws, 1_500.0, &config, seed);
+            let mut model = NetworkModel::new(&config, &topo);
+            if ambient {
+                model = with_random_ambient(model, seed);
+            }
+            let ctx = AllocationContext::new(&config, &topo, &model);
+            // Walk three repair rounds over every device from a random
+            // allocation: early scans find improvers, later ones plateau
+            // moves or nothing.
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let alloc = (0..n)
+                .map(|_| *ctx.candidates().choose(&mut rng).expect("a non-empty grid"))
+                .collect();
+            let mut state = model.state(alloc).unwrap();
+            for round in 0..3 {
+                for device in 0..n {
+                    let (want, scored) = oracle_scan(&ctx, &state, device);
+                    let before = state.alloc()[device];
+                    let examined = scan_and_apply(&ctx, &mut state, device);
+                    let at = format!("round {round} device {device}");
+                    prop_assert_eq!(examined, scored, "{}", at);
+                    prop_assert_eq!(state.alloc()[device], want.unwrap_or(before), "{}", at);
+                }
+                state.refresh();
+            }
+        }
     }
 
     #[test]

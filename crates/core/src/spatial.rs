@@ -246,7 +246,7 @@ impl SpatialEfLora {
         // mean field admits. Guard the merge with the exact localized
         // objective: the stitched allocation is kept only when it does
         // not degrade the (min, mean) EE of the solved phase.
-        let stitch = shards.stitch_cells(&alloc, &self.inner)?;
+        let stitch = shards.stitch_cells(&alloc)?;
         let mut boundary_reconfigured = 0usize;
         let mut stitched = alloc.clone();
         for cell_result in &stitch {
@@ -803,12 +803,7 @@ impl<'a> Shards<'a> {
 
     /// Phase 3: repair each cell's boundary band against the solved
     /// ring.
-    fn stitch_cells(
-        &self,
-        alloc: &[TxConfig],
-        inner: &EfLora,
-    ) -> Result<Vec<CellOutcome>, AllocError> {
-        let _ = inner;
+    fn stitch_cells(&self, alloc: &[TxConfig]) -> Result<Vec<CellOutcome>, AllocError> {
         let tally = GroupTally::of(alloc, self.n_groups, self.n_channels);
         let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
         let repairer = IncrementalAllocator::new();

@@ -47,5 +47,5 @@ pub mod throughput;
 pub mod validation;
 
 pub use error::ModelError;
-pub use model::{Ambient, ModelState, NetworkModel, ScanCache};
+pub use model::{Ambient, ModelState, NetworkModel, OwnEeBounds, ScanCache};
 pub use pdr::PdrForm;

@@ -768,14 +768,19 @@ fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
 ///
 /// During one scan of device `i` the allocation is fixed, so the parts
 /// of a candidate's evaluation that do not depend on the candidate can be
-/// computed once: the minimum EE of `i`'s old group after it leaves, and
-/// the smallest cached group minima. Preparing costs
-/// `O(old-group members × gateways)`; [`ModelState::min_ee_if_scanned`]
-/// then evaluates a candidate in `O(new-group members × gateways)` with
-/// arithmetic expressions identical to [`ModelState::min_ee_if`] — same
-/// values, fewer recomputations. The cache is invalidated by any
-/// [`ModelState::apply`] or [`ModelState::refresh`]; using it afterwards
-/// panics, so callers must re-prepare after committing a move.
+/// computed once: the minimum EE of `i`'s old group after it leaves, the
+/// smallest cached group minima, and, per SF, the easiest channel's
+/// contention — the smallest overlap `h` and, per gateway, the smallest
+/// co-group interference `i` would meet on any of that SF's channels.
+/// Preparing costs `O(old-group members × gateways + SFs × channels ×
+/// gateways)`; [`ModelState::min_ee_if_scanned`] then evaluates a
+/// candidate in `O(new-group members × gateways)` with arithmetic
+/// expressions identical to [`ModelState::min_ee_if`] — same values,
+/// fewer recomputations — and [`ModelState::own_ee_clearing`] bounds a
+/// candidate's own EE once per (SF, TP) from the easiest channel. The
+/// cache is invalidated by any [`ModelState::apply`] or
+/// [`ModelState::refresh`]; using it afterwards panics, so callers must
+/// re-prepare after committing a move.
 #[derive(Debug, Clone)]
 pub struct ScanCache {
     /// The device being scanned.
@@ -794,6 +799,97 @@ pub struct ScanCache {
     other_min: f64,
     other_min_idx: usize,
     other_min2: f64,
+    /// Per SF, the smallest overlap `h` that [`ModelState::ee_if`]
+    /// computes for a move of `device` onto any of the SF's channels.
+    easiest_overlap: [f64; 6],
+    /// Per SF and gateway, flat `[sf][gateway]`, the smallest co-group
+    /// interference `ee_if` passes for any of the SF's channels.
+    easiest_interference: Vec<f64>,
+}
+
+/// The own-EE bounds of one candidate scan, one per (SF, TP level),
+/// computed on first use by [`ModelState::own_ee_clearing`].
+///
+/// A memo belongs to one [`ScanCache`] and one scanning thread: the
+/// parallel dense scan keeps one per chunk, beside the shared cache. It
+/// stores bounds, not verdicts, so it stays valid while the scan's
+/// acceptance bar moves; like its cache, it is void once the state
+/// changes.
+#[derive(Debug)]
+pub struct OwnEeBounds<'s> {
+    scan: &'s ScanCache,
+    /// Each TP level met so far, with its bound per SF (`None` until the
+    /// first candidate of that SF and level asks).
+    levels: Vec<(TxPowerDbm, [Option<f64>; 6])>,
+}
+
+impl<'s> OwnEeBounds<'s> {
+    /// An empty memo for a scan prepared as `scan`.
+    pub fn new(scan: &'s ScanCache) -> Self {
+        OwnEeBounds {
+            scan,
+            levels: Vec::new(),
+        }
+    }
+
+    /// The memoised bound for `cfg`'s SF and TP, from `compute` on the
+    /// first ask.
+    fn get_or_insert_with(&mut self, cfg: TxConfig, compute: impl FnOnce() -> f64) -> f64 {
+        let level = match self.levels.iter().position(|(tp, _)| *tp == cfg.tp) {
+            Some(level) => level,
+            None => {
+                self.levels.push((cfg.tp, [None; 6]));
+                self.levels.len() - 1
+            }
+        };
+        *self.levels[level].1[cfg.sf.index()].get_or_insert_with(compute)
+    }
+}
+
+/// Each gateway's delivery ratio in the own-EE bound is multiplied by
+/// this factor, `1 + 2⁻⁴⁸`, and capped at 1, before Eq. 13 combines
+/// them. It is what keeps [`ModelState::own_ee_clearing`]'s bound sound
+/// without assuming that libm's `exp` is monotone.
+///
+/// The bound of an (SF, TP) and the exact own EE on one of its channels
+/// run the same arithmetic (`ModelState::ee_at`), with the same power,
+/// θ row and cycle energy. Only the contention differs, and the bound's
+/// is no larger: its `h` and each gateway's interference are minima of
+/// the channels' own values, so no libm call sits between them. Every
+/// step from there to the PDR exponent is a correctly rounded IEEE
+/// operation, and rounding is monotone, so the bound's exponent is at
+/// least the channel's, bit for bit. Then:
+///
+/// * `exp` is the one step evaluated at two different arguments. libm
+///   documents its error in ulps (glibc: 1 ulp), not its monotonicity.
+///   Where the channel's exact `e^x` is a normal number, a result within
+///   4 ulps of it (relative error at most 2⁻⁵⁰) gives
+///   `pdr_bound ≥ pdr_channel · (1 − 2⁻⁵⁰)/(1 + 2⁻⁵⁰)`. The widening,
+///   itself rounded (relative error at most 2⁻⁵³), lifts that above
+///   `pdr_channel`, since `(1 + 2⁻⁴⁸)(1 − 2⁻⁵³)(1 − 2⁻⁴⁹) > 1`. The cap
+///   keeps it there, as no delivery ratio exceeds 1.
+/// * Where `e^x` is below 2⁻¹⁰²², the channel's `θ·PDR` is below 2⁻⁵⁴,
+///   so its Eq. 13 factor `1 − θ·PDR` rounds to exactly 1. No factor of
+///   the bound exceeds that.
+/// * Eq. 13's product and the division by the cycle energy are again
+///   monotone correctly rounded operations on the same θ and energy, so
+///   per-gateway factors no larger than the channel's give an EE no
+///   smaller.
+///
+/// Widening before the product, not the final EE, needs no absolute
+/// margin: the rounding of `1 − θ·PDR` near 1, which dominates a starved
+/// device's near-zero EE, is the same monotone step on both sides.
+const PDR_WIDEN: f64 = 1.0 + 16.0 * f64::EPSILON;
+
+/// A delivery ratio widened by [`PDR_WIDEN`], capped at 1.
+fn widen_pdr(pdr: f64) -> f64 {
+    (pdr * PDR_WIDEN).min(1.0)
+}
+
+/// The overlap probability `h` every evaluation derives from a
+/// contention load.
+fn overlap_at(load: f64) -> f64 {
+    overlap_from_load(load.max(0.0))
 }
 
 impl<'m> ModelState<'m> {
@@ -935,9 +1031,23 @@ impl<'m> ModelState<'m> {
         load: f64,
         interference: impl Fn(usize) -> f64,
     ) -> f64 {
+        self.ee_at(i, cfg, p_mw, overlap_at(load), interference, |pdr| pdr)
+    }
+
+    /// [`ModelState::ee_raw`] at overlap probability `h`, with `widen`
+    /// applied to each gateway's delivery ratio before Eq. 13: the
+    /// identity for exact values, [`widen_pdr`] for the own-EE bound.
+    fn ee_at(
+        &self,
+        i: usize,
+        cfg: &TxConfig,
+        p_mw: f64,
+        h: f64,
+        interference: impl Fn(usize) -> f64,
+        widen: impl Fn(f64) -> f64,
+    ) -> f64 {
         let model = self.model;
         let sfi = cfg.sf.index();
-        let h = overlap_from_load(load.max(0.0));
         let thetas = self.theta_row(i);
         let per_gw = (0..model.gateway_count()).map(|k| {
             let mean_rx = p_mw * model.attenuation.at(i, k);
@@ -951,9 +1061,40 @@ impl<'m> ModelState<'m> {
                 model.noise_mw,
                 model.sens_mw[sfi],
             );
-            (theta, p)
+            (theta, widen(p))
         });
         model.payload_bits * prr(per_gw) / (model.cycle_energy_of(i, cfg) * 1_000.0)
+    }
+
+    /// What device `i` contends with in group `grp` of SF `sf`: the
+    /// group's summed duty and, per gateway, its received-power sum, both
+    /// net of `i` when `grp` is `i`'s own group. These are the load and
+    /// interference [`ModelState::ee_if`] evaluates a move into `grp` at.
+    fn contenders_in(
+        &self,
+        i: usize,
+        grp: usize,
+        sf: SpreadingFactor,
+    ) -> (f64, impl Fn(usize) -> f64 + '_) {
+        let model = self.model;
+        // `grp` can be i's own group only at i's own SF, so `duty_of(i,
+        // sf)` is then the duty i adds to it.
+        let own_group = grp == self.group_of(&self.alloc[i]);
+        let own_p = self.power_mw[i];
+        let sums = &self.power_sum[grp];
+        let load = if own_group {
+            self.alpha_sum[grp] - model.duty_of(i, sf)
+        } else {
+            self.alpha_sum[grp]
+        };
+        let interference = move |k: usize| {
+            if own_group {
+                sums[k] - own_p * model.attenuation.at(i, k)
+            } else {
+                sums[k]
+            }
+        };
+        (load, interference)
     }
 
     fn current_ee(&self, i: usize) -> f64 {
@@ -992,21 +1133,57 @@ impl<'m> ModelState<'m> {
         self.model.payload_bits / (self.model.cycle_energy_of(i, &cfg) * 1_000.0)
     }
 
-    /// [`ModelState::ee_if`] when it passes `clears`, a test that can only
-    /// turn true as its argument rises; `None` otherwise. The `O(1)`
-    /// [`ModelState::own_ee_ceiling`] is tested first, so most failing
-    /// candidates never reach the `O(gateways)` exact value.
-    pub fn ee_if_clearing(
+    /// The scanned device's [`ModelState::ee_if`] for `cfg` when it
+    /// passes `clears`, a test that can only turn true as its argument
+    /// rises; `None` otherwise. Two upper bounds are tested first, so
+    /// most failing candidates never reach the `O(gateways)` exact value:
+    ///
+    /// 1. the `O(1)` [`ModelState::own_ee_ceiling`];
+    /// 2. the own EE at the easiest contention any channel of `cfg`'s SF
+    ///    offers (see [`ScanCache`]), which caps `ee_if` on every channel
+    ///    because the delivery ratio never rises with `h·Ī` (Eq. 10, both
+    ///    [`PdrForm`]s). It is computed once per (SF, TP level) per scan
+    ///    into `bounds`. The derivation beside the constant `PDR_WIDEN`
+    ///    shows why it holds without assuming libm's `exp` monotone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the state changed since `bounds`' scan was prepared.
+    pub fn own_ee_clearing(
         &self,
-        i: usize,
+        bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
         clears: impl Fn(f64) -> bool,
     ) -> Option<f64> {
+        let scan = bounds.scan;
+        self.assert_fresh(scan);
+        let i = scan.device;
         if !clears(self.own_ee_ceiling(i, cfg)) {
+            return None;
+        }
+        if !clears(bounds.get_or_insert_with(cfg, || self.own_ee_bound(scan, cfg))) {
             return None;
         }
         let ee = self.ee_if(i, cfg);
         clears(ee).then_some(ee)
+    }
+
+    /// Upper bound on [`ModelState::ee_if`] for the scanned device over
+    /// every channel of `cfg`'s SF at `cfg`'s power (the channel itself
+    /// is ignored): the own EE at the SF's easiest contention, each
+    /// gateway's delivery ratio widened by [`PDR_WIDEN`].
+    fn own_ee_bound(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
+        let sfi = cfg.sf.index();
+        let g = self.model.gateway_count();
+        let interference = &scan.easiest_interference[sfi * g..(sfi + 1) * g];
+        self.ee_at(
+            scan.device,
+            &cfg,
+            cfg.tp.milliwatts(),
+            scan.easiest_overlap[sfi],
+            |k| interference[k],
+            widen_pdr,
+        )
     }
 
     /// The EE device `i` itself would have after moving to `cfg`
@@ -1014,23 +1191,8 @@ impl<'m> ModelState<'m> {
     /// greedy allocator to break ties between moves that leave the
     /// network minimum unchanged.
     pub fn ee_if(&self, i: usize, cfg: TxConfig) -> f64 {
-        let g_old = self.group_of(&self.alloc[i]);
-        let g_new = self.group_of(&cfg);
-        let same_group = g_old == g_new;
-        let old_p = self.power_mw[i];
-        // Same group implies same SF, hence the same α for device i.
-        let load = if same_group {
-            self.alpha_sum[g_old] - self.model.duty_of(i, cfg.sf)
-        } else {
-            self.alpha_sum[g_new]
-        };
-        self.ee_raw(i, &cfg, cfg.tp.milliwatts(), load, |k| {
-            if same_group {
-                self.power_sum[g_old][k] - old_p * self.model.attenuation.at(i, k)
-            } else {
-                self.power_sum[g_new][k]
-            }
-        })
+        let (load, interference) = self.contenders_in(i, self.group_of(&cfg), cfg.sf);
+        self.ee_raw(i, &cfg, cfg.tp.milliwatts(), load, interference)
     }
 
     /// The network minimum EE if device `i` moved to `cfg`, or `None` as
@@ -1055,26 +1217,11 @@ impl<'m> ModelState<'m> {
         let g_old = self.group_of(&self.alloc[i]);
         let g_new = self.group_of(&cfg);
         let same_group = g_old == g_new;
-        let old_cfg = self.alloc[i];
-        let old_p = self.power_mw[i];
         let new_p = cfg.tp.milliwatts();
-
-        let alpha_old = model.duty_of(i, old_cfg.sf);
         let alpha_new = model.duty_of(i, cfg.sf);
 
         // 1. The moved device itself.
-        let load_i = if same_group {
-            self.alpha_sum[g_old] - alpha_old
-        } else {
-            self.alpha_sum[g_new]
-        };
-        let ee_i = self.ee_raw(i, &cfg, new_p, load_i, |k| {
-            if same_group {
-                self.power_sum[g_old][k] - old_p * model.attenuation.at(i, k)
-            } else {
-                self.power_sum[g_new][k]
-            }
-        });
+        let ee_i = self.ee_if(i, cfg);
         if ee_i <= floor {
             return None;
         }
@@ -1260,6 +1407,26 @@ impl<'m> ModelState<'m> {
             }
         }
 
+        // The easiest channel per SF, from the very values `ee_if` would
+        // pass for each channel: no libm call sits between them and the
+        // minima.
+        let channels = self.model.n_channels;
+        let g = self.model.gateway_count();
+        let mut easiest_overlap = [f64::INFINITY; 6];
+        let mut easiest_interference = vec![f64::INFINITY; 6 * g];
+        for sf in SpreadingFactor::ALL {
+            let sfi = sf.index();
+            let row = &mut easiest_interference[sfi * g..(sfi + 1) * g];
+            for channel in 0..channels {
+                let (load, interference) =
+                    self.contenders_in(i, group_index(sf, channel, channels), sf);
+                easiest_overlap[sfi] = easiest_overlap[sfi].min(overlap_at(load));
+                for (k, slot) in row.iter_mut().enumerate() {
+                    *slot = slot.min(interference(k).max(0.0));
+                }
+            }
+        }
+
         ScanCache {
             device: i,
             generation: self.generation,
@@ -1268,6 +1435,8 @@ impl<'m> ModelState<'m> {
             other_min,
             other_min_idx,
             other_min2,
+            easiest_overlap,
+            easiest_interference,
         }
     }
 
@@ -1799,8 +1968,94 @@ mod tests {
         )
     }
 
+    /// `model` under random out-of-scope pressure on every group and
+    /// gateway. Its `Λ` offsets reach the demodulator budget, where θ is
+    /// far from 1 and sensitive to every bit of `Λ`.
+    fn with_random_ambient(model: NetworkModel, rng: &mut ChaCha12Rng) -> NetworkModel {
+        let groups = group_count(model.channel_count());
+        let mut offsets = Ambient::zeros(groups, model.gateway_count());
+        for v in &mut offsets.power {
+            *v = rng.gen_range(0.0..1e-9);
+        }
+        for v in &mut offsets.load {
+            *v = rng.gen_range(0.0..0.2);
+        }
+        for v in &mut offsets.lambda {
+            *v = rng.gen_range(0.0..8.0);
+        }
+        model.with_ambient(offsets)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn own_ee_bound_caps_every_channel(
+            devices in 1usize..40,
+            gateways in 1usize..=4,
+            ambient in any::<bool>(),
+            traffic in 0usize..3,
+            paper_form in any::<bool>(),
+            seed in any::<u64>(),
+            steps in 1usize..5,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut config = SimConfig::default();
+            match traffic {
+                0 => {}
+                // Heterogeneous rates: each device nets its own duty out
+                // of its group, so the loads differ per device.
+                1 => {
+                    config.per_device_intervals_s =
+                        Some((0..devices).map(|_| rng.gen_range(60.0..1_800.0)).collect());
+                }
+                _ => {
+                    config.traffic = Traffic::DutyCycleTarget {
+                        duty: rng.gen_range(0.001..0.05),
+                    };
+                }
+            }
+            let topo = Topology::disc(devices, gateways, 3_000.0, &config, seed);
+            let form = if paper_form {
+                PdrForm::PaperEq10
+            } else {
+                PdrForm::JointExponential
+            };
+            let mut model = NetworkModel::new(&config, &topo).with_pdr_form(form);
+            if ambient {
+                model = with_random_ambient(model, &mut rng);
+            }
+            let channels = model.channel_count();
+            let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
+            let mut state = model.state(alloc).unwrap();
+            // The walk's `apply` calls leave the group sums carrying
+            // incremental rounding, as they do mid-pass.
+            for step in 0..=steps {
+                for device in 0..devices {
+                    let scan = state.prepare_scan(device);
+                    for sf in SpreadingFactor::ALL {
+                        for tp in TxPowerDbm::eu_levels() {
+                            let bound = state.own_ee_bound(&scan, TxConfig::new(sf, tp, 0));
+                            for channel in 0..channels {
+                                let cfg = TxConfig::new(sf, tp, channel);
+                                let ee = state.ee_if(device, cfg);
+                                prop_assert!(
+                                    bound >= ee,
+                                    "step {}, device {}, {:?}: bound {} < ee_if {}",
+                                    step,
+                                    device,
+                                    cfg,
+                                    bound,
+                                    ee
+                                );
+                            }
+                        }
+                    }
+                }
+                let device = rng.gen_range(0..devices);
+                state.apply(device, random_config(&mut rng, channels));
+            }
+        }
 
         #[test]
         fn lazy_theta_rows_equal_the_eager_tail(
@@ -1815,20 +2070,7 @@ mod tests {
             let topo = Topology::disc(devices, gateways, 3_000.0, &config, seed);
             let mut model = NetworkModel::new(&config, &topo);
             if ambient {
-                let groups = group_count(model.channel_count());
-                let mut offsets = Ambient::zeros(groups, gateways);
-                for v in &mut offsets.power {
-                    *v = rng.gen_range(0.0..1e-9);
-                }
-                for v in &mut offsets.load {
-                    *v = rng.gen_range(0.0..0.2);
-                }
-                // Loads around the demodulator budget, where θ is far
-                // from 1 and sensitive to every bit of Λ.
-                for v in &mut offsets.lambda {
-                    *v = rng.gen_range(0.0..8.0);
-                }
-                model = model.with_ambient(offsets);
+                model = with_random_ambient(model, &mut rng);
             }
             let channels = model.channel_count();
             let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
