@@ -1,11 +1,9 @@
-//! Criterion benchmark of the PHY/MAC primitives: time-on-air arithmetic
-//! (per-call vs the [`ToaLut`] full-grid cache), the link-budget chain,
-//! the AES-CMAC frame MIC, and the capacity Poisson–binomial DP.
+//! Criterion benchmark of the PHY primitives: time-on-air arithmetic
+//! (per-call vs the [`ToaLut`] full-grid cache) and the link-budget chain,
+//! plus the model's capacity Poisson–binomial DP.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use lora_mac::crypto::{Aes128, Cmac};
-use lora_mac::frame::UplinkFrame;
 use lora_model::capacity::{poisson_at_most, poisson_binomial_at_most};
 use lora_phy::link::{min_feasible_sf, noise_floor_dbm, received_power_dbm};
 use lora_phy::toa::{CodingRate, ToaLut, ToaParams, MAX_PHY_PAYLOAD};
@@ -67,20 +65,6 @@ fn bench_link_budget(c: &mut Criterion) {
     });
 }
 
-fn bench_crypto(c: &mut Criterion) {
-    let key = [0x2b; 16];
-    let cipher = Aes128::new(&key);
-    c.bench_function("mac/aes128_block", |b| {
-        b.iter(|| cipher.encrypt(std::hint::black_box([7u8; 16])))
-    });
-    let cmac = Cmac::new(&key);
-    c.bench_function("mac/cmac_21B", |b| {
-        b.iter(|| cmac.tag(std::hint::black_box(&[1u8; 21])))
-    });
-    let frame = UplinkFrame::new(0xdead_beef, 7, 1, vec![0u8; 8]);
-    c.bench_function("mac/frame_encode", |b| b.iter(|| frame.encode(&key)));
-}
-
 fn bench_capacity(c: &mut Criterion) {
     let mut group = c.benchmark_group("model/capacity_theta");
     for &n in &[100usize, 1000, 5000] {
@@ -98,7 +82,6 @@ criterion_group!(
     bench_toa,
     bench_toa_grid,
     bench_link_budget,
-    bench_crypto,
     bench_capacity
 );
 criterion_main!(benches);

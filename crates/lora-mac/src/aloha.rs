@@ -1,74 +1,9 @@
-//! Unslotted-ALOHA transmission scheduling and duty cycle.
+//! Unslotted-ALOHA duty cycle.
 //!
 //! LoRaWAN class-A devices transmit whenever the application produces a
 //! reading — pure unslotted ALOHA (paper Section III-A). Each end device
 //! reports periodically with interval `T_g`; the phase of the cycle is
 //! random per device, which is what makes collisions probabilistic.
-
-use serde::{Deserialize, Serialize};
-
-use crate::error::MacError;
-
-/// A periodic unslotted-ALOHA transmission schedule.
-///
-/// ```
-/// use lora_mac::AlohaSchedule;
-/// let s = AlohaSchedule::new(600.0, 37.5)?;
-/// assert_eq!(s.tx_start_s(0), 37.5);
-/// assert_eq!(s.tx_start_s(2), 1237.5);
-/// # Ok::<(), lora_mac::MacError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AlohaSchedule {
-    interval_s: f64,
-    phase_s: f64,
-}
-
-impl AlohaSchedule {
-    /// Creates a schedule with reporting interval `interval_s` and initial
-    /// phase `phase_s` (the start time of transmission 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MacError::InvalidInterval`] if the interval is not a
-    /// positive finite number or the phase is negative/non-finite.
-    pub fn new(interval_s: f64, phase_s: f64) -> Result<Self, MacError> {
-        if !(interval_s.is_finite() && interval_s > 0.0 && phase_s.is_finite() && phase_s >= 0.0) {
-            return Err(MacError::InvalidInterval);
-        }
-        Ok(AlohaSchedule {
-            interval_s,
-            phase_s,
-        })
-    }
-
-    /// The reporting interval `T_g` in seconds.
-    #[inline]
-    pub fn interval_s(&self) -> f64 {
-        self.interval_s
-    }
-
-    /// The phase (start of the first transmission) in seconds.
-    #[inline]
-    pub fn phase_s(&self) -> f64 {
-        self.phase_s
-    }
-
-    /// Start time of the `n`-th transmission (0-based) in seconds.
-    #[inline]
-    pub fn tx_start_s(&self, n: u64) -> f64 {
-        self.phase_s + self.interval_s * n as f64
-    }
-
-    /// Number of transmissions with start time strictly before `horizon_s`.
-    pub fn transmissions_before(&self, horizon_s: f64) -> u64 {
-        if horizon_s <= self.phase_s {
-            0
-        } else {
-            ((horizon_s - self.phase_s) / self.interval_s).ceil() as u64
-        }
-    }
-}
 
 /// The duty cycle `α_i = T_i / T_g` of a device transmitting a frame with
 /// time-on-air `toa_s` every `interval_s` seconds (paper Eq. 15).
@@ -89,43 +24,9 @@ pub fn respects_duty_cycle_cap(toa_s: f64, interval_s: f64, cap: f64) -> bool {
     duty_cycle(toa_s, interval_s) <= cap
 }
 
-/// The minimum reporting interval that keeps a device with time-on-air
-/// `toa_s` under the duty-cycle cap.
-///
-/// ```
-/// // An SF12 frame of ~1.81 s forces at least 181 s between transmissions
-/// // under the 1 % ETSI cap.
-/// let min = lora_mac::aloha::min_interval_for_cap(1.81, 0.01);
-/// assert!((min - 181.0).abs() < 1e-9);
-/// ```
-#[inline]
-pub fn min_interval_for_cap(toa_s: f64, cap: f64) -> f64 {
-    debug_assert!(cap > 0.0);
-    toa_s / cap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_rejects_bad_parameters() {
-        assert!(AlohaSchedule::new(0.0, 0.0).is_err());
-        assert!(AlohaSchedule::new(-1.0, 0.0).is_err());
-        assert!(AlohaSchedule::new(f64::NAN, 0.0).is_err());
-        assert!(AlohaSchedule::new(10.0, -0.1).is_err());
-        assert!(AlohaSchedule::new(10.0, 0.0).is_ok());
-    }
-
-    #[test]
-    fn transmissions_before_counts_correctly() {
-        let s = AlohaSchedule::new(100.0, 10.0).unwrap();
-        assert_eq!(s.transmissions_before(5.0), 0);
-        assert_eq!(s.transmissions_before(10.0), 0); // strictly before
-        assert_eq!(s.transmissions_before(10.1), 1);
-        assert_eq!(s.transmissions_before(110.1), 2);
-        assert_eq!(s.transmissions_before(1000.0), 10);
-    }
 
     #[test]
     fn duty_cycle_saturates_at_one() {
@@ -138,13 +39,5 @@ mod tests {
         assert!(respects_duty_cycle_cap(0.0709, 600.0, 0.01));
         // An SF12 frame every 100 s breaks it.
         assert!(!respects_duty_cycle_cap(1.81, 100.0, 0.01));
-    }
-
-    #[test]
-    fn min_interval_restores_compliance() {
-        let toa = 1.81;
-        let min = min_interval_for_cap(toa, 0.01);
-        assert!(respects_duty_cycle_cap(toa, min, 0.01));
-        assert!(!respects_duty_cycle_cap(toa, min * 0.99, 0.01));
     }
 }

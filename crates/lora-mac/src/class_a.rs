@@ -1,12 +1,12 @@
-//! Class-A receive-window timing.
+//! Class-A receive-window parameters.
 //!
 //! After every uplink a class-A device opens two short downlink windows:
 //! RX1 `RECEIVE_DELAY1` (default 1 s) after the end of the uplink, on the
 //! uplink channel at a data rate offset from the uplink's; RX2 one second
 //! later on a fixed channel/data rate. Acknowledgements for the confirmed
 //! traffic modelled by `lora-sim` arrive in these windows; this module
-//! provides the timing arithmetic (and the energy cost of keeping the
-//! receiver open) for it.
+//! holds their parameters and the energy cost of keeping the receiver
+//! open.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,26 +38,6 @@ impl Default for ClassAParams {
 }
 
 impl ClassAParams {
-    /// Opening time of RX1 for an uplink ending at `uplink_end_s`.
-    #[inline]
-    pub fn rx1_opens_s(&self, uplink_end_s: f64) -> f64 {
-        uplink_end_s + self.receive_delay1_s
-    }
-
-    /// Opening time of RX2.
-    #[inline]
-    pub fn rx2_opens_s(&self, uplink_end_s: f64) -> f64 {
-        uplink_end_s + self.receive_delay2_s
-    }
-
-    /// Whether a downlink arriving at `t` hits one of the two windows of
-    /// an uplink that ended at `uplink_end_s`.
-    pub fn downlink_in_window(&self, uplink_end_s: f64, t: f64) -> bool {
-        let rx1 = self.rx1_opens_s(uplink_end_s);
-        let rx2 = self.rx2_opens_s(uplink_end_s);
-        (rx1..rx1 + self.window_open_s).contains(&t) || (rx2..rx2 + self.window_open_s).contains(&t)
-    }
-
     /// Energy spent opening both windows once (no downlink received), in
     /// joules — the per-uplink listening overhead a confirmed-traffic
     /// deployment pays on top of TX energy.
@@ -69,8 +49,9 @@ impl ClassAParams {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::MacError::InvalidInterval`] when delays are not
-    /// ordered `0 < RX1 < RX2` or the window/power values are not positive.
+    /// Returns [`crate::MacError::InvalidReceiveWindows`] when delays are
+    /// not ordered `0 < RX1 < RX2` or the window/power values are not
+    /// positive.
     pub fn validate(&self) -> Result<(), crate::MacError> {
         let ordered = self.receive_delay1_s > 0.0
             && self.receive_delay2_s > self.receive_delay1_s
@@ -79,7 +60,7 @@ impl ClassAParams {
         if ordered {
             Ok(())
         } else {
-            Err(crate::MacError::InvalidInterval)
+            Err(crate::MacError::InvalidReceiveWindows)
         }
     }
 }
@@ -91,20 +72,9 @@ mod tests {
     #[test]
     fn default_windows_are_one_and_two_seconds() {
         let p = ClassAParams::default();
-        assert_eq!(p.rx1_opens_s(10.0), 11.0);
-        assert_eq!(p.rx2_opens_s(10.0), 12.0);
+        assert_eq!(p.receive_delay1_s, 1.0);
+        assert_eq!(p.receive_delay2_s, 2.0);
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn window_membership() {
-        let p = ClassAParams::default();
-        assert!(p.downlink_in_window(0.0, 1.0));
-        assert!(p.downlink_in_window(0.0, 1.029));
-        assert!(!p.downlink_in_window(0.0, 1.031));
-        assert!(p.downlink_in_window(0.0, 2.015));
-        assert!(!p.downlink_in_window(0.0, 1.5));
-        assert!(!p.downlink_in_window(0.0, 0.5));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! they use the **same spreading factor** and the **same channel** and their
 //! transmissions overlap in time, regardless of how small the overlap is
 //! (Section III-A). Different SFs on one channel are quasi-orthogonal and
-//! decode concurrently.
+//! decode concurrently. The simulator's medium applies the time and
+//! channel parts of that rule; [`InterSfPolicy`] decides the SF part.
 //!
 //! Section III-E notes that real SFs are *imperfectly* orthogonal; the
 //! paper leaves this to future work. [`InterSfPolicy::ImperfectOrthogonality`]
@@ -14,40 +15,6 @@
 use serde::{Deserialize, Serialize};
 
 use lora_phy::SpreadingFactor;
-
-/// A closed transmission interval `[start_s, end_s]` on the air.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AirInterval {
-    /// Transmission start time in seconds.
-    pub start_s: f64,
-    /// Transmission end time in seconds.
-    pub end_s: f64,
-}
-
-impl AirInterval {
-    /// Creates an interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `end_s < start_s`.
-    pub fn new(start_s: f64, end_s: f64) -> Self {
-        debug_assert!(end_s >= start_s, "interval must not be inverted");
-        AirInterval { start_s, end_s }
-    }
-
-    /// Whether two intervals overlap at all (the paper's "regardless of the
-    /// size of overlapping").
-    #[inline]
-    pub fn overlaps(&self, other: &AirInterval) -> bool {
-        self.start_s < other.end_s && other.start_s < self.end_s
-    }
-
-    /// The duration of the interval in seconds.
-    #[inline]
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-}
 
 /// How transmissions on different spreading factors interact.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -131,60 +98,9 @@ impl InterSfPolicy {
     }
 }
 
-/// The paper's collision predicate: same SF, same channel, any overlap.
-///
-/// ```
-/// use lora_mac::collision::{collides, AirInterval};
-/// use lora_phy::SpreadingFactor;
-///
-/// let a = AirInterval::new(0.0, 1.0);
-/// let b = AirInterval::new(0.9, 2.0);
-/// assert!(collides(SpreadingFactor::Sf7, 3, &a, SpreadingFactor::Sf7, 3, &b));
-/// // Different channel: no collision.
-/// assert!(!collides(SpreadingFactor::Sf7, 3, &a, SpreadingFactor::Sf7, 4, &b));
-/// // Different SF: orthogonal.
-/// assert!(!collides(SpreadingFactor::Sf7, 3, &a, SpreadingFactor::Sf8, 3, &b));
-/// ```
-pub fn collides(
-    sf_a: SpreadingFactor,
-    ch_a: usize,
-    t_a: &AirInterval,
-    sf_b: SpreadingFactor,
-    ch_b: usize,
-    t_b: &AirInterval,
-) -> bool {
-    sf_a == sf_b && ch_a == ch_b && t_a.overlaps(t_b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlap_is_open_interval() {
-        let a = AirInterval::new(0.0, 1.0);
-        let touching = AirInterval::new(1.0, 2.0);
-        assert!(!a.overlaps(&touching), "touching endpoints do not overlap");
-        let inside = AirInterval::new(0.4, 0.6);
-        assert!(a.overlaps(&inside));
-        assert!(inside.overlaps(&a));
-    }
-
-    #[test]
-    fn tiny_overlap_still_collides() {
-        // "once their transmissions overlap with each other regardless of
-        // the size of overlapping"
-        let a = AirInterval::new(0.0, 1.0);
-        let b = AirInterval::new(1.0 - 1e-9, 2.0);
-        assert!(collides(
-            SpreadingFactor::Sf9,
-            0,
-            &a,
-            SpreadingFactor::Sf9,
-            0,
-            &b
-        ));
-    }
 
     #[test]
     fn orthogonal_policy_ignores_cross_sf() {
@@ -218,10 +134,5 @@ mod tests {
             let p = InterSfPolicy::ImperfectOrthogonality;
             assert_eq!(p.rejection_db(sf, sf), Some(1.0));
         }
-    }
-
-    #[test]
-    fn duration() {
-        assert!((AirInterval::new(1.0, 3.5).duration_s() - 2.5).abs() < 1e-12);
     }
 }

@@ -7,36 +7,19 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MacError {
-    /// A frame buffer was too short or malformed to decode.
-    MalformedFrame {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
-    /// The frame MIC did not verify under the given key.
-    MicMismatch,
-    /// The application payload exceeds the maximum for the data rate.
-    PayloadTooLarge {
-        /// The offending length in bytes.
-        len: usize,
-        /// Maximum accepted length in bytes.
-        max: usize,
-    },
-    /// A schedule with a non-positive reporting interval.
-    InvalidInterval,
+    /// Class-A receive windows that are not ordered `0 < RX1 < RX2`, or
+    /// whose window length or receiver power is not positive.
+    InvalidReceiveWindows,
 }
 
 impl fmt::Display for MacError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MacError::MalformedFrame { reason } => write!(f, "malformed frame: {reason}"),
-            MacError::MicMismatch => write!(f, "message integrity code mismatch"),
-            MacError::PayloadTooLarge { len, max } => {
-                write!(
-                    f,
-                    "application payload of {len} bytes exceeds maximum of {max} bytes"
-                )
-            }
-            MacError::InvalidInterval => write!(f, "reporting interval must be positive"),
+            MacError::InvalidReceiveWindows => write!(
+                f,
+                "class-A receive windows need 0 < RX1 < RX2 delays and a positive \
+                 window length and receiver power"
+            ),
         }
     }
 }
@@ -54,10 +37,8 @@ mod tests {
     }
 
     #[test]
-    fn display_messages() {
-        assert!(MacError::MicMismatch.to_string().contains("integrity"));
-        assert!(MacError::MalformedFrame { reason: "short" }
-            .to_string()
-            .contains("short"));
+    fn display_states_the_window_condition() {
+        let s = MacError::InvalidReceiveWindows.to_string();
+        assert!(s.contains("0 < RX1 < RX2"), "{s}");
     }
 }

@@ -1,4 +1,4 @@
-//! LoRaWAN uplink frame layout.
+//! LoRaWAN uplink frame size.
 //!
 //! An unconfirmed data uplink (LoRaWAN 1.0.x) wraps the application payload
 //! in 13 bytes of MAC overhead:
@@ -11,265 +11,22 @@
 //! This is how the paper's evaluation turns an 8-byte application payload
 //! into a 21-byte PHY payload (Section IV).
 
-use serde::{Deserialize, Serialize};
-
-use crate::crypto::Cmac;
-use crate::error::MacError;
-
-/// MHDR for an unconfirmed data uplink, LoRaWAN major version 1.
-pub const MHDR_UNCONFIRMED_UP: u8 = 0x40;
-
 /// Bytes of MAC overhead around the application payload.
 pub const MAC_OVERHEAD: usize = 13;
 
-/// Maximum application payload at DR0 (SF12/125 kHz) in LoRaWAN US915 —
-/// used as the conservative frame-size cap.
+/// The largest application payload whose frame still fits a LoRa PHY
+/// payload: 255 − [`MAC_OVERHEAD`] = 242 bytes.
 pub const MAX_APP_PAYLOAD: usize = 242;
-
-/// An uplink application frame before encoding.
-///
-/// ```
-/// use lora_mac::frame::UplinkFrame;
-/// let f = UplinkFrame::new(0x01020304, 7, 10, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-/// assert_eq!(f.phy_payload_len(), 21);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UplinkFrame {
-    dev_addr: u32,
-    f_cnt: u16,
-    f_port: u8,
-    payload: Vec<u8>,
-}
-
-impl UplinkFrame {
-    /// Creates an uplink frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds [`MAX_APP_PAYLOAD`]; use
-    /// [`UplinkFrame::try_new`] for fallible construction.
-    pub fn new(dev_addr: u32, f_cnt: u16, f_port: u8, payload: Vec<u8>) -> Self {
-        Self::try_new(dev_addr, f_cnt, f_port, payload).expect("payload within LoRaWAN limits")
-    }
-
-    /// Creates an uplink frame, validating the payload length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MacError::PayloadTooLarge`] if the payload exceeds
-    /// [`MAX_APP_PAYLOAD`].
-    pub fn try_new(
-        dev_addr: u32,
-        f_cnt: u16,
-        f_port: u8,
-        payload: Vec<u8>,
-    ) -> Result<Self, MacError> {
-        if payload.len() > MAX_APP_PAYLOAD {
-            return Err(MacError::PayloadTooLarge {
-                len: payload.len(),
-                max: MAX_APP_PAYLOAD,
-            });
-        }
-        Ok(UplinkFrame {
-            dev_addr,
-            f_cnt,
-            f_port,
-            payload,
-        })
-    }
-
-    /// The device address.
-    #[inline]
-    pub fn dev_addr(&self) -> u32 {
-        self.dev_addr
-    }
-
-    /// The uplink frame counter.
-    #[inline]
-    pub fn f_cnt(&self) -> u16 {
-        self.f_cnt
-    }
-
-    /// The application port.
-    #[inline]
-    pub fn f_port(&self) -> u8 {
-        self.f_port
-    }
-
-    /// The application payload.
-    #[inline]
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// Length of the PHY payload after encoding: application payload plus
-    /// [`MAC_OVERHEAD`].
-    #[inline]
-    pub fn phy_payload_len(&self) -> usize {
-        self.payload.len() + MAC_OVERHEAD
-    }
-
-    /// Encodes the frame to its PHY payload, computing the MIC with
-    /// `nwk_s_key` per LoRaWAN 1.0.x §4.4.
-    pub fn encode(&self, nwk_s_key: &[u8; 16]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.phy_payload_len());
-        buf.push(MHDR_UNCONFIRMED_UP);
-        buf.extend_from_slice(&self.dev_addr.to_le_bytes());
-        buf.push(0x00); // FCtrl: no ADR, no ACK, no FOpts
-        buf.extend_from_slice(&self.f_cnt.to_le_bytes());
-        buf.push(self.f_port);
-        buf.extend_from_slice(&self.payload);
-        let mic = compute_mic(nwk_s_key, self.dev_addr, u32::from(self.f_cnt), &buf);
-        buf.extend_from_slice(&mic);
-        buf
-    }
-
-    /// Decodes and verifies a PHY payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MacError::MalformedFrame`] for structurally invalid input
-    /// and [`MacError::MicMismatch`] when the integrity check fails.
-    pub fn decode(phy_payload: &[u8], nwk_s_key: &[u8; 16]) -> Result<Self, MacError> {
-        if phy_payload.len() < MAC_OVERHEAD {
-            return Err(MacError::MalformedFrame {
-                reason: "shorter than MAC overhead",
-            });
-        }
-        if phy_payload[0] != MHDR_UNCONFIRMED_UP {
-            return Err(MacError::MalformedFrame {
-                reason: "unsupported MHDR",
-            });
-        }
-        if phy_payload[5] & 0x0f != 0 {
-            return Err(MacError::MalformedFrame {
-                reason: "FOpts not supported",
-            });
-        }
-        let dev_addr = u32::from_le_bytes(phy_payload[1..5].try_into().expect("4 bytes"));
-        let f_cnt = u16::from_le_bytes(phy_payload[6..8].try_into().expect("2 bytes"));
-        let f_port = phy_payload[8];
-        let mic_start = phy_payload.len() - 4;
-        let payload = phy_payload[9..mic_start].to_vec();
-        let expected = compute_mic(
-            nwk_s_key,
-            dev_addr,
-            u32::from(f_cnt),
-            &phy_payload[..mic_start],
-        );
-        if expected != phy_payload[mic_start..] {
-            return Err(MacError::MicMismatch);
-        }
-        Ok(UplinkFrame {
-            dev_addr,
-            f_cnt,
-            f_port,
-            payload,
-        })
-    }
-}
-
-/// Computes the LoRaWAN uplink MIC: `CMAC(key, B0 | msg)[0..4]` where `B0`
-/// is the authentication block of LoRaWAN 1.0.x §4.4.
-pub fn compute_mic(nwk_s_key: &[u8; 16], dev_addr: u32, f_cnt: u32, msg: &[u8]) -> [u8; 4] {
-    let mut b0 = [0u8; 16];
-    b0[0] = 0x49;
-    // bytes 1..5 zero, byte 5: direction 0 = uplink
-    b0[6..10].copy_from_slice(&dev_addr.to_le_bytes());
-    b0[10..14].copy_from_slice(&f_cnt.to_le_bytes());
-    // byte 14 zero
-    b0[15] = msg.len() as u8;
-    let mut full = Vec::with_capacity(16 + msg.len());
-    full.extend_from_slice(&b0);
-    full.extend_from_slice(msg);
-    Cmac::new(nwk_s_key).mic(&full)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const KEY: [u8; 16] = [0x2b; 16];
-
     #[test]
-    fn paper_payload_sizes() {
-        // "uplink packets had an application payload of 8 bytes, which
-        // implied a PHY payload of 21 bytes" (Section IV).
-        let f = UplinkFrame::new(0xdeadbeef, 0, 1, vec![0u8; 8]);
-        assert_eq!(f.phy_payload_len(), 21);
-        assert_eq!(f.encode(&KEY).len(), 21);
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let f = UplinkFrame::new(0x0102_0304, 1234, 42, vec![9, 8, 7]);
-        let encoded = f.encode(&KEY);
-        let decoded = UplinkFrame::decode(&encoded, &KEY).unwrap();
-        assert_eq!(decoded, f);
-    }
-
-    #[test]
-    fn wrong_key_fails_mic() {
-        let f = UplinkFrame::new(1, 1, 1, vec![1]);
-        let encoded = f.encode(&KEY);
-        let err = UplinkFrame::decode(&encoded, &[0x11; 16]).unwrap_err();
-        assert_eq!(err, MacError::MicMismatch);
-    }
-
-    #[test]
-    fn bit_flip_fails_mic() {
-        let f = UplinkFrame::new(7, 7, 7, vec![0u8; 8]);
-        let mut encoded = f.encode(&KEY);
-        encoded[10] ^= 0x01;
+    fn largest_app_payload_fills_the_largest_phy_payload() {
         assert_eq!(
-            UplinkFrame::decode(&encoded, &KEY).unwrap_err(),
-            MacError::MicMismatch
+            MAX_APP_PAYLOAD + MAC_OVERHEAD,
+            lora_phy::toa::MAX_PHY_PAYLOAD
         );
-    }
-
-    #[test]
-    fn short_buffer_is_malformed() {
-        assert!(matches!(
-            UplinkFrame::decode(&[0x40; 5], &KEY),
-            Err(MacError::MalformedFrame { .. })
-        ));
-    }
-
-    #[test]
-    fn wrong_mhdr_is_malformed() {
-        let f = UplinkFrame::new(1, 1, 1, vec![1, 2, 3]);
-        let mut encoded = f.encode(&KEY);
-        encoded[0] = 0x80; // confirmed uplink — unsupported here
-        assert!(matches!(
-            UplinkFrame::decode(&encoded, &KEY),
-            Err(MacError::MalformedFrame { .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_payload_rejected() {
-        assert!(matches!(
-            UplinkFrame::try_new(1, 0, 1, vec![0u8; 243]),
-            Err(MacError::PayloadTooLarge { len: 243, max: 242 })
-        ));
-        assert!(UplinkFrame::try_new(1, 0, 1, vec![0u8; 242]).is_ok());
-    }
-
-    #[test]
-    fn empty_payload_is_just_overhead() {
-        let f = UplinkFrame::new(5, 5, 5, vec![]);
-        assert_eq!(f.phy_payload_len(), MAC_OVERHEAD);
-        let encoded = f.encode(&KEY);
-        assert_eq!(UplinkFrame::decode(&encoded, &KEY).unwrap(), f);
-    }
-
-    #[test]
-    fn mic_depends_on_fcnt_and_addr() {
-        let msg = [1u8, 2, 3];
-        let a = compute_mic(&KEY, 1, 1, &msg);
-        let b = compute_mic(&KEY, 1, 2, &msg);
-        let c = compute_mic(&KEY, 2, 1, &msg);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -43,7 +43,6 @@ pub mod error;
 pub mod interference;
 pub mod model;
 pub mod pdr;
-pub mod throughput;
 pub mod validation;
 
 pub use error::ModelError;

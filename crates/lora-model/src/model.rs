@@ -969,11 +969,6 @@ impl<'m> ModelState<'m> {
         &self.alloc
     }
 
-    /// The model this state is bound to.
-    pub fn model_ref(&self) -> &NetworkModel {
-        self.model
-    }
-
     /// Cached EE of device `i`, bits/mJ.
     pub fn ee(&self, i: usize) -> f64 {
         self.ee[i]

@@ -121,21 +121,6 @@ where
     out
 }
 
-/// Folds the outputs of [`par_map_indexed`] in strict index order:
-/// `fold(init, [f(0), f(1), …])`. A convenience for accumulator-style
-/// call sites (e.g. summing per-repetition metrics) that must reduce in
-/// a fixed order to stay bitwise deterministic under float addition.
-pub fn par_map_reduce<T, A, F, R>(len: usize, threads: usize, f: F, init: A, reduce: R) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    par_map_indexed(len, threads, f)
-        .into_iter()
-        .fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,21 +153,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn reduce_order_is_index_order() {
-        let trace = par_map_reduce(
-            10,
-            4,
-            |i| i,
-            Vec::new(),
-            |mut acc: Vec<usize>, i| {
-                acc.push(i);
-                acc
-            },
-        );
-        assert_eq!(trace, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

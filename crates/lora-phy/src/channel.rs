@@ -1,4 +1,4 @@
-//! Frequency channels and bandwidths.
+//! Channel bandwidths.
 
 use std::fmt;
 
@@ -49,62 +49,6 @@ impl fmt::Display for Bandwidth {
     }
 }
 
-/// An uplink frequency channel: a centre frequency plus bandwidth.
-///
-/// Channels multiplex transmissions: per the paper's collision rule two
-/// packets interfere only if they share *both* the channel and the
-/// spreading factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Channel {
-    /// Index of the channel within its regional plan (0-based).
-    index: usize,
-    /// Centre frequency in Hz.
-    frequency_hz: f64,
-    /// Channel bandwidth.
-    bandwidth: Bandwidth,
-}
-
-impl Channel {
-    /// Creates a channel.
-    pub fn new(index: usize, frequency_hz: f64, bandwidth: Bandwidth) -> Self {
-        Channel {
-            index,
-            frequency_hz,
-            bandwidth,
-        }
-    }
-
-    /// Index of the channel within its regional plan.
-    #[inline]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Centre frequency in Hz.
-    #[inline]
-    pub fn frequency_hz(&self) -> f64 {
-        self.frequency_hz
-    }
-
-    /// Channel bandwidth.
-    #[inline]
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-}
-
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ch{} @ {:.1} MHz/{}",
-            self.index,
-            self.frequency_hz / 1e6,
-            self.bandwidth
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,13 +58,5 @@ mod tests {
         assert_eq!(Bandwidth::Bw125.hz(), 125_000.0);
         assert_eq!(Bandwidth::Bw250.hz(), 250_000.0);
         assert_eq!(Bandwidth::Bw500.hz(), 500_000.0);
-    }
-
-    #[test]
-    fn channel_display_mentions_frequency() {
-        let ch = Channel::new(0, 902_300_000.0, Bandwidth::Bw125);
-        let s = ch.to_string();
-        assert!(s.contains("902.3"), "{s}");
-        assert!(s.contains("ch0"), "{s}");
     }
 }

@@ -26,20 +26,6 @@ pub enum PhyError {
     },
     /// A spreading factor value outside 7..=12.
     InvalidSpreadingFactor(u8),
-    /// A channel index outside the regional channel plan.
-    InvalidChannel {
-        /// The offending channel index.
-        index: usize,
-        /// Number of channels in the plan.
-        plan_len: usize,
-    },
-    /// A non-finite or non-positive physical quantity where one is required.
-    InvalidQuantity {
-        /// Name of the quantity (for diagnostics).
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for PhyError {
@@ -56,15 +42,6 @@ impl fmt::Display for PhyError {
             }
             PhyError::InvalidSpreadingFactor(v) => {
                 write!(f, "spreading factor {v} outside 7..=12")
-            }
-            PhyError::InvalidChannel { index, plan_len } => {
-                write!(
-                    f,
-                    "channel index {index} outside plan of {plan_len} channels"
-                )
-            }
-            PhyError::InvalidQuantity { what, value } => {
-                write!(f, "invalid value {value} for {what}")
             }
         }
     }

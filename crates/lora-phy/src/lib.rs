@@ -14,7 +14,8 @@
 //!   feasible SF),
 //! * [`energy`] — the radio energy model following Casals et al. (paper
 //!   Eq. 3) including per-cycle sleep energy,
-//! * [`region`] — regional channel plans and transmission-power sets.
+//! * [`region`] — regional channel counts, transmission-power sets and
+//!   duty-cycle caps.
 //!
 //! # Example
 //!
@@ -44,10 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bits;
 pub mod channel;
-pub mod codec;
-pub mod datarate;
 pub mod energy;
 pub mod error;
 pub mod fading;
@@ -59,8 +57,7 @@ pub mod sf;
 pub mod toa;
 pub mod txconfig;
 
-pub use channel::{Bandwidth, Channel};
-pub use datarate::DataRate;
+pub use channel::Bandwidth;
 pub use error::PhyError;
 pub use fading::Fading;
 pub use power::TxPowerDbm;

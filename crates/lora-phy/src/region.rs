@@ -1,4 +1,5 @@
-//! Regional parameters: channel plans and transmission-power sets.
+//! Regional parameters: channel counts, transmission-power sets and
+//! duty-cycle caps.
 //!
 //! The paper evaluates on eight 125 kHz uplink channels from 902.3 MHz
 //! (US915 sub-band 1) with the European-style power set 2..14 dBm; both the
@@ -8,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{Bandwidth, Channel};
-use crate::error::PhyError;
 use crate::power::TxPowerDbm;
 
 /// A LoRaWAN operating region (simplified to what the paper exercises).
@@ -24,40 +23,6 @@ pub enum Region {
 }
 
 impl Region {
-    /// The uplink channel plan for this region.
-    ///
-    /// ```
-    /// use lora_phy::Region;
-    /// let plan = Region::Us915Sub1.uplink_channels();
-    /// assert_eq!(plan.len(), 8);
-    /// assert_eq!(plan[0].frequency_hz(), 902_300_000.0);
-    /// assert_eq!(plan[7].frequency_hz(), 903_700_000.0);
-    /// ```
-    pub fn uplink_channels(self) -> Vec<Channel> {
-        match self {
-            Region::Us915Sub1 => (0..8)
-                .map(|i| Channel::new(i, 902_300_000.0 + 200_000.0 * i as f64, Bandwidth::Bw125))
-                .collect(),
-            Region::Eu868 => {
-                let freqs = [
-                    868_100_000.0,
-                    868_300_000.0,
-                    868_500_000.0,
-                    867_100_000.0,
-                    867_300_000.0,
-                    867_500_000.0,
-                    867_700_000.0,
-                    867_900_000.0,
-                ];
-                freqs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| Channel::new(i, f, Bandwidth::Bw125))
-                    .collect()
-            }
-        }
-    }
-
     /// Number of uplink channels (always 8 for the supported regions,
     /// matching constraint C₃ of paper Eq. 1).
     pub fn uplink_channel_count(self) -> usize {
@@ -78,29 +43,6 @@ impl Region {
     pub fn duty_cycle_cap(self) -> f64 {
         0.01
     }
-
-    /// The representative carrier frequency used for path-loss computations.
-    pub fn carrier_frequency_hz(self) -> f64 {
-        match self {
-            Region::Us915Sub1 => 903e6,
-            Region::Eu868 => 868e6,
-        }
-    }
-
-    /// Looks up a channel of this region's plan by index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidChannel`] if `index` is out of range.
-    pub fn channel(self, index: usize) -> Result<Channel, PhyError> {
-        self.uplink_channels()
-            .get(index)
-            .copied()
-            .ok_or(PhyError::InvalidChannel {
-                index,
-                plan_len: self.uplink_channel_count(),
-            })
-    }
 }
 
 impl Default for Region {
@@ -113,40 +55,6 @@ impl Default for Region {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn us_plan_spans_paper_frequencies() {
-        // "channel frequency from 902.3 MHz to 903.7 MHz with 125 kHz
-        // bandwidth" (Section IV).
-        let plan = Region::Us915Sub1.uplink_channels();
-        assert_eq!(plan.first().unwrap().frequency_hz(), 902.3e6);
-        assert_eq!(plan.last().unwrap().frequency_hz(), 903.7e6);
-        assert!(plan.iter().all(|c| c.bandwidth() == Bandwidth::Bw125));
-    }
-
-    #[test]
-    fn eu_plan_has_eight_distinct_channels() {
-        let plan = Region::Eu868.uplink_channels();
-        assert_eq!(plan.len(), 8);
-        for (i, c) in plan.iter().enumerate() {
-            assert_eq!(c.index(), i);
-            for other in &plan[i + 1..] {
-                assert_ne!(c.frequency_hz(), other.frequency_hz());
-            }
-        }
-    }
-
-    #[test]
-    fn channel_lookup_bounds() {
-        assert!(Region::Us915Sub1.channel(7).is_ok());
-        assert!(matches!(
-            Region::Us915Sub1.channel(8),
-            Err(PhyError::InvalidChannel {
-                index: 8,
-                plan_len: 8
-            })
-        ));
-    }
 
     #[test]
     fn power_levels_and_duty_cycle() {

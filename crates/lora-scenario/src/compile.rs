@@ -451,4 +451,37 @@ mod tests {
         assert_eq!(compiled.config.p_los, 0.9);
         assert!(compiled.config.confirmed.is_some());
     }
+
+    #[test]
+    fn app_payload_must_fit_a_lora_frame() {
+        let rejected_field = |spec: &ScenarioSpec| match compile(spec) {
+            Err(ScenarioError::InvalidSpec { field, .. }) => field,
+            other => panic!("expected an invalid-spec error, got {other:?}"),
+        };
+
+        // 242 B of application payload plus 13 B of MAC overhead fill the
+        // 255-byte PHY payload exactly, and the model accepts it.
+        let mut b = ScenarioSpec::builder("payload");
+        b.spatial(SpatialSpec::UniformDisc { devices: 50 })
+            .sim(SimSection {
+                app_payload: Some(242),
+                ..SimSection::default()
+            });
+        let mut spec = b.build().unwrap();
+        let compiled = compile(&spec).unwrap();
+        assert_eq!(compiled.config.phy_payload_len(), 255);
+        assert!(lora_model::NetworkModel::try_new(&compiled.config, &compiled.topology).is_ok());
+        spec.sim.as_mut().unwrap().app_payload = Some(243);
+        assert_eq!(rejected_field(&spec), "sim.app_payload");
+
+        let mut big = class("big", 1.0, 600.0);
+        big.app_payload = Some(242);
+        let mut b = ScenarioSpec::builder("payload");
+        b.spatial(SpatialSpec::UniformDisc { devices: 50 })
+            .class(big);
+        let mut spec = b.build().unwrap();
+        assert_eq!(compile(&spec).unwrap().config.app_payload, 242);
+        spec.classes.as_mut().unwrap()[0].app_payload = Some(243);
+        assert_eq!(rejected_field(&spec), "classes[0].app_payload");
+    }
 }

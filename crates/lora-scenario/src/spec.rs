@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use lora_mac::frame::{MAC_OVERHEAD, MAX_APP_PAYLOAD};
+use lora_phy::toa::MAX_PHY_PAYLOAD;
 use lora_sim::Position;
 
 use crate::error::ScenarioError;
@@ -125,9 +127,11 @@ pub struct ClassSpec {
     /// the scenario-wide `sim.p_los` (or the simulator default) when
     /// `None`.
     pub p_los: Option<f64>,
-    /// Application payload bytes. The simulator core keeps one payload
-    /// size per network, so classes that set this must agree (a typed
-    /// [`ScenarioError::HeterogeneousUnsupported`] otherwise).
+    /// Application payload bytes, at most
+    /// [`lora_mac::frame::MAX_APP_PAYLOAD`] (242). The simulator core
+    /// keeps one payload size per network, so classes that set this must
+    /// agree (a typed [`ScenarioError::HeterogeneousUnsupported`]
+    /// otherwise).
     pub app_payload: Option<usize>,
     /// Confirmed-uplink mode. Same global-only restriction as
     /// `app_payload`.
@@ -148,7 +152,8 @@ pub struct SimSection {
     /// then ignored by the simulator — validation rejects the combination
     /// when classes declare distinct intervals).
     pub duty: Option<f64>,
-    /// Application payload bytes.
+    /// Application payload bytes, 1 to
+    /// [`lora_mac::frame::MAX_APP_PAYLOAD`] (242).
     pub app_payload: Option<usize>,
     /// Scenario-wide LoS probability.
     pub p_los: Option<f64>,
@@ -513,6 +518,7 @@ impl ScenarioSpec {
                 }
             }
             if let Some(bytes) = c.app_payload {
+                check_app_payload(&format!("{field}.app_payload"), bytes)?;
                 match payload {
                     Some((prev, who)) if prev != bytes => {
                         return Err(ScenarioError::HeterogeneousUnsupported {
@@ -601,6 +607,7 @@ impl ScenarioSpec {
             if bytes == 0 {
                 return fail("sim.app_payload", "must be at least 1 byte".into());
             }
+            check_app_payload("sim.app_payload", bytes)?;
         }
         if let Some(p) = sim.p_los {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
@@ -663,6 +670,23 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+}
+
+/// Rejects an application payload whose frame would not fit a LoRa PHY
+/// payload: above [`MAX_APP_PAYLOAD`] the model and the simulator find no
+/// time-on-air for it.
+fn check_app_payload(field: &str, bytes: usize) -> Result<(), ScenarioError> {
+    if bytes > MAX_APP_PAYLOAD {
+        return Err(ScenarioError::InvalidSpec {
+            field: field.to_string(),
+            reason: format!(
+                "{bytes} bytes exceed the maximum of {MAX_APP_PAYLOAD}: with {MAC_OVERHEAD} \
+                 bytes of MAC overhead the frame would not fit a {MAX_PHY_PAYLOAD}-byte LoRa \
+                 PHY payload"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Builder for [`ScenarioSpec`] (non-consuming, per C-BUILDER).
