@@ -413,7 +413,6 @@ struct Shards<'a> {
     topology: &'a Topology,
     grid: CellGrid,
     occupied: Vec<usize>,
-    gateway_sets: Vec<Vec<u32>>,
     tiles: TiledAttenuation,
     pricer: FarFieldPricer,
     horizon_m: f64,
@@ -450,16 +449,25 @@ struct GroupTally {
 }
 
 impl GroupTally {
-    fn of(alloc: &[TxConfig], n_groups: usize, n_channels: usize) -> Self {
+    /// Tallies `alloc`, whose transmit powers in mW are `power_mw` (see
+    /// [`powers_mw`]).
+    fn of(alloc: &[TxConfig], power_mw: &[f64], n_groups: usize, n_channels: usize) -> Self {
         let mut count = vec![0.0; n_groups];
         let mut power = vec![0.0; n_groups];
-        for cfg in alloc {
+        for (cfg, &p_mw) in alloc.iter().zip(power_mw) {
             let grp = group_index(cfg.sf, cfg.channel, n_channels);
             count[grp] += 1.0;
-            power[grp] += cfg.tp.milliwatts();
+            power[grp] += p_mw;
         }
         GroupTally { count, power }
     }
+}
+
+/// Every device's transmit power in mW under `alloc`, computed once per
+/// allocation snapshot so the tallies and every cell's ambient read a
+/// power instead of converting it from dBm again.
+fn powers_mw(alloc: &[TxConfig]) -> Vec<f64> {
+    alloc.iter().map(|cfg| cfg.tp.milliwatts()).collect()
 }
 
 impl<'a> Shards<'a> {
@@ -539,7 +547,6 @@ impl<'a> Shards<'a> {
             topology,
             grid,
             occupied,
-            gateway_sets,
             tiles,
             pricer,
             horizon_m,
@@ -550,7 +557,7 @@ impl<'a> Shards<'a> {
             n_channels: config.region.uplink_channel_count(),
             n_groups: group_count(config.region.uplink_channel_count()),
             max_tp: *tp_levels.last().expect("regions define at least one TP"),
-            fixed_tp: params.inner_fixed_tp(),
+            fixed_tp: params.inner.fixed_tp(),
         })
     }
 
@@ -589,24 +596,26 @@ impl<'a> Shards<'a> {
         })
     }
 
-    /// The [`Ambient`] of `cell` under `alloc`: exact ring sums over the
-    /// one-ring neighbours plus the far field priced over the annulus
-    /// beyond the exclusion radius.
+    /// The [`Ambient`] of `cell` under `alloc` (transmit powers
+    /// `power_mw`): exact ring sums over the one-ring neighbours plus the
+    /// far field priced over the annulus beyond the exclusion radius.
+    ///
+    /// A ring member's attenuation toward one of `cell`'s gateways is
+    /// read from the member's own cell tile, which holds the same bits as
+    /// [`lora_sim::attenuation_row`] computes; only a gateway outside the
+    /// neighbour's subset is computed here, by the same expression.
     fn ambient_for(
         &self,
         cell: usize,
         alloc: &[TxConfig],
+        power_mw: &[f64],
         tally: &GroupTally,
         far_occupancy_kernels: &[f64],
         mode: FarFieldMode,
     ) -> Ambient {
-        let gws = &self.gateway_sets[cell];
+        let gws = self.tiles.gateways(cell);
         let g = gws.len();
         let mut ambient = Ambient::zeros(self.n_groups, g);
-        let gateway_pos: Vec<lora_sim::Position> = gws
-            .iter()
-            .map(|&k| self.topology.gateways()[k as usize])
-            .collect();
 
         // Exact one-ring contributions.
         let mut near_count = vec![0.0; self.n_groups];
@@ -615,23 +624,50 @@ impl<'a> Shards<'a> {
             let cfg = &alloc[member as usize];
             let grp = group_index(cfg.sf, cfg.channel, self.n_channels);
             near_count[grp] += 1.0;
-            near_power[grp] += cfg.tp.milliwatts();
+            near_power[grp] += power_mw[member as usize];
         }
+        // For each neighbour cell, the column of each of `cell`'s
+        // gateways in the neighbour's tile, if it has one.
+        let neighbours: Vec<usize> = self
+            .grid
+            .neighborhood(cell, 1)
+            .into_iter()
+            .filter(|&c| c != cell)
+            .collect();
+        let columns: Vec<Vec<Option<usize>>> = neighbours
+            .iter()
+            .map(|&c| {
+                let theirs = self.tiles.gateways(c);
+                gws.iter().map(|gw| theirs.binary_search(gw).ok()).collect()
+            })
+            .collect();
         for &j in &self.grid.ring_members(cell, 1) {
-            let cfg = &alloc[j as usize];
+            let j = j as usize;
+            let cfg = &alloc[j];
             let grp = group_index(cfg.sf, cfg.channel, self.n_channels);
-            let p_mw = cfg.tp.milliwatts();
+            let p_mw = power_mw[j];
             let duty = self.duty(cfg.sf);
             near_count[grp] += 1.0;
             near_power[grp] += p_mw;
             ambient.load[grp] += duty;
-            let site = &self.topology.devices()[j as usize];
-            let beta = self.config.betas.beta(site.environment);
-            for (k, gw) in gateway_pos.iter().enumerate() {
-                let a = self
-                    .config
-                    .path_loss
-                    .attenuation(site.position.distance_to(gw), beta);
+            let home = self.grid.cell_of(j);
+            let row = self.tiles.row(home, self.grid.slot_of(j));
+            let cols = &columns[neighbours
+                .iter()
+                .position(|&c| c == home)
+                .expect("ring members live in neighbour cells")];
+            for (k, col) in cols.iter().enumerate() {
+                let a = match *col {
+                    Some(col) => row[col],
+                    None => {
+                        let site = &self.topology.devices()[j];
+                        let gw = &self.topology.gateways()[gws[k] as usize];
+                        self.config.path_loss.attenuation(
+                            site.position.distance_to(gw),
+                            self.config.betas.beta(site.environment),
+                        )
+                    }
+                };
                 let mean_rx = p_mw * a;
                 ambient.power[grp * g + k] += mean_rx;
                 if mean_rx > 0.0 {
@@ -639,9 +675,30 @@ impl<'a> Shards<'a> {
                 }
             }
         }
+        self.price_far_field(
+            &mut ambient,
+            &near_count,
+            &near_power,
+            tally,
+            far_occupancy_kernels,
+            mode,
+        );
+        ambient
+    }
 
-        // Far field: each group's remaining devices as a PPP annulus.
-        //
+    /// Adds the far field to `ambient`: each group's devices outside the
+    /// cell and its ring (the tally less `near_count`/`near_power`) as a
+    /// PPP annulus beyond the exclusion radius.
+    fn price_far_field(
+        &self,
+        ambient: &mut Ambient,
+        near_count: &[f64],
+        near_power: &[f64],
+        tally: &GroupTally,
+        far_occupancy_kernels: &[f64],
+        mode: FarFieldMode,
+    ) {
+        let g = ambient.lambda.len();
         // In `Pricing` mode the far counts are symmetrised across the
         // channels of each SF. Channels are exchangeable in the model
         // (identical duty cycle and sensitivity), so the mean-field
@@ -696,7 +753,6 @@ impl<'a> Shards<'a> {
                 }
             }
         }
-        ambient
     }
 
     /// Per-group far-field occupancy kernels `Q_q` (see
@@ -759,15 +815,14 @@ impl<'a> Shards<'a> {
             .iter()
             .map(|&id| self.topology.devices()[id as usize])
             .collect();
-        let gateways: Vec<lora_sim::Position> = self.gateway_sets[cell]
+        let gateway_ids = self.tiles.gateways(cell);
+        let gateways: Vec<lora_sim::Position> = gateway_ids
             .iter()
             .map(|&k| self.topology.gateways()[k as usize])
             .collect();
         let local_topo = Topology::from_sites(devices, gateways, self.topology.radius_m());
-        let matrix = AttenuationMatrix::from_raw(
-            self.gateway_sets[cell].len(),
-            self.tiles.block(cell).to_vec(),
-        );
+        let matrix =
+            AttenuationMatrix::from_raw(gateway_ids.len(), self.tiles.block(cell).to_vec());
         let model = NetworkModel::try_new_with_attenuation(self.config, &local_topo, matrix)?
             .with_ambient(ambient);
         Ok((local_topo, model))
@@ -779,17 +834,25 @@ impl<'a> Shards<'a> {
         alloc: &[TxConfig],
         inner: &EfLora,
     ) -> Result<Vec<CellOutcome>, AllocError> {
-        let tally = GroupTally::of(alloc, self.n_groups, self.n_channels);
+        let power_mw = powers_mw(alloc);
+        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
         let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
         let results = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
             let cell = self.occupied[idx];
-            let ambient = self.ambient_for(cell, alloc, &tally, &kernels, FarFieldMode::Pricing);
+            let ambient = self.ambient_for(
+                cell,
+                alloc,
+                &power_mw,
+                &tally,
+                &kernels,
+                FarFieldMode::Pricing,
+            );
             let (local_topo, model) = self.cell_model(cell, ambient)?;
             let ctx = AllocationContext::new(self.config, &local_topo, &model);
             let solver = inner
                 .clone()
                 .with_threads(1)
-                .with_ordering(cell_ordering(inner_ordering(inner), cell));
+                .with_ordering(cell_ordering(inner.ordering(), cell));
             let report = solver.allocate_with_report(&ctx)?;
             Ok(CellOutcome {
                 members: self.grid.members(cell).to_vec(),
@@ -804,7 +867,8 @@ impl<'a> Shards<'a> {
     /// Phase 3: repair each cell's boundary band against the solved
     /// ring.
     fn stitch_cells(&self, alloc: &[TxConfig]) -> Result<Vec<CellOutcome>, AllocError> {
-        let tally = GroupTally::of(alloc, self.n_groups, self.n_channels);
+        let power_mw = powers_mw(alloc);
+        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
         let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
         let repairer = IncrementalAllocator::new();
         let results = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
@@ -819,7 +883,14 @@ impl<'a> Shards<'a> {
                     reconfigured: 0,
                 });
             }
-            let ambient = self.ambient_for(cell, alloc, &tally, &kernels, FarFieldMode::Pricing);
+            let ambient = self.ambient_for(
+                cell,
+                alloc,
+                &power_mw,
+                &tally,
+                &kernels,
+                FarFieldMode::Pricing,
+            );
             let (local_topo, model) = self.cell_model(cell, ambient)?;
             let ctx = AllocationContext::new(self.config, &local_topo, &model);
             let local_alloc: Vec<TxConfig> = members.iter().map(|&id| alloc[id as usize]).collect();
@@ -875,34 +946,45 @@ impl<'a> Shards<'a> {
         let mut reconfigured = 0usize;
         let mut candidates = 0u64;
         let (mut best_min, mut best_mean, _) = summarize(ee);
+        // Tracks `trial` through every move; a round starts from the
+        // accepted allocation, which is the previous round's trial.
+        let mut power_mw = powers_mw(alloc);
         for _ in 0..TAIL_ROUNDS {
             let mut order: Vec<usize> = (0..alloc.len()).collect();
             order.sort_by(|&a, &b| ee[a].total_cmp(&ee[b]).then(a.cmp(&b)));
             order.truncate(TAIL_BATCH);
 
             let mut trial = alloc.to_vec();
-            let tally = GroupTally::of(&trial, self.n_groups, self.n_channels);
+            let tally = GroupTally::of(&trial, &power_mw, self.n_groups, self.n_channels);
             let kernels = self.occupancy_kernels(&tally, FarFieldMode::Exact);
             let mut moved = 0usize;
             for dev in order {
                 let cell = self.grid.cell_of(dev);
-                let ambient = self.ambient_for(cell, &trial, &tally, &kernels, FarFieldMode::Exact);
+                let ambient = self.ambient_for(
+                    cell,
+                    &trial,
+                    &power_mw,
+                    &tally,
+                    &kernels,
+                    FarFieldMode::Exact,
+                );
                 let (local_topo, model) = self.cell_model(cell, ambient)?;
                 let ctx = AllocationContext::new(self.config, &local_topo, &model);
                 let members = self.grid.members(cell);
-                let local_idx = members
-                    .iter()
-                    .position(|&m| m as usize == dev)
-                    .expect("device indexed to its own cell");
                 let local_alloc: Vec<TxConfig> =
                     members.iter().map(|&id| trial[id as usize]).collect();
                 let mut state = model.state(local_alloc)?;
-                let outcome = repairer.repair_in_state(&ctx, &mut state, &[local_idx])?;
+                let outcome =
+                    repairer.repair_in_state(&ctx, &mut state, &[self.grid.slot_of(dev)])?;
                 candidates += outcome.candidates_evaluated;
                 if outcome.reconfigured > 0 {
                     moved += outcome.reconfigured;
                     for (&id, &cfg) in members.iter().zip(outcome.allocation.as_slice()) {
-                        trial[id as usize] = cfg;
+                        let id = id as usize;
+                        if trial[id] != cfg {
+                            power_mw[id] = cfg.tp.milliwatts();
+                        }
+                        trial[id] = cfg;
                     }
                 }
             }
@@ -927,11 +1009,19 @@ impl<'a> Shards<'a> {
     /// Sharded evaluation: per-cell models with ambient derived from
     /// `alloc`, EE values mapped back to global device order.
     fn evaluate(&self, alloc: &[TxConfig]) -> Result<Vec<f64>, AllocError> {
-        let tally = GroupTally::of(alloc, self.n_groups, self.n_channels);
+        let power_mw = powers_mw(alloc);
+        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
         let kernels = self.occupancy_kernels(&tally, FarFieldMode::Exact);
         let per_cell = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
             let cell = self.occupied[idx];
-            let ambient = self.ambient_for(cell, alloc, &tally, &kernels, FarFieldMode::Exact);
+            let ambient = self.ambient_for(
+                cell,
+                alloc,
+                &power_mw,
+                &tally,
+                &kernels,
+                FarFieldMode::Exact,
+            );
             let (_, model) = self.cell_model(cell, ambient)?;
             let local_alloc: Vec<TxConfig> = self
                 .grid
@@ -950,12 +1040,6 @@ impl<'a> Shards<'a> {
             }
         }
         Ok(ee)
-    }
-}
-
-impl SpatialEfLora {
-    fn inner_fixed_tp(&self) -> Option<TxPowerDbm> {
-        inner_fixed_tp(&self.inner)
     }
 }
 
@@ -984,21 +1068,184 @@ fn summarize(ee: &[f64]) -> (f64, f64, f64) {
     (min, sum / n, jain)
 }
 
-// The inner solver's ordering and fixed TP are private to `EfLora`;
-// these accessors live here so `SpatialEfLora` does not need to mirror
-// the fields it already stores inside its template.
-fn inner_ordering(inner: &EfLora) -> DeviceOrdering {
-    inner.ordering()
-}
-
-fn inner_fixed_tp(inner: &EfLora) -> Option<TxPowerDbm> {
-    inner.fixed_tp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fairness;
+    use proptest::prelude::{any, proptest, ProptestConfig, Strategy as _};
+
+    /// The ring sums as they were computed before the tiles were read:
+    /// every ring member's attenuation and transmit power recomputed from
+    /// its site and configuration. The oracle for [`Shards::ambient_for`].
+    fn recomputed_ambient(
+        shards: &Shards<'_>,
+        cell: usize,
+        alloc: &[TxConfig],
+        tally: &GroupTally,
+        far_occupancy_kernels: &[f64],
+        mode: FarFieldMode,
+    ) -> Ambient {
+        let gws = shards.tiles.gateways(cell);
+        let g = gws.len();
+        let mut ambient = Ambient::zeros(shards.n_groups, g);
+        let gateway_pos: Vec<lora_sim::Position> = gws
+            .iter()
+            .map(|&k| shards.topology.gateways()[k as usize])
+            .collect();
+        let mut near_count = vec![0.0; shards.n_groups];
+        let mut near_power = vec![0.0; shards.n_groups];
+        for &member in shards.grid.members(cell) {
+            let cfg = &alloc[member as usize];
+            let grp = group_index(cfg.sf, cfg.channel, shards.n_channels);
+            near_count[grp] += 1.0;
+            near_power[grp] += cfg.tp.milliwatts();
+        }
+        for &j in &shards.grid.ring_members(cell, 1) {
+            let cfg = &alloc[j as usize];
+            let grp = group_index(cfg.sf, cfg.channel, shards.n_channels);
+            let p_mw = cfg.tp.milliwatts();
+            let duty = shards.duty(cfg.sf);
+            near_count[grp] += 1.0;
+            near_power[grp] += p_mw;
+            ambient.load[grp] += duty;
+            let site = &shards.topology.devices()[j as usize];
+            let beta = shards.config.betas.beta(site.environment);
+            for (k, gw) in gateway_pos.iter().enumerate() {
+                let a = shards
+                    .config
+                    .path_loss
+                    .attenuation(site.position.distance_to(gw), beta);
+                let mean_rx = p_mw * a;
+                ambient.power[grp * g + k] += mean_rx;
+                if mean_rx > 0.0 {
+                    ambient.lambda[k] += duty * (-shards.sens_mw[cfg.sf.index()] / mean_rx).exp();
+                }
+            }
+        }
+        shards.price_far_field(
+            &mut ambient,
+            &near_count,
+            &near_power,
+            tally,
+            far_occupancy_kernels,
+            mode,
+        );
+        ambient
+    }
+
+    /// A deterministic allocation over every SF, TP level and channel.
+    fn scrambled_allocation(config: &SimConfig, n: usize, seed: u64) -> Vec<TxConfig> {
+        let levels = config.region.tx_power_levels();
+        let channels = config.region.uplink_channel_count() as u64;
+        (0..n as u64)
+            .map(|i| {
+                let mut h = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                h ^= h >> 31;
+                let sf = SpreadingFactor::ALL[(h % 6) as usize];
+                let tp = levels[((h >> 8) % levels.len() as u64) as usize];
+                TxConfig::new(sf, tp, ((h >> 16) % channels) as usize)
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ring member × gateway pairs of `cell` whose gateway is outside the
+    /// member's own cell subset, i.e. that the tiles cannot answer.
+    fn fallback_pairs(shards: &Shards<'_>, cell: usize) -> usize {
+        let gws = shards.tiles.gateways(cell);
+        shards
+            .grid
+            .ring_members(cell, 1)
+            .iter()
+            .map(|&j| {
+                let theirs = shards.tiles.gateways(shards.grid.cell_of(j as usize));
+                gws.iter()
+                    .filter(|gw| theirs.binary_search(gw).is_err())
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Asserts that every occupied cell's ambient is bit-equal to the
+    /// recomputing reference in both far-field modes; returns the
+    /// fallback pairs the deployment takes.
+    fn assert_ambient_matches_reference(
+        planner: &SpatialEfLora,
+        config: &SimConfig,
+        topo: &Topology,
+        alloc_seed: u64,
+    ) -> usize {
+        let shards = Shards::build(planner, config, topo).unwrap();
+        let alloc = scrambled_allocation(config, topo.device_count(), alloc_seed);
+        let power_mw = powers_mw(&alloc);
+        let tally = GroupTally::of(&alloc, &power_mw, shards.n_groups, shards.n_channels);
+        for mode in [FarFieldMode::Pricing, FarFieldMode::Exact] {
+            let kernels = shards.occupancy_kernels(&tally, mode);
+            for &cell in &shards.occupied {
+                let got = shards.ambient_for(cell, &alloc, &power_mw, &tally, &kernels, mode);
+                let want = recomputed_ambient(&shards, cell, &alloc, &tally, &kernels, mode);
+                assert_eq!(
+                    bits(&got.power),
+                    bits(&want.power),
+                    "power, cell {cell} {mode:?}"
+                );
+                assert_eq!(
+                    bits(&got.load),
+                    bits(&want.load),
+                    "load, cell {cell} {mode:?}"
+                );
+                assert_eq!(
+                    bits(&got.lambda),
+                    bits(&want.lambda),
+                    "lambda, cell {cell} {mode:?}"
+                );
+            }
+        }
+        shards
+            .occupied
+            .iter()
+            .map(|&cell| fallback_pairs(&shards, cell))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn ambient_is_bit_equal_to_the_recomputing_reference(
+            (gateways, cap) in (2usize..=6, any::<u64>())
+                .prop_map(|(gw, draw)| (gw, 1 + (draw % gw as u64) as usize)),
+            n in 100usize..=600,
+            occupancy in 10usize..40,
+            radius in 3_000.0f64..9_000.0,
+            seed in any::<u64>(),
+            alloc_seed in any::<u64>(),
+        ) {
+            let config = SimConfig::default();
+            let topo = Topology::disc(n, gateways, radius, &config, seed);
+            let planner = SpatialEfLora::default()
+                .with_target_occupancy(occupancy)
+                .with_max_cell_gateways(cap);
+            assert_ambient_matches_reference(&planner, &config, &topo, alloc_seed);
+        }
+    }
+
+    #[test]
+    fn reference_deployment_takes_the_fallback() {
+        // Neighbouring cells keep different nearest gateways, so ring
+        // members also meet gateways outside their own cell's tile.
+        let config = SimConfig::default();
+        let topo = Topology::disc(400, 5, 6_000.0, &config, 4);
+        let planner = SpatialEfLora::default()
+            .with_target_occupancy(20)
+            .with_max_cell_gateways(2);
+        let fallbacks = assert_ambient_matches_reference(&planner, &config, &topo, 9);
+        assert!(fallbacks > 0, "no ring pair needed the fallback");
+    }
 
     #[test]
     fn below_threshold_delegates_to_dense() {
@@ -1057,12 +1304,15 @@ mod tests {
             .with_threads(1)
             .allocate_with_report(&config, &topo)
             .unwrap();
-        let four = base
-            .with_threads(4)
-            .allocate_with_report(&config, &topo)
-            .unwrap();
-        assert_eq!(one.allocation, four.allocation);
-        assert_eq!(one.min_ee.to_bits(), four.min_ee.to_bits());
+        for threads in [3, 4] {
+            let many = base
+                .clone()
+                .with_threads(threads)
+                .allocate_with_report(&config, &topo)
+                .unwrap();
+            assert_eq!(one.allocation, many.allocation, "{threads} workers");
+            assert_eq!(one.min_ee.to_bits(), many.min_ee.to_bits());
+        }
     }
 
     #[test]

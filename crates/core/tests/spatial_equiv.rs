@@ -6,7 +6,8 @@
 //!   to the dense [`EfLora`] — every ordering, fixed-TP setting and seed;
 //! * the gridded neighbor-count fast path agrees with the quadratic
 //!   all-pairs definition device-for-device;
-//! * the sharded pipeline is invariant to the worker count (1 vs 4);
+//! * the sharded pipeline is invariant to the worker count (1 vs 3
+//!   and 4);
 //! * the sharded answer holds up under the *dense* objective: its
 //!   network-minimum EE stays within a bounded factor of the dense
 //!   solver's on workloads small enough to run both.
@@ -93,13 +94,15 @@ proptest! {
             .with_dense_threshold(50)
             .with_target_occupancy(40);
         let one = base.clone().with_threads(1).allocate_with_report(&config, &topo).unwrap();
-        let four = base.clone().with_threads(4).allocate_with_report(&config, &topo).unwrap();
         prop_assert!(one.sharded);
-        prop_assert_eq!(one.allocation.as_slice(), four.allocation.as_slice());
-        prop_assert_eq!(one.min_ee.to_bits(), four.min_ee.to_bits());
-        prop_assert_eq!(one.mean_ee.to_bits(), four.mean_ee.to_bits());
-        prop_assert_eq!(one.boundary_reconfigured, four.boundary_reconfigured);
-        prop_assert_eq!(one.tail_reconfigured, four.tail_reconfigured);
+        for threads in [3, 4] {
+            let many = base.clone().with_threads(threads).allocate_with_report(&config, &topo).unwrap();
+            prop_assert_eq!(one.allocation.as_slice(), many.allocation.as_slice());
+            prop_assert_eq!(one.min_ee.to_bits(), many.min_ee.to_bits());
+            prop_assert_eq!(one.mean_ee.to_bits(), many.mean_ee.to_bits());
+            prop_assert_eq!(one.boundary_reconfigured, many.boundary_reconfigured);
+            prop_assert_eq!(one.tail_reconfigured, many.tail_reconfigured);
+        }
     }
 
     #[test]

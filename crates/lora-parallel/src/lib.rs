@@ -1,25 +1,28 @@
 //! Deterministic scoped-thread fan-out for the EF-LoRa workspace.
 //!
 //! Every parallel site in this repository — replication fan-out in the
-//! bench harness, the EF-LoRa candidate scan, attenuation-matrix
-//! construction — goes through [`par_map_indexed`], which has one
-//! defining property: **the result is a pure function of the input,
-//! independent of the worker count**. Index `i` of the output always
-//! holds `f(i)`, workers own contiguous index chunks, and chunk results
-//! are concatenated in chunk order, so `threads = 1` and `threads = 64`
-//! produce byte-identical vectors. Determinism therefore reduces to `f`
-//! itself being a pure function of its index — which the call sites
-//! guarantee by deriving any randomness from per-index seeds computed up
-//! front.
+//! bench harness, the EF-LoRa candidate scan, the sharded planner's cell
+//! solves, attenuation-matrix construction — goes through
+//! [`par_map_indexed`], which has one defining property: **the result is
+//! a pure function of the input, independent of the worker count and of
+//! the schedule**. Index `i` of the output always holds `f(i)`. Workers
+//! claim indices from a shared atomic counter (single indices, or small
+//! contiguous blocks on long inputs), so a worker that drew cheap items
+//! claims more of them instead of idling while another finishes a fixed
+//! share; each claimed block comes back tagged with its first index and
+//! the blocks are reassembled in index order. `threads = 1` and
+//! `threads = 64` therefore produce byte-identical vectors. Determinism
+//! reduces to `f` itself being a pure function of its index — which the
+//! call sites guarantee by deriving any randomness from per-index seeds
+//! computed up front.
 //!
-//! Built on `std::thread::scope` only: no work stealing, no shared
-//! queues, no external dependency. That trades peak load-balancing for
-//! provable reproducibility, which is the right trade for a paper
-//! reproduction whose headline claim is seed-stable results.
+//! Built on `std::thread::scope` and one `AtomicUsize` only: no
+//! per-worker queues, no external dependency, no `unsafe`.
 
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The environment variable controlling workspace-wide parallelism.
 pub const THREADS_ENV: &str = "EF_LORA_THREADS";
@@ -83,10 +86,18 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
+/// Claims per worker a long input is cut into: blocks of
+/// `len / (CLAIMS_PER_WORKER · workers)` indices (at least one) keep the
+/// counter cold on long inputs, while an input shorter than
+/// `CLAIMS_PER_WORKER · workers` is claimed one index at a time.
+const CLAIMS_PER_WORKER: usize = 64;
+
 /// Maps `f` over `0..len` using up to `threads` scoped workers, returning
 /// `vec![f(0), f(1), …, f(len-1)]` — in index order, regardless of the
-/// worker count or scheduling. With `threads <= 1` (or a single chunk)
-/// the map runs inline on the caller's thread with zero spawn overhead.
+/// worker count or scheduling. Workers claim the next unclaimed block of
+/// indices until none is left, so uneven per-index costs even out across
+/// workers. With `threads <= 1` (or `len <= 1`) the map runs inline on
+/// the caller's thread with zero spawn overhead.
 ///
 /// # Panics
 ///
@@ -97,26 +108,41 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let ranges = chunk_ranges(len, threads.max(1));
-    if ranges.len() <= 1 {
+    let workers = threads.clamp(1, len.max(1));
+    if workers == 1 {
         return (0..len).map(f).collect();
     }
-    let mut chunk_results: Vec<Vec<T>> = Vec::with_capacity(ranges.len());
+    let block = (len / (CLAIMS_PER_WORKER * workers)).max(1);
+    // The first index of the next unclaimed block. `Relaxed` suffices:
+    // the counter publishes no data (results come back through `join`),
+    // and `fetch_add` hands each block to exactly one worker at any
+    // ordering.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut claimed = Vec::new();
+        loop {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            if start >= len {
+                return claimed;
+            }
+            let end = (start + block).min(len);
+            claimed.push((start, (start..end).map(&f).collect::<Vec<T>>()));
+        }
+    };
+    let mut blocks: Vec<(usize, Vec<T>)> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| scope.spawn(|| range.map(&f).collect::<Vec<T>>()))
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
         for handle in handles {
             match handle.join() {
-                Ok(chunk) => chunk_results.push(chunk),
+                Ok(claimed) => blocks.extend(claimed),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
+    blocks.sort_unstable_by_key(|&(start, _)| start);
     let mut out = Vec::with_capacity(len);
-    for chunk in chunk_results {
-        out.extend(chunk);
+    for (_, values) in blocks {
+        out.extend(values);
     }
     out
 }
@@ -124,6 +150,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn chunking_covers_all_indices_without_overlap() {
@@ -153,6 +181,75 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once_under_skewed_costs() {
+        // Every 97th index sleeps, so workers finish their claims at very
+        // different times and keep claiming past each other.
+        for len in [1usize, 2, 5, 47, 300, 10_000] {
+            for threads in 1..=8 {
+                let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let out = par_map_indexed(len, threads, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    if i % 97 == 0 {
+                        std::thread::sleep(Duration::from_micros(300));
+                    }
+                    i * 3
+                });
+                assert_eq!(out, (0..len).map(|i| i * 3).collect::<Vec<_>>());
+                for (i, runs) in runs.iter().enumerate() {
+                    assert_eq!(
+                        runs.load(Ordering::Relaxed),
+                        1,
+                        "len={len} threads={threads} index {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_is_identical_for_one_to_eight_workers() {
+        let f = |i: usize| format!("{i}:{}", (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        // Lengths below, at and above the worker counts, and on both
+        // sides of the single-index claiming threshold.
+        for len in [0usize, 1, 3, 7, 64, 129, 1_000, 5_000] {
+            let serial: Vec<String> = (0..len).map(f).collect();
+            for threads in 1..=8 {
+                assert_eq!(
+                    par_map_indexed(len, threads, f),
+                    serial,
+                    "len={len} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_slow_index_does_not_hold_back_the_rest() {
+        // Index 0 returns only after every other index has run. With one
+        // fixed contiguous chunk per worker, index 0's worker would also
+        // own index 1 and wait until the timeout; claiming lets the other
+        // worker take every remaining index.
+        let len = 4;
+        let done = Mutex::new(0usize);
+        let all_done = Condvar::new();
+        let out = par_map_indexed(len, 2, |i| {
+            let mut count = done.lock().unwrap();
+            if i == 0 {
+                let (count, wait) = all_done
+                    .wait_timeout_while(count, Duration::from_secs(10), |c| *c < len - 1)
+                    .unwrap();
+                assert!(!wait.timed_out(), "the other indices never ran");
+                *count
+            } else {
+                *count += 1;
+                all_done.notify_all();
+                i
+            }
+        });
+        assert_eq!(out, vec![3, 1, 2, 3]);
     }
 
     #[test]

@@ -352,8 +352,8 @@ pub fn attenuation_row(
 /// simulator and the analytical model.
 ///
 /// Large matrices (≥ [`ATTENUATION_PARALLEL_THRESHOLD`] cells) are built
-/// with one scoped worker per contiguous device chunk, controlled by
-/// `EF_LORA_THREADS`. Each row is a pure function of its device index, so
+/// row-parallel by [`lora_parallel::par_map_indexed`] workers, controlled
+/// by `EF_LORA_THREADS`. Each row is a pure function of its device index, so
 /// the result is byte-identical for every worker count.
 pub fn attenuation_matrix(
     config: &crate::config::SimConfig,

@@ -30,6 +30,8 @@ pub struct CellGrid {
     order: Vec<u32>,
     /// Cell index per device.
     cell_of: Vec<u32>,
+    /// Position of each device within its cell's [`CellGrid::members`].
+    slot_of: Vec<u32>,
 }
 
 impl CellGrid {
@@ -71,6 +73,7 @@ impl CellGrid {
                 starts: vec![0, 0],
                 order: Vec::new(),
                 cell_of: Vec::new(),
+                slot_of: Vec::new(),
             };
         }
         let axis_cells = |min: f64, max: f64| -> usize {
@@ -89,6 +92,7 @@ impl CellGrid {
             starts: vec![0; nx * ny + 1],
             order: Vec::with_capacity(sites.len()),
             cell_of: Vec::with_capacity(sites.len()),
+            slot_of: vec![0; sites.len()],
         };
         // Counting sort by cell keeps ids ascending within each cell.
         for site in sites {
@@ -104,6 +108,7 @@ impl CellGrid {
         for (id, &c) in grid.cell_of.iter().enumerate() {
             let slot = cursor[c as usize];
             grid.order[slot as usize] = id as u32;
+            grid.slot_of[id] = slot - grid.starts[c as usize];
             cursor[c as usize] += 1;
         }
         grid
@@ -139,6 +144,12 @@ impl CellGrid {
     /// The cell holding device `id`.
     pub fn cell_of(&self, id: usize) -> usize {
         self.cell_of[id] as usize
+    }
+
+    /// The position of device `id` within the members of its own cell:
+    /// `members(cell_of(id))[slot_of(id)] == id`.
+    pub fn slot_of(&self, id: usize) -> usize {
+        self.slot_of[id] as usize
     }
 
     /// Device ids of one cell, ascending.
@@ -284,8 +295,9 @@ mod tests {
         for c in 0..grid.cell_count() {
             let m = grid.members(c);
             assert!(m.windows(2).all(|w| w[0] < w[1]), "ascending ids per cell");
-            for &id in m {
+            for (slot, &id) in m.iter().enumerate() {
                 assert_eq!(grid.cell_of(id as usize), c);
+                assert_eq!(grid.slot_of(id as usize), slot);
             }
         }
     }

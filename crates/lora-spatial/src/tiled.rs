@@ -98,30 +98,11 @@ impl TiledAttenuation {
     }
 
     /// The attenuation row of one member of `cell` (by position within
-    /// [`CellGrid::members`]) against the cell's gateway subset.
+    /// [`CellGrid::members`], see [`CellGrid::slot_of`]) against the
+    /// cell's gateway subset.
     pub fn row(&self, cell: usize, member: usize) -> &[f64] {
         let width = self.gateways[cell].len();
         &self.blocks[cell][member * width..(member + 1) * width]
-    }
-
-    /// Looks up the attenuation of device `id` toward global gateway
-    /// `gateway`, or `None` when the gateway is outside the device's
-    /// cell tile (i.e. priced as far field).
-    pub fn at(&self, grid: &CellGrid, id: usize, gateway: u32) -> Option<f64> {
-        let cell = grid.cell_of(id);
-        let local = self.gateways[cell].binary_search(&gateway).ok()?;
-        let member = grid
-            .members(cell)
-            .binary_search(&(id as u32))
-            .expect("device belongs to its own cell");
-        Some(self.row(cell, member)[local])
-    }
-
-    /// Approximate heap footprint of the tiles, bytes.
-    pub fn approx_bytes(&self) -> usize {
-        let data: usize = self.blocks.iter().map(|b| b.len() * 8).sum();
-        let ids: usize = self.gateways.iter().map(|g| g.len() * 4).sum();
-        data + ids + (self.blocks.capacity() + self.gateways.capacity()) * 24
     }
 }
 
@@ -145,8 +126,9 @@ mod tests {
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 3);
         let dense = attenuation_matrix(&config, &topology);
         for id in 0..topology.devices().len() {
-            for g in 0..topology.gateways().len() {
-                let t = tiled.at(&grid, id, g as u32).expect("full sets cover all");
+            let row = tiled.row(grid.cell_of(id), grid.slot_of(id));
+            assert_eq!(row.len(), topology.gateways().len());
+            for (g, t) in row.iter().enumerate() {
                 assert_eq!(t.to_bits(), dense.at(id, g).to_bits(), "dev {id} gw {g}");
             }
         }
@@ -172,11 +154,11 @@ mod tests {
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 2);
         let dense = attenuation_matrix(&config, &topology);
         for id in 0..topology.devices().len() {
-            assert_eq!(
-                tiled.at(&grid, id, 0).unwrap().to_bits(),
-                dense.at(id, 0).to_bits()
-            );
-            assert!(tiled.at(&grid, id, 1).is_none());
+            let cell = grid.cell_of(id);
+            assert_eq!(tiled.gateways(cell), &[0]);
+            let row = tiled.row(cell, grid.slot_of(id));
+            assert_eq!(row.len(), 1);
+            assert_eq!(row[0].to_bits(), dense.at(id, 0).to_bits());
         }
     }
 
@@ -186,9 +168,9 @@ mod tests {
         let grid = CellGrid::build(&topology, 800.0);
         let sets = vec![vec![0u32]; grid.cell_count()];
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 2);
-        // 400 devices × 1 gateway ≈ 3.2 kB of f64s, far below dense×all.
+        // 400 devices × 1 gateway: one entry per device, far below
+        // dense × all gateways.
         let data: usize = (0..grid.cell_count()).map(|c| tiled.block(c).len()).sum();
         assert_eq!(data, 400);
-        assert!(tiled.approx_bytes() < 1 << 20);
     }
 }
