@@ -4,9 +4,9 @@
 //! point of a population scaling curve, drives a seeded churn burst
 //! through the JSON-lines protocol with the crate's own load generator,
 //! and reports sustained throughput plus per-request repair-latency
-//! percentiles in the perf-harness schema (`ef-lora-perf/v1`), so soak
-//! numbers live next to the hot-path baselines and the same tooling can
-//! diff them across runs.
+//! percentiles in the perf-report schema (`ef-lora-perf/v1`) that the
+//! sharded allocator's scaling curve also uses, so both gate through the
+//! same code.
 //!
 //! The curve scales the churn-heavy catalog scenario (200 devices at
 //! factor 1.0) to 20, 200 and — beyond smoke scale — 1000 devices,
@@ -21,13 +21,12 @@
 //! the *plain* baseline rows, so journaling must stay within the same
 //! regression tolerance as any other serve-path change.
 //!
-//! Like the hot-path matrix, the soak gates against a checked-in
-//! baseline (`tests/golden/serve_perf_baseline.json`, recorded at smoke
-//! scale) with the CI regression tolerance; `EF_LORA_UPDATE_GOLDEN=1`
-//! rewrites it. Every point is the best-of-`REPS_PER_POINT` envelope,
-//! and the gate normalises by a fixed machine-speed probe
-//! ([`CALIBRATION_ID`]) so shared-runner speed swings don't masquerade
-//! as serve-path regressions.
+//! The soak gates against its committed baseline
+//! (`tests/golden/serve_perf_baseline.json`, recorded at smoke scale)
+//! through the shared gate, [`crate::perf::gate`]. Every point is the
+//! best-of-`REPS_PER_POINT` envelope, and the gate normalises by the
+//! machine-speed probe ([`CALIBRATION_ID`]) so shared-runner speed swings
+//! don't masquerade as serve-path regressions.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -40,10 +39,7 @@ use lora_scenario::catalog;
 
 use crate::harness::{Scale, ScaleKind};
 use crate::output::{f2, print_table, write_json};
-use crate::perf::{
-    compare, git_describe, to_json, PerfIssue, PerfReport, WorkloadResult, DEFAULT_TOLERANCE,
-    SCHEMA, UPDATE_ENV,
-};
+use crate::perf::{self, git_describe, PerfIssue, PerfReport, WorkloadResult, SCHEMA};
 
 /// Seed of the load-generator event stream.
 pub const SOAK_SEED: u64 = 7;
@@ -60,17 +56,6 @@ pub fn soak_points(scale: &Scale) -> Vec<(f64, usize)> {
     }
 }
 
-/// Path of the checked-in soak baseline
-/// (`<repo>/tests/golden/serve_perf_baseline.json`).
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("golden")
-        .join("serve_perf_baseline.json")
-}
-
 /// Bursts per point: each rep boots a fresh daemon and replays the same
 /// seeded stream, and the point keeps the best value per metric (minimum
 /// latencies, maximum throughput). A single burst's p99 is its third-
@@ -81,49 +66,11 @@ const REPS_PER_POINT: usize = 3;
 /// Identifier of the machine-speed calibration row.
 pub const CALIBRATION_ID: &str = "serve_churn/calibration";
 
-/// Iterations of the calibration kernel.
-const CALIBRATION_ITERS: u64 = 400_000;
-
-/// Measures raw machine speed with a fixed floating-point kernel that is
-/// deliberately independent of every crate code path: a regression in
-/// the serve stack cannot leak into the probe and cancel itself out of
-/// the gate. Shared CI boxes swing well beyond the 25 % tolerance run to
-/// run; [`gate_against`] divides the measured latencies by the ratio of
-/// this probe to the baseline's, so the gate compares work per cycle
-/// rather than wall-clock.
-fn machine_probe_ms() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS_PER_POINT {
-        let t0 = std::time::Instant::now();
-        let mut acc = 1.0f64;
-        for i in 1..CALIBRATION_ITERS {
-            acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
-        }
-        std::hint::black_box(acc);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// The calibration probe as a workload row, so the baseline records the
-/// machine speed it was measured at.
-fn calibration_row() -> WorkloadResult {
-    let ms = machine_probe_ms();
-    WorkloadResult {
-        id: CALIBRATION_ID.to_string(),
-        devices: 0,
-        gateways: 0,
-        threads: 1,
-        events: CALIBRATION_ITERS,
-        median_ms: ms,
-        p95_ms: ms,
-        events_per_sec: if ms > 0.0 {
-            CALIBRATION_ITERS as f64 / (ms / 1_000.0)
-        } else {
-            0.0
-        },
-        devices_per_sec: 0.0,
-    }
+/// Where the journaled points write their journals. Nothing reads them
+/// back, so each journaled point removes the directory once its reps are
+/// done.
+fn journal_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("ef-lora-soak-{}", std::process::id()))
 }
 
 /// One point of the scaling curve: boots a fresh daemon per rep over the
@@ -143,7 +90,7 @@ fn run_point(factor: f64, events: usize, journaled: bool) -> (Vec<WorkloadResult
         gateways = state.gateway_count();
 
         let journal = journaled.then(|| {
-            let dir = std::env::temp_dir().join(format!("ef-lora-soak-{}", std::process::id()));
+            let dir = journal_dir();
             std::fs::create_dir_all(&dir).expect("soak journal dir");
             let path = dir.join(format!("{devices}dev-{events}ev-{rep_index}.journal"));
             let base = JournalRecord::Genesis {
@@ -179,6 +126,9 @@ fn run_point(factor: f64, events: usize, journaled: bool) -> (Vec<WorkloadResult
         });
     }
     let report = best.expect("at least one rep ran");
+    if journaled {
+        std::fs::remove_dir_all(journal_dir()).expect("soak journal dir removes");
+    }
 
     let tag = format!("{devices}dev_{gateways}gw");
     let suffix = if journaled { "/journal" } else { "" };
@@ -240,7 +190,7 @@ pub fn run(scale: &Scale) -> PerfReport {
         workloads.extend(rows);
         workloads.extend(journal_rows);
     }
-    workloads.push(calibration_row());
+    workloads.push(perf::calibration_row(CALIBRATION_ID));
     let perf = PerfReport {
         schema: SCHEMA.to_string(),
         git_describe: git_describe(),
@@ -263,113 +213,15 @@ pub fn run(scale: &Scale) -> PerfReport {
     perf
 }
 
-/// Gates `perf` against `baseline`: every baseline row measured at the
-/// same scale must be present and within the tolerance after machine-
-/// speed normalisation. When both reports carry a [`CALIBRATION_ID`]
-/// row, every latency in `perf` is divided by the probe ratio
-/// `perf_probe / baseline_probe` first, so a uniformly slower (or
-/// faster) box cancels out and only genuine serve-path regressions
-/// surface. Pure — the binary wires it to [`baseline_path`].
-pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) -> Vec<PerfIssue> {
-    if baseline.scale != perf.scale {
-        return Vec::new();
-    }
-    let probe_of = |report: &PerfReport| {
-        report
-            .workloads
-            .iter()
-            .find(|w| w.id == CALIBRATION_ID)
-            .map(|w| w.median_ms)
-            .filter(|&ms| ms > 0.0)
-    };
-    let speed = match (probe_of(perf), probe_of(baseline)) {
-        (Some(cur), Some(base)) => cur / base,
-        _ => 1.0,
-    };
-    let mut scaled = perf.clone();
-    for w in &mut scaled.workloads {
-        w.median_ms /= speed;
-        w.p95_ms /= speed;
-    }
-    let mut issues = compare(&scaled, baseline, tolerance);
-    // Journal-overhead rows (`serve_churn/<tag>/journal[...]`) have no
-    // counterpart in pre-journal baselines, and `compare` ignores
-    // current-only rows — so gate them explicitly against the *plain*
-    // baseline rows: batch-fsync journaling must keep the daemon within
-    // the same tolerance that bounds any other serve-path regression.
-    let journal_view = PerfReport {
-        workloads: scaled
-            .workloads
-            .iter()
-            .filter(|w| w.id.contains("/journal"))
-            .map(|w| {
-                let mut plain = w.clone();
-                plain.id = plain.id.replace("/journal", "");
-                plain
-            })
-            .collect(),
-        ..scaled.clone()
-    };
-    if !journal_view.workloads.is_empty() {
-        issues.extend(
-            compare(&journal_view, baseline, tolerance)
-                .into_iter()
-                .filter_map(|issue| match issue {
-                    PerfIssue::Slower {
-                        id,
-                        baseline_ms,
-                        current_ms,
-                        ratio,
-                    } => Some(PerfIssue::Slower {
-                        id: format!("{id} (journaled)"),
-                        baseline_ms,
-                        current_ms,
-                        ratio,
-                    }),
-                    // Rows absent from the journal view (the probe, any
-                    // point without a journaled twin) are not journal
-                    // regressions; the plain pass already gates shape.
-                    PerfIssue::Missing { .. } => None,
-                }),
-        );
-    }
-    issues
-}
-
-/// Applies the golden-baseline workflow: `EF_LORA_UPDATE_GOLDEN=1`
-/// rewrites [`baseline_path`]; otherwise, when a baseline recorded at
-/// the same scale exists, regressions beyond [`DEFAULT_TOLERANCE`] are
-/// returned (the binary exits non-zero on any).
+/// Gates `perf` against `tests/golden/serve_perf_baseline.json` through
+/// the shared [`perf::gate`] (`EF_LORA_UPDATE_GOLDEN=1` rewrites the
+/// baseline).
 ///
 /// # Errors
 ///
 /// The list of regressions, when the gate fails.
 pub fn gate(perf: &PerfReport) -> Result<(), Vec<PerfIssue>> {
-    let path = baseline_path();
-    if std::env::var(UPDATE_ENV).is_ok_and(|v| v == "1") {
-        std::fs::write(&path, to_json(perf)).expect("baseline path is writable");
-        println!("ext_serve_soak: baseline updated at {}", path.display());
-        return Ok(());
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        println!(
-            "ext_serve_soak: no baseline at {}; gate skipped",
-            path.display()
-        );
-        return Ok(());
-    };
-    let baseline: PerfReport = serde_json::from_str(&body).expect("baseline parses");
-    let issues = gate_against(perf, &baseline, DEFAULT_TOLERANCE);
-    if issues.is_empty() {
-        println!(
-            "ext_serve_soak: within {:.0}% of baseline {}",
-            DEFAULT_TOLERANCE * 100.0,
-            baseline.git_describe
-        );
-        Ok(())
-    } else {
-        Err(issues)
-    }
+    perf::gate("ext_serve_soak", "serve_perf_baseline.json", perf)
 }
 
 #[cfg(test)]
@@ -405,119 +257,10 @@ mod tests {
         // churn-heavy scenario, each measured plain and journaled.
         assert_eq!(devices_seen, vec![20, 20, 200, 200]);
         assert_eq!(perf.workloads[0].events as usize, points[0].1);
-    }
-
-    #[test]
-    fn gate_bounds_journal_overhead_against_the_plain_baseline_rows() {
-        let row = |id: &str, median_ms: f64| WorkloadResult {
-            id: id.into(),
-            devices: 200,
-            gateways: 2,
-            threads: 1,
-            events: 300,
-            median_ms,
-            p95_ms: median_ms,
-            events_per_sec: 1000.0,
-            devices_per_sec: 0.0,
-        };
-        let report = |rows: Vec<WorkloadResult>| PerfReport {
-            schema: SCHEMA.to_string(),
-            git_describe: "test".into(),
-            scale: "smoke".into(),
-            reps: 1,
-            workloads: rows,
-        };
-        // The baseline predates the journal: plain rows only.
-        let baseline = report(vec![
-            row("serve_churn/200dev_2gw/p99", 10.0),
-            row(CALIBRATION_ID, 2.0),
-        ]);
-        // Journaling within tolerance passes …
-        let fine = report(vec![
-            row("serve_churn/200dev_2gw/p99", 10.0),
-            row("serve_churn/200dev_2gw/journal/p99", 12.0),
-            row(CALIBRATION_ID, 2.0),
-        ]);
-        assert!(gate_against(&fine, &baseline, 0.25).is_empty());
-        // … but journal overhead past it is a regression of its own,
-        // even when the plain row is healthy.
-        let slow = report(vec![
-            row("serve_churn/200dev_2gw/p99", 10.0),
-            row("serve_churn/200dev_2gw/journal/p99", 20.0),
-            row(CALIBRATION_ID, 2.0),
-        ]);
-        let issues = gate_against(&slow, &baseline, 0.25);
-        assert_eq!(issues.len(), 1);
         assert!(
-            issues[0].to_string().contains("(journaled)"),
-            "issue must name the journaled row: {}",
-            issues[0]
+            !journal_dir().exists(),
+            "the soak leaves its journals behind in {}",
+            journal_dir().display()
         );
-    }
-
-    #[test]
-    fn gate_ignores_mismatched_scales_and_flags_regressions() {
-        let row = |id: &str, median_ms: f64| WorkloadResult {
-            id: id.into(),
-            devices: 200,
-            gateways: 2,
-            threads: 1,
-            events: 300,
-            median_ms,
-            p95_ms: median_ms,
-            events_per_sec: 1000.0,
-            devices_per_sec: 0.0,
-        };
-        let report = |scale: &str, median_ms: f64, probe_ms: f64| PerfReport {
-            schema: SCHEMA.to_string(),
-            git_describe: "test".into(),
-            scale: scale.into(),
-            reps: 1,
-            workloads: vec![
-                row("serve_churn/200dev_2gw/p99", median_ms),
-                row(CALIBRATION_ID, probe_ms),
-            ],
-        };
-        let baseline = report("smoke", 10.0, 2.0);
-        assert!(gate_against(&report("smoke", 11.0, 2.0), &baseline, 0.25).is_empty());
-        assert_eq!(
-            gate_against(&report("smoke", 20.0, 2.0), &baseline, 0.25).len(),
-            1
-        );
-        // A paper-scale run is not comparable to the smoke baseline.
-        assert!(gate_against(&report("paper", 20.0, 2.0), &baseline, 0.25).is_empty());
-    }
-
-    #[test]
-    fn gate_normalises_by_the_machine_speed_probe() {
-        let row = |id: &str, median_ms: f64| WorkloadResult {
-            id: id.into(),
-            devices: 200,
-            gateways: 2,
-            threads: 1,
-            events: 300,
-            median_ms,
-            p95_ms: median_ms,
-            events_per_sec: 1000.0,
-            devices_per_sec: 0.0,
-        };
-        let report = |median_ms: f64, probe_ms: f64| PerfReport {
-            schema: SCHEMA.to_string(),
-            git_describe: "test".into(),
-            scale: "smoke".into(),
-            reps: 1,
-            workloads: vec![
-                row("serve_churn/200dev_2gw/p99", median_ms),
-                row(CALIBRATION_ID, probe_ms),
-            ],
-        };
-        let baseline = report(10.0, 2.0);
-        // The whole box running 2x slower is not a serve regression …
-        assert!(gate_against(&report(20.0, 4.0), &baseline, 0.25).is_empty());
-        // … but a 3x latency on a 2x-slower box is a genuine 1.5x one.
-        assert_eq!(gate_against(&report(30.0, 4.0), &baseline, 0.25).len(), 1);
-        // A faster box must not mask a real regression: same wall-clock
-        // on a 2x-faster machine is a 2x work-per-cycle regression.
-        assert_eq!(gate_against(&report(10.0, 1.0), &baseline, 0.25).len(), 1);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! One module per paper table/figure (see `experiments`), shared pipeline
 //! plumbing in [`harness`], the stylised Section-II motivation engine in
-//! [`motivation`], and table/JSON output in [`output`].
+//! [`motivation`], table/JSON output in [`output`], and in [`perf`] the
+//! regression gate that the `ext_scale` and `ext_serve_soak` timings
+//! share.
 //!
 //! Every experiment is exposed both as a library function (so `run_all`
 //! and the integration tests can drive them) and as a binary under

@@ -1,58 +1,45 @@
-//! Machine-readable performance harness (`ef-lora-bench --bin perf`).
+//! The perf-report schema and the one regression gate of the timed
+//! experiments.
 //!
-//! Runs a fixed, deterministic workload matrix — deployments of
-//! (devices × gateways) crossed with worker-thread counts — over the
-//! proven hot paths: the EF-LoRa greedy candidate scan, a full simulator
-//! epoch, the analytical model evaluation, the attenuation-matrix build,
-//! the fresh-vs-shared simulation construction and the time-on-air grid
-//! (recomputed vs [`lora_phy::ToaLut`]).
+//! `ext_scale` (the sharded allocator's scaling curve) and
+//! `ext_serve_soak` (the daemon's soak curve) report their measurements
+//! as [`SCHEMA`]-tagged [`PerfReport`]s and gate them through [`gate`]
+//! against a baseline committed under `tests/golden/`, with the CI
+//! tolerance [`DEFAULT_TOLERANCE`]; `EF_LORA_UPDATE_GOLDEN=1` rewrites
+//! the baseline instead, mirroring the conformance golden workflow.
 //!
-//! Each workload is repeated `reps` times; the report records the median
-//! and 95th-percentile wall-clock plus derived throughput
-//! (events/second, devices/second). Reports serialise as
-//! [`SCHEMA`]-tagged JSON (`BENCH_PERF.json`); everything except the
-//! timing fields and the `git_describe` stamp is a pure function of the
-//! scale preset and thread count, so [`normalized`] reports are
-//! byte-stable across runs — a property the test-suite pins.
-//!
-//! The regression gate compares a fresh report against the checked-in
-//! baseline `tests/golden/perf_baseline.json` with a fractional
-//! tolerance (CI uses 25 %); `EF_LORA_UPDATE_GOLDEN=1` rewrites the
-//! baseline, mirroring the conformance golden workflow.
+//! Shared CI boxes swing well beyond that tolerance from run to run, so
+//! every report ends with a machine-speed probe (`calibration_row`): a
+//! fixed floating-point kernel that is deliberately independent of every
+//! crate code path, so a regression cannot leak into the probe and cancel
+//! itself out of the gate. [`gate_against`] divides each latency by the
+//! ratio of the report's probe to the baseline's, so it compares work per
+//! cycle rather than wall-clock.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-use ef_lora::{AllocationContext, EfLora, Strategy};
-use lora_model::NetworkModel;
-use lora_phy::toa::{ToaLut, ToaParams, MAX_PHY_PAYLOAD};
-use lora_phy::{Bandwidth, SpreadingFactor};
-use lora_sim::{Simulation, Topology};
-
-use crate::harness::{paper_config_at, Scale, ScaleKind};
 
 /// Schema tag carried by every report.
 pub const SCHEMA: &str = "ef-lora-perf/v1";
 
-/// Default output file name for the perf binary.
-pub const DEFAULT_OUTPUT: &str = "BENCH_PERF.json";
-
 /// Default fractional regression tolerance (25 %, the CI gate).
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
-
-/// Default repetitions per workload.
-pub const DEFAULT_REPS: usize = 5;
 
 /// Environment variable that rewrites the checked-in baseline instead of
 /// gating against it (shared with the conformance goldens).
 pub const UPDATE_ENV: &str = "EF_LORA_UPDATE_GOLDEN";
 
+/// Iterations of the calibration kernel.
+const CALIBRATION_ITERS: u64 = 400_000;
+
+/// Runs of the calibration kernel; the probe keeps the fastest.
+const CALIBRATION_RUNS: usize = 3;
+
 /// One measured workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadResult {
-    /// Stable workload identifier, e.g. `alloc_scan/60dev_1gw_t4`.
+    /// Stable workload identifier, e.g. `ext_scale/alloc/2000dev`.
     pub id: String,
     /// Devices in the deployment (0 when not applicable).
     pub devices: usize,
@@ -61,7 +48,7 @@ pub struct WorkloadResult {
     /// Worker threads the workload ran with.
     pub threads: usize,
     /// Deterministic count of work units processed per repetition
-    /// (transmission attempts, candidate evaluations, matrix cells, …).
+    /// (candidate evaluations, churn events, devices, …).
     pub events: u64,
     /// Median wall-clock over the repetitions, milliseconds.
     pub median_ms: f64,
@@ -73,7 +60,7 @@ pub struct WorkloadResult {
     pub devices_per_sec: f64,
 }
 
-/// A full perf report (`BENCH_PERF.json`).
+/// A full perf report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Always [`SCHEMA`].
@@ -81,11 +68,11 @@ pub struct PerfReport {
     /// `git describe --always --dirty` of the working tree, or
     /// `"unknown"` outside a repository.
     pub git_describe: String,
-    /// Scale preset the matrix was derived from.
+    /// Scale preset the workloads were derived from.
     pub scale: String,
     /// Repetitions per workload.
     pub reps: usize,
-    /// The measured workloads, in matrix order.
+    /// The measured workloads, in measurement order.
     pub workloads: Vec<WorkloadResult>,
 }
 
@@ -105,7 +92,7 @@ pub enum PerfIssue {
         ratio: f64,
     },
     /// A baseline workload is absent from the current report — the
-    /// matrix silently shrank.
+    /// workload list silently shrank.
     Missing {
         /// Workload identifier.
         id: String,
@@ -158,41 +145,12 @@ pub fn compare(current: &PerfReport, baseline: &PerfReport, tolerance: f64) -> V
     issues
 }
 
-/// The report with every machine/run-dependent field zeroed: timings,
-/// throughputs and the `git_describe` stamp. What remains — the schema,
-/// the matrix shape and the deterministic event counts — must be
-/// byte-stable across runs at a fixed scale and thread count.
-#[must_use]
-pub fn normalized(report: &PerfReport) -> PerfReport {
-    let mut out = report.clone();
-    out.git_describe = String::new();
-    for w in &mut out.workloads {
-        w.median_ms = 0.0;
-        w.p95_ms = 0.0;
-        w.events_per_sec = 0.0;
-        w.devices_per_sec = 0.0;
-    }
-    out
-}
-
-/// Serialises a report the way the perf binary writes it: pretty JSON
-/// plus a trailing newline.
+/// Serialises a report the way a baseline is committed: pretty JSON plus
+/// a trailing newline.
 pub fn to_json(report: &PerfReport) -> String {
     let mut body = serde_json::to_string_pretty(report).expect("report serialises");
     body.push('\n');
     body
-}
-
-/// Path of the checked-in perf baseline
-/// (`<repo>/tests/golden/perf_baseline.json`), mirroring the conformance
-/// golden layout.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("golden")
-        .join("perf_baseline.json")
 }
 
 /// `git describe --always --dirty`, or `"unknown"` when git or the
@@ -209,278 +167,242 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The (devices, gateways) deployments measured at each scale preset.
-pub fn deployments(scale: &Scale) -> Vec<(usize, usize)> {
-    match scale.kind {
-        ScaleKind::Smoke => vec![(60, 1), (100, 2)],
-        ScaleKind::Small => vec![(300, 2), (600, 3)],
-        ScaleKind::Paper => vec![(1_500, 3), (3_000, 5)],
+/// Raw machine speed: the fastest of [`CALIBRATION_RUNS`] runs of a
+/// fixed floating-point kernel, milliseconds.
+fn machine_probe_ms() -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..CALIBRATION_RUNS {
+        let t0 = std::time::Instant::now();
+        let mut acc = 1.0f64;
+        for i in 1..CALIBRATION_ITERS {
+            acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
+        }
+        std::hint::black_box(acc);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
+    best
 }
 
-/// Runs one closure `reps` times and reduces to (median ms, p95 ms,
-/// events from the last repetition).
-fn measure(reps: usize, mut f: impl FnMut() -> u64) -> (f64, f64, u64) {
-    assert!(reps > 0, "at least one repetition");
-    let mut times_ms = Vec::with_capacity(reps);
-    let mut events = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        events = f();
-        times_ms.push(t0.elapsed().as_secs_f64() * 1_000.0);
-    }
-    times_ms.sort_by(f64::total_cmp);
-    let median = times_ms[times_ms.len() / 2];
-    let p95_idx = ((times_ms.len() as f64 * 0.95).ceil() as usize).clamp(1, times_ms.len()) - 1;
-    (median, times_ms[p95_idx], events)
-}
-
-fn result_from(
-    id: String,
-    devices: usize,
-    gateways: usize,
-    threads: usize,
-    reps: usize,
-    f: impl FnMut() -> u64,
-) -> WorkloadResult {
-    let (median_ms, p95_ms, events) = measure(reps, f);
-    let per_sec = |count: f64| {
-        if median_ms > 0.0 {
-            count / (median_ms / 1_000.0)
+/// The machine-speed probe as a workload row, so the baseline records the
+/// machine speed it was measured at. `id` must end in `/calibration`,
+/// which is how [`gate_against`] finds the row.
+pub(crate) fn calibration_row(id: &str) -> WorkloadResult {
+    debug_assert!(is_calibration(id), "{id} is not a calibration id");
+    let ms = machine_probe_ms();
+    WorkloadResult {
+        id: id.to_string(),
+        devices: 0,
+        gateways: 0,
+        threads: 1,
+        events: CALIBRATION_ITERS,
+        median_ms: ms,
+        p95_ms: ms,
+        events_per_sec: if ms > 0.0 {
+            CALIBRATION_ITERS as f64 / (ms / 1_000.0)
         } else {
             0.0
-        }
+        },
+        devices_per_sec: 0.0,
+    }
+}
+
+fn is_calibration(id: &str) -> bool {
+    id.ends_with("/calibration")
+}
+
+/// Peak-memory rows carry MiB in their latency fields.
+fn is_rss(id: &str) -> bool {
+    id.contains("/rss_mib/")
+}
+
+/// Gates `perf` against `baseline` at `tolerance`. Reports recorded at a
+/// different scale are not comparable and pass vacuously. Otherwise every
+/// baseline row must be present in `perf` and within the tolerance, under
+/// three rules:
+///
+/// * Latencies are divided by the probe ratio `perf_probe /
+///   baseline_probe` first (the rows whose id ends in `/calibration`), so
+///   a uniformly slower or faster box cancels out. Without a probe on
+///   both sides the ratio is 1.
+/// * `/rss_mib/` rows are compared raw, since memory does not scale with
+///   clock speed. A 0 reading on either side (no `/proc`) means "not
+///   measured" and skips the row, and so does a row the report lacks.
+/// * A `/journal` row is gated a second time against the baseline row
+///   without the `/journal` segment, so journaling stays within the same
+///   tolerance as any other change; that regression is reported with a
+///   ` (journaled)` suffix.
+///
+/// Pure — [`gate`] wires it to the committed baseline.
+pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) -> Vec<PerfIssue> {
+    if baseline.scale != perf.scale {
+        return Vec::new();
+    }
+    let probe_of = |report: &PerfReport| {
+        report
+            .workloads
+            .iter()
+            .find(|w| is_calibration(&w.id))
+            .map(|w| w.median_ms)
+            .filter(|&ms| ms > 0.0)
     };
-    WorkloadResult {
-        id,
-        devices,
-        gateways,
-        threads,
-        events,
-        median_ms,
-        p95_ms,
-        events_per_sec: per_sec(events as f64),
-        devices_per_sec: per_sec(devices as f64),
+    let speed = match (probe_of(perf), probe_of(baseline)) {
+        (Some(cur), Some(base)) => cur / base,
+        _ => 1.0,
+    };
+    let mut scaled = perf.clone();
+    for w in scaled.workloads.iter_mut().filter(|w| !is_rss(&w.id)) {
+        w.median_ms /= speed;
+        w.p95_ms /= speed;
     }
+    // An unmeasured RSS reads 0, and `compare` never gates a 0: it skips a
+    // 0 baseline, and a 0 never exceeds a positive one. An RSS row the
+    // report lacks is not gated either.
+    let mut baseline = baseline.clone();
+    baseline
+        .workloads
+        .retain(|w| !is_rss(&w.id) || scaled.workloads.iter().any(|c| c.id == w.id));
+    let mut issues = compare(&scaled, &baseline, tolerance);
+    // `compare` ignores current-only rows, and a baseline may predate the
+    // journal, so the journaled rows are gated against the plain ones.
+    let journal_view = PerfReport {
+        workloads: scaled
+            .workloads
+            .iter()
+            .filter(|w| w.id.contains("/journal"))
+            .map(|w| {
+                let mut plain = w.clone();
+                plain.id = plain.id.replace("/journal", "");
+                plain
+            })
+            .collect(),
+        ..scaled
+    };
+    issues.extend(
+        compare(&journal_view, &baseline, tolerance)
+            .into_iter()
+            .filter_map(|issue| match issue {
+                PerfIssue::Slower {
+                    id,
+                    baseline_ms,
+                    current_ms,
+                    ratio,
+                } => Some(PerfIssue::Slower {
+                    id: format!("{id} (journaled)"),
+                    baseline_ms,
+                    current_ms,
+                    ratio,
+                }),
+                // Rows absent from the journal view (the probe, any point
+                // without a journaled twin) are not journal regressions;
+                // the plain pass already gates shape.
+                PerfIssue::Missing { .. } => None,
+            }),
+    );
+    issues
 }
 
-/// Measures the workload matrix over the given deployments. The public
-/// entry point is [`run_workloads`]; tests call this with a single tiny
-/// deployment.
-pub fn run_matrix(deps: &[(usize, usize)], scale: &Scale, reps: usize) -> PerfReport {
-    let config = paper_config_at(scale);
-    let mut thread_counts = vec![1usize];
-    if scale.threads > 1 {
-        thread_counts.push(scale.threads);
-    }
-
-    let mut workloads = Vec::new();
-    for &(n_dev, n_gw) in deps {
-        let topology = Topology::disc(n_dev, n_gw, 5_000.0, &config, 11);
-        let model = NetworkModel::new(&config, &topology);
-        let ctx = AllocationContext::new(&config, &topology, &model);
-        let tag = format!("{n_dev}dev_{n_gw}gw");
-
-        // EF-LoRa greedy candidate scan, serial and parallel.
-        for &threads in &thread_counts {
-            workloads.push(result_from(
-                format!("alloc_scan/{tag}_t{threads}"),
-                n_dev,
-                n_gw,
-                threads,
-                reps,
-                || {
-                    let alloc = EfLora::default()
-                        .with_threads(threads)
-                        .allocate(&ctx)
-                        .expect("allocates");
-                    // Candidate evaluations per pass: every device scans
-                    // the full (SF × channel × TP) grid.
-                    std::hint::black_box(alloc.as_slice().len() as u64)
-                        * ctx.candidate_count() as u64
-                },
-            ));
-        }
-
-        // One full simulator epoch under the EF-LoRa allocation.
-        let alloc = EfLora::default()
-            .with_threads(scale.threads)
-            .allocate(&ctx)
-            .expect("allocates");
-        let mut sim_cfg = config.clone();
-        sim_cfg.duration_s = scale.duration_s;
-        let sim = Simulation::with_attenuation(
-            sim_cfg.clone(),
-            topology.clone(),
-            alloc.as_slice().to_vec(),
-            model.shared_attenuation().clone(),
-        )
-        .expect("builds");
-        workloads.push(result_from(
-            format!("sim_epoch/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let report = sim.run();
-                report.devices.iter().map(|d| u64::from(d.attempts)).sum()
-            },
-        ));
-
-        // Analytical model evaluation (Eq. 5–20) of the allocation.
-        workloads.push(result_from(
-            format!("model_eval/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let ee = model.evaluate(alloc.as_slice());
-                std::hint::black_box(ee.len() as u64)
-            },
-        ));
-
-        // Path-loss grid build (the O(devices × gateways) powf sweep).
-        workloads.push(result_from(
-            format!("attenuation_build/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let m = lora_sim::attenuation_matrix(&config, &topology);
-                (m.device_count() * m.gateway_count()) as u64
-            },
-        ));
-
-        // Simulation construction: from scratch vs reusing the model's
-        // shared matrix (the optimization `run_strategy` relies on).
-        workloads.push(result_from(
-            format!("sim_build/fresh/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let sim =
-                    Simulation::new(sim_cfg.clone(), topology.clone(), alloc.as_slice().to_vec())
-                        .expect("builds");
-                std::hint::black_box(sim.topology().device_count() as u64)
-            },
-        ));
-        workloads.push(result_from(
-            format!("sim_build/shared/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let sim = Simulation::with_attenuation(
-                    sim_cfg.clone(),
-                    topology.clone(),
-                    alloc.as_slice().to_vec(),
-                    model.shared_attenuation().clone(),
-                )
-                .expect("builds");
-                std::hint::black_box(sim.topology().device_count() as u64)
-            },
-        ));
-    }
-
-    // Time-on-air over the full (SF × payload) grid: Eq. 4 recomputed
-    // per call vs one ToaLut lookup (the cached-ToA optimization).
-    const TOA_SWEEPS: u64 = 40;
-    workloads.push(result_from(
-        "toa_grid/raw".to_string(),
-        0,
-        0,
-        1,
-        reps,
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..TOA_SWEEPS {
-                for sf in SpreadingFactor::ALL {
-                    for len in 0..=MAX_PHY_PAYLOAD {
-                        acc += ToaParams::new(sf, Bandwidth::Bw125, Default::default())
-                            .time_on_air_s(len)
-                            .expect("in range");
-                    }
-                }
-            }
-            std::hint::black_box(acc);
-            TOA_SWEEPS * 6 * (MAX_PHY_PAYLOAD as u64 + 1)
-        },
-    ));
-    let lut = ToaLut::new(Bandwidth::Bw125, Default::default());
-    workloads.push(result_from(
-        "toa_grid/lut".to_string(),
-        0,
-        0,
-        1,
-        reps,
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..TOA_SWEEPS {
-                for sf in SpreadingFactor::ALL {
-                    for len in 0..=MAX_PHY_PAYLOAD {
-                        acc += lut.time_on_air_s(sf, len).expect("in range");
-                    }
-                }
-            }
-            std::hint::black_box(acc);
-            TOA_SWEEPS * 6 * (MAX_PHY_PAYLOAD as u64 + 1)
-        },
-    ));
-
-    PerfReport {
-        schema: SCHEMA.to_string(),
-        git_describe: git_describe(),
-        scale: format!("{:?}", scale.kind).to_lowercase(),
-        reps,
-        workloads,
-    }
+/// Path of a committed baseline, `<repo>/tests/golden/<file>`.
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join("tests")
+        .join("golden")
+        .join(file)
 }
 
-/// Measures the full workload matrix for `scale`.
-pub fn run_workloads(scale: &Scale, reps: usize) -> PerfReport {
-    run_matrix(&deployments(scale), scale, reps)
+/// Applies the golden-baseline workflow to `perf`, the report of the
+/// experiment `name`, against its committed baseline
+/// `tests/golden/<baseline>`: `EF_LORA_UPDATE_GOLDEN=1` rewrites the
+/// baseline; otherwise, when the baseline exists, the regressions
+/// [`gate_against`] finds beyond [`DEFAULT_TOLERANCE`] are returned (the
+/// experiment binaries exit non-zero on any).
+///
+/// # Errors
+///
+/// The list of regressions, when the gate fails.
+pub fn gate(name: &str, baseline: &str, perf: &PerfReport) -> Result<(), Vec<PerfIssue>> {
+    let path = golden_path(baseline);
+    if std::env::var(UPDATE_ENV).is_ok_and(|v| v == "1") {
+        std::fs::write(&path, to_json(perf)).expect("baseline path is writable");
+        println!("{name}: baseline updated at {}", path.display());
+        return Ok(());
+    }
+    let Ok(body) = std::fs::read_to_string(&path) else {
+        println!("{name}: no baseline at {}; gate skipped", path.display());
+        return Ok(());
+    };
+    let baseline: PerfReport = serde_json::from_str(&body).expect("baseline parses");
+    let issues = gate_against(perf, &baseline, DEFAULT_TOLERANCE);
+    if issues.is_empty() {
+        println!(
+            "{name}: within {:.0}% of baseline {}",
+            DEFAULT_TOLERANCE * 100.0,
+            baseline.git_describe
+        );
+        Ok(())
+    } else {
+        Err(issues)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{ext_scale, ext_serve_soak};
 
-    fn report_with(id: &str, median_ms: f64) -> PerfReport {
+    fn row(id: &str, median_ms: f64) -> WorkloadResult {
+        WorkloadResult {
+            id: id.to_string(),
+            devices: 200,
+            gateways: 2,
+            threads: 1,
+            events: 300,
+            median_ms,
+            p95_ms: median_ms,
+            events_per_sec: 0.0,
+            devices_per_sec: 0.0,
+        }
+    }
+
+    fn report(scale: &str, workloads: Vec<WorkloadResult>) -> PerfReport {
         PerfReport {
             schema: SCHEMA.to_string(),
             git_describe: "test".to_string(),
-            scale: "smoke".to_string(),
+            scale: scale.to_string(),
             reps: 1,
-            workloads: vec![WorkloadResult {
-                id: id.to_string(),
-                devices: 10,
-                gateways: 1,
-                threads: 1,
-                events: 100,
-                median_ms,
-                p95_ms: median_ms,
-                events_per_sec: 0.0,
-                devices_per_sec: 0.0,
-            }],
+            workloads,
         }
+    }
+
+    /// Multiplies every latency of `perf` by `factor`, and its probe by
+    /// `probe_factor`; memory rows stay as they are.
+    fn slowed(perf: &PerfReport, factor: f64, probe_factor: f64) -> PerfReport {
+        let mut out = perf.clone();
+        for w in &mut out.workloads {
+            let f = if is_calibration(&w.id) {
+                probe_factor
+            } else if is_rss(&w.id) {
+                1.0
+            } else {
+                factor
+            };
+            w.median_ms *= f;
+            w.p95_ms *= f;
+        }
+        out
     }
 
     #[test]
     fn comparator_passes_identical_baseline() {
-        let r = report_with("w", 10.0);
+        let r = report("smoke", vec![row("w", 10.0)]);
         assert!(compare(&r, &r, DEFAULT_TOLERANCE).is_empty());
     }
 
     #[test]
     fn comparator_flags_synthetic_2x_slowdown() {
-        let baseline = report_with("w", 10.0);
-        let slow = report_with("w", 20.0);
+        let baseline = report("smoke", vec![row("w", 10.0)]);
+        let slow = report("smoke", vec![row("w", 20.0)]);
         let issues = compare(&slow, &baseline, DEFAULT_TOLERANCE);
         assert_eq!(issues.len(), 1);
         match &issues[0] {
@@ -496,8 +418,8 @@ mod tests {
 
     #[test]
     fn comparator_flags_missing_workload() {
-        let baseline = report_with("w", 10.0);
-        let mut current = report_with("other", 10.0);
+        let baseline = report("smoke", vec![row("w", 10.0)]);
+        let mut current = report("smoke", vec![row("other", 10.0)]);
         let issues = compare(&current, &baseline, DEFAULT_TOLERANCE);
         assert_eq!(
             issues,
@@ -506,33 +428,181 @@ mod tests {
             }]
         );
         // Within tolerance passes.
-        current = report_with("w", 12.0);
+        current = report("smoke", vec![row("w", 12.0)]);
         assert!(compare(&current, &baseline, DEFAULT_TOLERANCE).is_empty());
     }
 
     #[test]
-    fn normalized_report_serialization_is_byte_stable() {
-        // Two independent measurement runs at a fixed scale must agree on
-        // everything except wall-clock: same matrix, same ids, same
-        // deterministic event counts. Timing fields are zeroed by
-        // `normalized`, so the serialized bytes must match exactly.
-        let scale = Scale::smoke().with_threads(2);
-        let a = run_matrix(&[(20, 1)], &scale, 1);
-        let b = run_matrix(&[(20, 1)], &scale, 1);
-        assert_eq!(to_json(&normalized(&a)), to_json(&normalized(&b)));
-        // And the raw report round-trips through serde.
-        let back: PerfReport = serde_json::from_str(&to_json(&a)).expect("parses");
-        assert_eq!(back, a);
+    fn gate_normalises_latency_but_not_memory() {
+        let probe = ext_scale::CALIBRATION_ID;
+        let baseline = report(
+            "smoke",
+            vec![
+                row("ext_scale/alloc/2000dev", 10.0),
+                row("ext_scale/rss_mib/2000dev", 100.0),
+                row(probe, 2.0),
+            ],
+        );
+        // A uniformly 2x-slower box is not an allocator regression …
+        let slow_box = report(
+            "smoke",
+            vec![
+                row("ext_scale/alloc/2000dev", 20.0),
+                row("ext_scale/rss_mib/2000dev", 100.0),
+                row(probe, 4.0),
+            ],
+        );
+        assert!(gate_against(&slow_box, &baseline, 0.25).is_empty());
+        // … but 2x the memory on the same box is, probe ratio or not.
+        let fat = report(
+            "smoke",
+            vec![
+                row("ext_scale/alloc/2000dev", 20.0),
+                row("ext_scale/rss_mib/2000dev", 200.0),
+                row(probe, 4.0),
+            ],
+        );
+        let issues = gate_against(&fat, &baseline, 0.25);
+        assert_eq!(issues.len(), 1);
+        assert!(issues[0].to_string().contains("rss_mib"));
+
+        // The soak's probe row normalises its latencies the same way.
+        let probe = ext_serve_soak::CALIBRATION_ID;
+        let soak = |median_ms: f64, probe_ms: f64| {
+            report(
+                "smoke",
+                vec![
+                    row("serve_churn/200dev_2gw/p99", median_ms),
+                    row(probe, probe_ms),
+                ],
+            )
+        };
+        let baseline = soak(10.0, 2.0);
+        // The whole box running 2x slower is not a serve regression …
+        assert!(gate_against(&soak(20.0, 4.0), &baseline, 0.25).is_empty());
+        // … but a 3x latency on a 2x-slower box is a genuine 1.5x one.
+        assert_eq!(gate_against(&soak(30.0, 4.0), &baseline, 0.25).len(), 1);
+        // A faster box must not mask a real regression: same wall-clock
+        // on a 2x-faster machine is a 2x work-per-cycle regression.
+        assert_eq!(gate_against(&soak(10.0, 1.0), &baseline, 0.25).len(), 1);
     }
 
     #[test]
-    fn measure_orders_percentiles() {
-        let mut calls = 0u64;
-        let (median, p95, events) = measure(5, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(events, 5, "events come from the last repetition");
-        assert!(median >= 0.0 && p95 >= median);
+    fn gate_skips_unmeasured_rss_and_mismatched_scales() {
+        let probe = ext_scale::CALIBRATION_ID;
+        let baseline = report(
+            "smoke",
+            vec![
+                row("ext_scale/alloc/2000dev", 10.0),
+                row("ext_scale/rss_mib/2000dev", 100.0),
+                row(probe, 2.0),
+            ],
+        );
+        // A platform without /proc reports 0 MiB — not a shrunken list,
+        // and not a memory win to gate future runs against.
+        let no_proc = report(
+            "smoke",
+            vec![
+                row("ext_scale/alloc/2000dev", 10.0),
+                row("ext_scale/rss_mib/2000dev", 0.0),
+                row(probe, 2.0),
+            ],
+        );
+        assert!(gate_against(&no_proc, &baseline, 0.25).is_empty());
+        // Nor is a baseline recorded without /proc a memory limit.
+        assert!(gate_against(&baseline, &no_proc, 0.25).is_empty());
+        // A small-scale run is not comparable to the smoke baseline.
+        let small = report("small", vec![row("ext_scale/alloc/10000dev", 999.0)]);
+        assert!(gate_against(&small, &baseline, 0.25).is_empty());
+
+        let probe = ext_serve_soak::CALIBRATION_ID;
+        let soak = |scale: &str, median_ms: f64| {
+            report(
+                scale,
+                vec![
+                    row("serve_churn/200dev_2gw/p99", median_ms),
+                    row(probe, 2.0),
+                ],
+            )
+        };
+        let baseline = soak("smoke", 10.0);
+        assert!(gate_against(&soak("smoke", 11.0), &baseline, 0.25).is_empty());
+        assert_eq!(gate_against(&soak("smoke", 20.0), &baseline, 0.25).len(), 1);
+        // A paper-scale run is not comparable to the smoke baseline.
+        assert!(gate_against(&soak("paper", 20.0), &baseline, 0.25).is_empty());
+    }
+
+    #[test]
+    fn gate_bounds_journal_overhead_against_the_plain_baseline_rows() {
+        let probe = ext_serve_soak::CALIBRATION_ID;
+        // The baseline predates the journal: plain rows only.
+        let baseline = report(
+            "smoke",
+            vec![row("serve_churn/200dev_2gw/p99", 10.0), row(probe, 2.0)],
+        );
+        // Journaling within tolerance passes …
+        let fine = report(
+            "smoke",
+            vec![
+                row("serve_churn/200dev_2gw/p99", 10.0),
+                row("serve_churn/200dev_2gw/journal/p99", 12.0),
+                row(probe, 2.0),
+            ],
+        );
+        assert!(gate_against(&fine, &baseline, 0.25).is_empty());
+        // … but journal overhead past it is a regression of its own,
+        // even when the plain row is healthy.
+        let slow = report(
+            "smoke",
+            vec![
+                row("serve_churn/200dev_2gw/p99", 10.0),
+                row("serve_churn/200dev_2gw/journal/p99", 20.0),
+                row(probe, 2.0),
+            ],
+        );
+        let issues = gate_against(&slow, &baseline, 0.25);
+        assert_eq!(issues.len(), 1);
+        assert!(
+            issues[0].to_string().contains("(journaled)"),
+            "issue must name the journaled row: {}",
+            issues[0]
+        );
+    }
+
+    #[test]
+    fn committed_baselines_go_through_the_shared_gate() {
+        for file in ["scale_baseline.json", "serve_perf_baseline.json"] {
+            let body = std::fs::read_to_string(golden_path(file)).expect("baseline is committed");
+            let baseline: PerfReport = serde_json::from_str(&body).expect("baseline parses");
+            assert_eq!(baseline.schema, SCHEMA, "{file}");
+            assert!(
+                gate_against(&baseline, &baseline, DEFAULT_TOLERANCE).is_empty(),
+                "{file} fails against itself"
+            );
+            // A 2x-slower box slows the probe as much as every latency;
+            // this passes only if the gate found the file's probe row.
+            let slow_box = slowed(&baseline, 2.0, 2.0);
+            assert!(
+                gate_against(&slow_box, &baseline, DEFAULT_TOLERANCE).is_empty(),
+                "{file}: the probe does not cancel a 2x-slower box"
+            );
+            // Twice the latency on the same probe fails every latency row.
+            let slow_code = slowed(&baseline, 2.0, 1.0);
+            let flagged: Vec<String> = gate_against(&slow_code, &baseline, DEFAULT_TOLERANCE)
+                .into_iter()
+                .map(|issue| match issue {
+                    PerfIssue::Slower { id, .. } => id,
+                    PerfIssue::Missing { id } => panic!("{file}: {id} reported missing"),
+                })
+                .collect();
+            let latencies: Vec<String> = baseline
+                .workloads
+                .iter()
+                .filter(|w| !is_calibration(&w.id) && !is_rss(&w.id))
+                .map(|w| w.id.clone())
+                .collect();
+            assert!(!latencies.is_empty(), "{file} has no latency rows");
+            assert_eq!(flagged, latencies, "{file}");
+        }
     }
 }

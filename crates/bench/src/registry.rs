@@ -156,8 +156,8 @@ pub const EXPERIMENTS: &[ExperimentBin] = &[
 ];
 
 /// Binaries under `src/bin/` that drive experiments rather than being
-/// one: the sequential runner and the perf harness.
-pub const DRIVER_BINS: &[&str] = &["run_all", "perf"];
+/// one: the sequential runner.
+pub const DRIVER_BINS: &[&str] = &["run_all"];
 
 /// Looks an experiment up by binary name.
 pub fn find(name: &str) -> Option<&'static ExperimentBin> {

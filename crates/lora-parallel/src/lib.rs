@@ -171,19 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn map_is_identical_across_thread_counts() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xabcd;
-        let serial = par_map_indexed(1000, 1, f);
-        for threads in [2, 3, 4, 7, 16, 1000] {
-            assert_eq!(
-                par_map_indexed(1000, threads, f),
-                serial,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn every_index_runs_exactly_once_under_skewed_costs() {
         // Every 97th index sleeps, so workers finish their claims at very
         // different times and keep claiming past each other.
@@ -216,7 +203,7 @@ mod tests {
         // sides of the single-index claiming threshold.
         for len in [0usize, 1, 3, 7, 64, 129, 1_000, 5_000] {
             let serial: Vec<String> = (0..len).map(f).collect();
-            for threads in 1..=8 {
+            for threads in (1..=8).chain([16]) {
                 assert_eq!(
                     par_map_indexed(len, threads, f),
                     serial,

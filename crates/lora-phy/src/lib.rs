@@ -63,7 +63,7 @@ pub use fading::Fading;
 pub use power::TxPowerDbm;
 pub use region::Region;
 pub use sf::SpreadingFactor;
-pub use toa::{CodingRate, ToaLut};
+pub use toa::CodingRate;
 pub use txconfig::TxConfig;
 
 /// Speed of light in vacuum, metres per second.

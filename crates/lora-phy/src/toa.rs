@@ -223,87 +223,6 @@ impl ToaParams {
     }
 }
 
-/// Precomputed time-on-air lookup table over the full
-/// `(spreading factor, payload length)` grid for one
-/// `(bandwidth, coding rate)` pair, using the LoRaWAN defaults of
-/// [`ToaParams::new`] (8-symbol preamble, automatic low-data-rate
-/// optimisation).
-///
-/// Time-on-air is a pure function of `(SF, BW, CR, payload)`; hot paths
-/// that evaluate it per device or per candidate — simulator construction,
-/// the analytical model, the conformance oracles — recompute the same
-/// handful of values thousands of times. The table holds every value
-/// (6 SFs × 256 payload lengths = 12 KiB) and answers in one indexed
-/// load, bit-identical to [`ToaParams::time_on_air_s`] because each
-/// entry *is* that function's result.
-///
-/// ```
-/// use lora_phy::{Bandwidth, CodingRate, SpreadingFactor};
-/// use lora_phy::toa::{ToaLut, ToaParams};
-///
-/// # fn main() -> Result<(), lora_phy::PhyError> {
-/// let lut = ToaLut::new(Bandwidth::Bw125, CodingRate::Cr4_7);
-/// let raw = ToaParams::new(SpreadingFactor::Sf9, Bandwidth::Bw125, CodingRate::Cr4_7)
-///     .time_on_air_s(21)?;
-/// assert_eq!(lut.time_on_air_s(SpreadingFactor::Sf9, 21)?.to_bits(), raw.to_bits());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ToaLut {
-    bw: Bandwidth,
-    cr: CodingRate,
-    /// `toa_s[sf.index()][payload_len]`, seconds.
-    toa_s: Box<[[f64; MAX_PHY_PAYLOAD + 1]; 6]>,
-}
-
-impl ToaLut {
-    /// Builds the table for one `(bandwidth, coding rate)` pair by
-    /// evaluating [`ToaParams::time_on_air_s`] over the full grid.
-    pub fn new(bw: Bandwidth, cr: CodingRate) -> Self {
-        let mut toa_s = Box::new([[0.0; MAX_PHY_PAYLOAD + 1]; 6]);
-        for sf in SpreadingFactor::ALL {
-            let params = ToaParams::new(sf, bw, cr);
-            for (len, slot) in toa_s[sf.index()].iter_mut().enumerate() {
-                *slot = params
-                    .time_on_air_s(len)
-                    .expect("every payload length in 0..=MAX_PHY_PAYLOAD is valid");
-            }
-        }
-        ToaLut { bw, cr, toa_s }
-    }
-
-    /// The bandwidth the table was built for.
-    #[inline]
-    pub fn bw(&self) -> Bandwidth {
-        self.bw
-    }
-
-    /// The coding rate the table was built for.
-    #[inline]
-    pub fn cr(&self) -> CodingRate {
-        self.cr
-    }
-
-    /// Time-on-air in seconds — one table load, bit-identical to the
-    /// uncached [`ToaParams::time_on_air_s`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::PayloadTooLarge`] if the payload exceeds
-    /// [`MAX_PHY_PAYLOAD`].
-    #[inline]
-    pub fn time_on_air_s(&self, sf: SpreadingFactor, payload_len: usize) -> Result<f64, PhyError> {
-        if payload_len > MAX_PHY_PAYLOAD {
-            return Err(PhyError::PayloadTooLarge {
-                len: payload_len,
-                max: MAX_PHY_PAYLOAD,
-            });
-        }
-        Ok(self.toa_s[sf.index()][payload_len])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,35 +319,6 @@ mod tests {
         let slow = toa_ms(SpreadingFactor::Sf12, 100);
         let ratio = slow / fast;
         assert!((15.0..30.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn lut_is_bit_identical_to_uncached_over_full_grid() {
-        for bw in [Bandwidth::Bw125, Bandwidth::Bw250, Bandwidth::Bw500] {
-            let lut = ToaLut::new(bw, CodingRate::Cr4_7);
-            let mut checked = 0usize;
-            for sf in SpreadingFactor::ALL {
-                let params = ToaParams::new(sf, bw, CodingRate::Cr4_7);
-                for len in 0..=MAX_PHY_PAYLOAD {
-                    let raw = params.time_on_air_s(len).unwrap();
-                    let cached = lut.time_on_air_s(sf, len).unwrap();
-                    assert_eq!(raw.to_bits(), cached.to_bits(), "{sf} len={len}");
-                    checked += 1;
-                }
-            }
-            assert_eq!(checked, 6 * (MAX_PHY_PAYLOAD + 1));
-        }
-    }
-
-    #[test]
-    fn lut_rejects_oversize_payloads() {
-        let lut = ToaLut::new(Bandwidth::Bw125, CodingRate::Cr4_7);
-        assert!(matches!(
-            lut.time_on_air_s(SpreadingFactor::Sf7, 256),
-            Err(PhyError::PayloadTooLarge { .. })
-        ));
-        assert_eq!(lut.bw(), Bandwidth::Bw125);
-        assert_eq!(lut.cr(), CodingRate::Cr4_7);
     }
 
     #[test]

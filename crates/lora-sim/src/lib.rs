@@ -51,7 +51,7 @@ pub mod config;
 pub mod error;
 pub mod event;
 pub mod faults;
-pub mod medium;
+mod medium;
 pub mod metrics;
 pub mod report;
 pub mod sim;

@@ -75,11 +75,6 @@ impl Medium {
         }
     }
 
-    /// Number of transmissions currently in the air.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// Inserts a new transmission, exchanging interference with every
     /// overlapping transmission on the same channel.
     pub fn start(&mut self, mut tx: ActiveTx) {

@@ -202,9 +202,7 @@ impl Simulation {
         // each of the six SF values once — for the uplink payload and the
         // fixed 12-byte ack — and index per device, instead of re-running
         // the Eq. 4 arithmetic 2·N times. Bit-identical to the uncached
-        // path (each entry *is* its result); `lora_phy::ToaLut` provides
-        // the same cache over the full payload grid for callers with
-        // per-device payloads.
+        // path (each entry *is* its result).
         let mut toa_by_sf = [0.0f64; 6];
         let mut ack_by_sf = [0.0f64; 6];
         for sf in lora_phy::SpreadingFactor::ALL {
