@@ -19,6 +19,11 @@ use lora_scenario::catalog;
 use lora_scenario::spec::{ChurnEvent, ChurnKind};
 use proptest::prelude::*;
 
+#[path = "../../serve/tests/support/temp_dir.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
+
 /// One step of a differential interleaving. Raw selectors (`class`,
 /// `index`) are reduced modulo the live class list / population at
 /// replay time, so every generated sequence is valid by construction
@@ -284,13 +289,12 @@ fn restore_after_hard_kill_continues_byte_identically() {
         let (_, _) = respond(&mut state, &options, Request::Churn(event.clone()));
         reference.respond(Request::Churn(event.clone()));
     }
-    let dir = std::env::temp_dir().join(format!("ef-lora-serve-equiv-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mid-kill.snapshot.json");
+    let dir = TempDir::new("serve-equiv");
+    let path = dir.path().join("mid-kill.snapshot.json");
     state.snapshot_to_file(&path).unwrap();
     drop(state);
     let mut restored = ServeState::restore_from_file(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    drop(dir);
     assert_eq!(
         *restored.cached_model(),
         reference.fresh_model(),

@@ -46,8 +46,10 @@
 //! own EE at the easiest contention any channel of the candidate's SF
 //! offers, which caps `own` on every channel of that SF and is
 //! computed once per (SF, TP level) per chunk; and only then the exact
-//! `own`. Writing `I` and `P` for the best improver and plateau move
-//! found so far, a candidate is skipped when
+//! `own`. The chunk's (SF, TP) table ([`lora_model::OwnEeBounds`]) also
+//! holds the power and cycle energy of every exact `own` it computes,
+//! the improvers' included. Writing `I` and `P` for the best improver and
+//! plateau move found so far, a candidate is skipped when
 //!
 //! 1. `ub ≤ floor` — the exact evaluation would return nothing;
 //! 2. `ub ≤ M + s`, so it cannot be an improver, and either `I` exists
@@ -62,14 +64,16 @@
 //!
 //! The step-3 scan is read-only against [`ModelState`], so
 //! [`EfLora::with_threads`] partitions the (SF, channel, TP) grid into
-//! contiguous chunks scanned by scoped worker threads. Determinism is
-//! preserved by selecting winners with the exact total order above
+//! contiguous chunks scanned by scoped worker threads. The grid is the
+//! same for every device of an allocation; it includes the device's
+//! current configuration, which the chunk holding it skips. Determinism
+//! is preserved by selecting winners with the exact total order above
 //! instead of scan-order-dependent banded comparisons.
 //!
 //! Each chunk keeps its own pruning floor, raised only on strict-improver
-//! finds, its own `I` and `P` for the skip rules, and its own memo of
-//! (SF, TP) bounds ([`lora_model::OwnEeBounds`]). The memo holds bounds,
-//! not verdicts, so which chunk computed one changes no skip. A
+//! finds, its own `I` and `P` for the skip rules, and its own (SF, TP)
+//! table ([`lora_model::OwnEeBounds`]). The table holds values, not
+//! verdicts, so which chunk computed one changes no skip. A
 //! candidate the floor or a rule drops could never have become the
 //! chunk's improver, so every chunk's improver is the exact best
 //! improver of its range. The floor and the rules that consult `I` can
@@ -77,10 +81,13 @@
 //! improver — and the merge then
 //! commits an improver. When no chunk finds an improver, no floor ever
 //! rose and no rule consulted `I`, so every chunk's plateau move is the
-//! exact best plateau move of its range. The merged move is therefore a
-//! pure function of the model state, byte-identical for every thread
-//! count, and committed moves stay sequential so the pass semantics are
-//! unchanged.
+//! exact best plateau move of its range. None of this depends on where
+//! the chunk boundaries fall, so the merged move is a pure function of
+//! the model state, byte-identical for every thread count and
+//! partition, and committed moves stay sequential so the pass semantics
+//! are unchanged.
+
+use std::borrow::Cow;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -269,9 +276,9 @@ impl EfLora {
             });
         }
 
-        let tp_levels: Vec<TxPowerDbm> = match self.fixed_tp {
-            Some(tp) => vec![tp],
-            None => ctx.tp_levels().to_vec(),
+        let grid = match self.fixed_tp {
+            Some(tp) => Cow::Owned(candidate_grid(ctx, &[tp])),
+            None => Cow::Borrowed(ctx.candidates()),
         };
         let order = self.visiting_order(ctx);
         let initial = self.initial_allocation(ctx);
@@ -308,7 +315,7 @@ impl EfLora {
             passes += 1;
             let mut moves_this_pass = 0usize;
             for &device in &order {
-                let scan = scan_device(&state, ctx, device, &tp_levels, self.threads);
+                let scan = scan_device(&state, &grid, device, self.threads);
                 candidates_evaluated += scan.evaluated;
                 if let Some(choice) = scan.winner() {
                     state.apply(device, choice.cfg);
@@ -399,35 +406,16 @@ impl DeviceScan {
     }
 }
 
-/// The canonical candidate grid for one device: SF ascending, then
-/// channel, then TP (ascending — [`AllocationContext::tp_levels`] is
-/// sorted), with the device's current configuration excluded. Chunk
-/// boundaries and tie-breaking are defined over this order.
-fn candidate_grid(
-    ctx: &AllocationContext<'_>,
-    tp_levels: &[TxPowerDbm],
-    current: TxConfig,
-) -> Vec<TxConfig> {
-    if tp_levels == ctx.tp_levels() {
-        // The common case reuses the context's cached grid.
-        let mut grid = Vec::with_capacity(ctx.candidate_count());
-        grid.extend(
-            ctx.candidates()
-                .iter()
-                .copied()
-                .filter(|&cfg| cfg != current),
-        );
-        return grid;
-    }
-    // Restricted power set (e.g. the fixed-TP baseline pins one level).
+/// The canonical candidate grid over `tp_levels`: SF ascending, then
+/// channel, then TP in `tp_levels`' order. Chunk boundaries and
+/// tie-breaking are defined over this order; scans skip the device's
+/// current configuration themselves.
+fn candidate_grid(ctx: &AllocationContext<'_>, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
     let mut grid = Vec::with_capacity(6 * ctx.channel_count() * tp_levels.len());
     for sf in SpreadingFactor::ALL {
         for channel in 0..ctx.channel_count() {
             for &tp in tp_levels {
-                let cfg = TxConfig::new(sf, tp, channel);
-                if cfg != current {
-                    grid.push(cfg);
-                }
+                grid.push(TxConfig::new(sf, tp, channel));
             }
         }
     }
@@ -444,18 +432,19 @@ struct Incumbent {
     tie_slack: f64,
 }
 
-/// Scans `grid[range]` with a chunk-local pruning floor. The floor starts
-/// at the global eligibility bound and rises only when a strict improver
-/// is found. Candidates the bounds prove unable to change the chunk's
-/// improver, or its plateau while it has no improver, skip the exact
-/// evaluation; see the module docs for why this keeps the merged result
+/// Scans `grid[range]`, except the device's `current` configuration,
+/// with a chunk-local pruning floor. The floor starts at the global
+/// eligibility bound and rises only when a strict improver is found.
+/// Candidates the bounds prove unable to change the chunk's improver, or
+/// its plateau while it has no improver, skip the exact evaluation; see
+/// the module docs for why this keeps the merged result
 /// partition-invariant.
 fn scan_chunk(
     state: &ModelState<'_>,
     cache: &ScanCache,
-    device: usize,
     grid: &[TxConfig],
     range: std::ops::Range<usize>,
+    current: TxConfig,
     incumbent: Incumbent,
 ) -> DeviceScan {
     let Incumbent {
@@ -468,6 +457,9 @@ fn scan_chunk(
     let mut own_bounds = OwnEeBounds::new(cache);
     for idx in range {
         let cfg = grid[idx];
+        if cfg == current {
+            continue;
+        }
         scan.evaluated += 1;
         // The skip rules of the module docs. The exact minimum never
         // exceeds the untouched groups' minimum, `cap`; rule 1:
@@ -496,7 +488,10 @@ fn scan_chunk(
         let Some(min) = state.min_ee_if_scanned(cache, cfg, floor) else {
             continue;
         };
-        let own = own.unwrap_or_else(|| state.ee_if(device, cfg));
+        let own = match own {
+            Some(own) => own,
+            None => state.own_ee(&mut own_bounds, cfg),
+        };
         let candidate = Candidate { min, own, idx, cfg };
         if min > current_min + tie_slack {
             let better = match scan.improver {
@@ -520,13 +515,13 @@ fn scan_chunk(
     scan
 }
 
-/// Full candidate scan for one device, fanned out over `threads` workers
-/// when the grid is large enough to amortise the spawns.
+/// Full candidate scan of `grid` for one device, fanned out over
+/// `threads` workers when the grid is large enough to amortise the
+/// spawns.
 fn scan_device(
     state: &ModelState<'_>,
-    ctx: &AllocationContext<'_>,
+    grid: &[TxConfig],
     device: usize,
-    tp_levels: &[TxPowerDbm],
     threads: usize,
 ) -> DeviceScan {
     let current_min = state.min_ee();
@@ -537,7 +532,6 @@ fn scan_device(
         own: current_own,
         tie_slack: (current_min.abs() * 1e-9).max(1e-15),
     };
-    let grid = candidate_grid(ctx, tp_levels, current);
     // The allocation is fixed for the whole scan, so the per-device
     // scratch can be shared read-only across the workers.
     let cache = state.prepare_scan(device);
@@ -545,11 +539,11 @@ fn scan_device(
     // Below ~8 candidates per worker, spawn overhead dwarfs the scan.
     let threads = threads.clamp(1, (grid.len() / 8).max(1));
     if threads <= 1 {
-        return scan_chunk(state, &cache, device, &grid, 0..grid.len(), incumbent);
+        return scan_chunk(state, &cache, grid, 0..grid.len(), current, incumbent);
     }
     let ranges = lora_parallel::chunk_ranges(grid.len(), threads);
     let chunks = lora_parallel::par_map_indexed(ranges.len(), threads, |c| {
-        scan_chunk(state, &cache, device, &grid, ranges[c].clone(), incumbent)
+        scan_chunk(state, &cache, grid, ranges[c].clone(), current, incumbent)
     });
     let mut merged = DeviceScan::default();
     for chunk in chunks {
@@ -734,8 +728,9 @@ pub(crate) mod tests {
 
     /// Brute-force reference for [`scan_device`]: scores every candidate
     /// of the canonical grid with the unpruned evaluation and picks the
-    /// winner by the module docs' total order. Returns the winner and
-    /// the number of candidates scored.
+    /// winner by the module docs' total order, numbering candidates by
+    /// their grid position. Returns the winner and the number of
+    /// candidates scored.
     fn oracle_scan(
         state: &ModelState<'_>,
         channels: usize,
@@ -749,19 +744,26 @@ pub(crate) mod tests {
         let mut improver: Option<Candidate> = None;
         let mut plateau: Option<Candidate> = None;
         let mut idx = 0;
+        let mut scored = 0;
         for sf in SpreadingFactor::ALL {
             for channel in 0..channels {
                 for &tp in tp_levels {
                     let cfg = TxConfig::new(sf, tp, channel);
+                    idx += 1;
                     if cfg == current {
                         continue;
                     }
+                    scored += 1;
                     let min = state
                         .min_ee_if(device, cfg, f64::NEG_INFINITY)
                         .expect("no floor prunes nothing");
                     let own = state.ee_if(device, cfg);
-                    let c = Candidate { min, own, idx, cfg };
-                    idx += 1;
+                    let c = Candidate {
+                        min,
+                        own,
+                        idx: idx - 1,
+                        cfg,
+                    };
                     if min > m + s {
                         if improver.is_none_or(|b| (min, own) > (b.min, b.own)) {
                             improver = Some(c);
@@ -775,7 +777,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        (improver.or(plateau), idx as u64)
+        (improver.or(plateau), scored)
     }
 
     /// `model` under random out-of-scope pressure on every group and
@@ -835,12 +837,13 @@ pub(crate) mod tests {
                 })
                 .collect();
             let mut state = model.state(alloc).unwrap();
+            let grid = candidate_grid(&ctx, &tp_levels);
             for _pass in 0..3 {
                 for device in 0..n {
                     let (want, scored) =
                         oracle_scan(&state, ctx.channel_count(), device, &tp_levels);
                     for threads in [1usize, 2, 3, 7] {
-                        let got = scan_device(&state, &ctx, device, &tp_levels, threads);
+                        let got = scan_device(&state, &grid, device, threads);
                         let at = format!("device {device} threads {threads}");
                         prop_assert_eq!(got.evaluated, scored, "{}", at);
                         prop_assert_eq!(key(got.winner()), key(want), "{}", at);

@@ -304,7 +304,7 @@ fn scan_and_apply(
                 None => continue,
             }
         } else {
-            state.ee_if(device, cfg)
+            state.own_ee(&mut own_bounds, cfg)
         };
         let Some(min) = state.min_ee_if_scanned(&scan, cfg, floor) else {
             continue;

@@ -22,13 +22,6 @@ pub fn group_index(sf: SpreadingFactor, channel: usize, channels: usize) -> usiz
     sf.index() * channels + channel
 }
 
-/// Inverse of [`group_index`].
-#[inline]
-pub fn group_from_index(index: usize, channels: usize) -> (SpreadingFactor, usize) {
-    let sf = SpreadingFactor::from_u8(7 + (index / channels) as u8).expect("valid index");
-    (sf, index % channels)
-}
-
 /// Counts devices per (SF, channel) group — the paper's `N_{s,c}` table.
 pub fn group_occupancy(alloc: &[TxConfig], channels: usize) -> Vec<usize> {
     let mut counts = vec![0usize; group_count(channels)];
@@ -72,18 +65,6 @@ pub fn overlap_from_load(load: f64) -> f64 {
 mod tests {
     use super::*;
     use lora_phy::TxPowerDbm;
-
-    #[test]
-    fn group_index_round_trips() {
-        let channels = 8;
-        for sf in SpreadingFactor::ALL {
-            for ch in 0..channels {
-                let idx = group_index(sf, ch, channels);
-                assert!(idx < group_count(channels));
-                assert_eq!(group_from_index(idx, channels), (sf, ch));
-            }
-        }
-    }
 
     #[test]
     fn forty_eight_groups_for_eight_channels() {

@@ -34,30 +34,6 @@ pub fn geometry_constant(beta: f64) -> f64 {
     (PI / beta) / (2.0 * PI / beta).sin()
 }
 
-/// Numerical evaluation of `∫₀^∞ r/(1+r^β) dr` by adaptive Simpson on a
-/// transformed domain — used in tests to validate [`geometry_constant`].
-pub fn geometry_constant_numeric(beta: f64) -> f64 {
-    assert!(beta > 2.0);
-    // Substitute r = t/(1−t) mapping (0,1) → (0,∞):
-    // dr = dt/(1−t)², integrand r/(1+r^β)·dr.
-    let f = |t: f64| {
-        if t <= 0.0 || t >= 1.0 {
-            return 0.0;
-        }
-        let r = t / (1.0 - t);
-        (r / (1.0 + r.powf(beta))) / (1.0 - t).powi(2)
-    };
-    // Composite Simpson with a fine grid; the integrand is smooth.
-    let n = 20_000;
-    let h = 1.0 / n as f64;
-    let mut acc = 0.0;
-    for i in 0..n {
-        let a = i as f64 * h;
-        acc += (f(a) + 4.0 * f(a + h / 2.0) + f(a + h)) * h / 6.0;
-    }
-    acc
-}
-
 /// The Laplace transform of the PPP cumulative interference evaluated at
 /// `s` (paper Eq. 19): `exp(−2πλ(s·p)^{2/β}·C(β))`, where `λ` is the
 /// density of co-group devices per square metre and `p` their (common)
@@ -87,6 +63,30 @@ pub fn group_density(density_per_m2: f64, n_group: usize, n_total: usize) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Numerical evaluation of `∫₀^∞ r/(1+r^β) dr` by composite Simpson
+    /// on a transformed domain, the reference for [`geometry_constant`].
+    fn geometry_constant_numeric(beta: f64) -> f64 {
+        assert!(beta > 2.0);
+        // Substitute r = t/(1−t) mapping (0,1) → (0,∞):
+        // dr = dt/(1−t)², integrand r/(1+r^β)·dr.
+        let f = |t: f64| {
+            if t <= 0.0 || t >= 1.0 {
+                return 0.0;
+            }
+            let r = t / (1.0 - t);
+            (r / (1.0 + r.powf(beta))) / (1.0 - t).powi(2)
+        };
+        // Composite Simpson with a fine grid; the integrand is smooth.
+        let n = 20_000;
+        let h = 1.0 / n as f64;
+        let mut acc = 0.0;
+        for i in 0..n {
+            let a = i as f64 * h;
+            acc += (f(a) + 4.0 * f(a + h / 2.0) + f(a + h)) * h / 6.0;
+        }
+        acc
+    }
 
     #[test]
     fn closed_form_matches_quadrature() {

@@ -22,8 +22,8 @@
 //!   are never read are never computed. [`ModelState::refresh`] re-sums
 //!   `Λ` in full, dropping the rounding its incremental updates
 //!   accumulate; the allocator calls it between passes. The exact
-//!   Poisson–binomial is available in [`crate::capacity`] and is used by
-//!   [`NetworkModel::evaluate_exact_theta`].
+//!   Poisson–binomial is available in [`crate::capacity`]; a test checks
+//!   the approximation against it.
 //! * EE values cached for devices in *unaffected* groups are not
 //!   recomputed when `Λ` moves; `refresh` flushes these too.
 
@@ -35,11 +35,11 @@ use lora_phy::toa::ToaParams;
 use lora_phy::{dbm_to_mw, Bandwidth, SpreadingFactor, TxConfig, TxPowerDbm};
 use lora_sim::{AttenuationMatrix, DeviceSite, Position, SimConfig, Topology, Traffic};
 
-use crate::capacity::{poisson_at_most, poisson_binomial_at_most, OTHERS_BUDGET};
+use crate::capacity::{poisson_at_most, OTHERS_BUDGET};
 use crate::contention::{group_count, group_index, overlap_from_load};
 use crate::error::ModelError;
 use crate::interference::{group_density, laplace_transform};
-use crate::pdr::{pdr_with, prr, PdrForm};
+use crate::pdr::{pdr_exponent, prr, PdrForm};
 
 /// Allocation-independent model of one deployment.
 ///
@@ -475,46 +475,6 @@ impl NetworkModel {
             .to_vec()
     }
 
-    /// Like [`NetworkModel::evaluate`] but with the exact Poisson–binomial
-    /// capacity factor instead of the Poisson approximation. `O(N²·G)` —
-    /// use for validation, not inside the allocator.
-    pub fn evaluate_exact_theta(&self, alloc: &[TxConfig]) -> Vec<f64> {
-        self.validate(alloc).expect("valid allocation");
-        let n = self.device_count();
-        let g = self.gateway_count();
-        // q[k][j]
-        let mut q = vec![vec![0.0; n]; g];
-        for j in 0..n {
-            for (k, qk) in q.iter_mut().enumerate() {
-                qk[j] = self.occupancy_probability(j, &alloc[j], k);
-            }
-        }
-        let state = self.state(alloc.to_vec()).expect("validated");
-        (0..n)
-            .map(|i| {
-                let cfg = &alloc[i];
-                let h = state.overlap_for(i);
-                let per_gw = (0..g).map(|k| {
-                    let probs: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| q[k][j]).collect();
-                    let theta = poisson_binomial_at_most(&probs, OTHERS_BUDGET);
-                    let mean_rx = cfg.tp.milliwatts() * self.attenuation.at(i, k);
-                    let interference = state.interference_on(i, k);
-                    let p = pdr_with(
-                        self.pdr_form,
-                        mean_rx,
-                        self.th_lin[cfg.sf.index()],
-                        h,
-                        interference,
-                        self.noise_mw,
-                        self.sens_mw[cfg.sf.index()],
-                    );
-                    (theta, p)
-                });
-                self.payload_bits * prr(per_gw) / (self.cycle_energy_j(cfg) * 1_000.0)
-            })
-            .collect()
-    }
-
     /// Evaluates EE with the paper's PPP/Laplace interference reduction
     /// (Eq. 18–20) instead of the per-device mean-field sum: the cumulative
     /// interference term is replaced by
@@ -655,8 +615,9 @@ pub struct ModelState<'m> {
     alloc: Vec<TxConfig>,
     /// Device ids per (SF, channel) group.
     members: Vec<Vec<usize>>,
-    /// `Σ_{j∈group} p_j·a_{j,k}` per group and gateway, mW.
-    power_sum: Vec<Vec<f64>>,
+    /// `Σ_{j∈group} p_j·a_{j,k}` per group and gateway, mW, flat
+    /// `[group][gateway]`.
+    power_sum: Vec<f64>,
     /// `Σ_{j∈group} α_j` per group — the ALOHA contention load used by the
     /// heterogeneous-rates generalisation of Eq. (14).
     alpha_sum: Vec<f64>,
@@ -664,8 +625,13 @@ pub struct ModelState<'m> {
     /// (`alloc[i].tp.milliwatts()`), so exact evaluations read it instead
     /// of converting from dBm for every group member.
     power_mw: Vec<f64>,
-    /// Occupancy probability `q_{i,k}` per device and gateway.
-    q: Vec<Vec<f64>>,
+    /// Cycle energy of each device's bound configuration, J
+    /// (`NetworkModel::cycle_energy_of`), so exact evaluations read it
+    /// instead of running the radio energy model for every group member.
+    energy_j: Vec<f64>,
+    /// Occupancy probability `q_{i,k}` per device and gateway, flat
+    /// `[device][gateway]`.
+    q: Vec<f64>,
     /// Total expected occupancy `Λ_k` per gateway.
     lambda: Vec<f64>,
     /// Cached EE per device, bits/mJ.
@@ -807,20 +773,46 @@ pub struct ScanCache {
     easiest_interference: Vec<f64>,
 }
 
-/// The own-EE bounds of one candidate scan, one per (SF, TP level),
-/// computed on first use by [`ModelState::own_ee_clearing`].
+/// The per-scan (SF, TP) table of the scanned device's own EE, read by
+/// [`ModelState::own_ee_clearing`] and [`ModelState::own_ee`]: per TP
+/// level the transmit power in mW, and per (SF, TP level) the cycle
+/// energy, the energy ceiling and the easiest-channel bound. Each is
+/// computed on first use; none depends on the channel or the contention,
+/// so a scan's own-EE tests run the radio energy model at most once per
+/// (SF, TP) pair, 42 at most, instead of once per candidate.
 ///
 /// A memo belongs to one [`ScanCache`] and one scanning thread: the
 /// parallel dense scan keeps one per chunk, beside the shared cache. It
-/// stores bounds, not verdicts, so it stays valid while the scan's
+/// stores values, not verdicts, so it stays valid while the scan's
 /// acceptance bar moves; like its cache, it is void once the state
 /// changes.
 #[derive(Debug)]
 pub struct OwnEeBounds<'s> {
     scan: &'s ScanCache,
-    /// Each TP level met so far, with its bound per SF (`None` until the
-    /// first candidate of that SF and level asks).
-    levels: Vec<(TxPowerDbm, [Option<f64>; 6])>,
+    /// Each TP level met so far.
+    levels: Vec<TpLevel>,
+}
+
+/// One TP level of an [`OwnEeBounds`] table.
+#[derive(Debug)]
+struct TpLevel {
+    tp: TxPowerDbm,
+    /// `tp.milliwatts()`.
+    p_mw: f64,
+    /// Per SF, `None` until the first candidate of that SF and level asks.
+    by_sf: [Option<SfTpEntry>; 6],
+}
+
+/// The scanned device's configuration-only terms at one (SF, TP level).
+#[derive(Debug, Clone, Copy)]
+struct SfTpEntry {
+    /// Cycle energy, J (`NetworkModel::cycle_energy_of`).
+    energy_j: f64,
+    /// `payload_bits / (energy_j · 1000)`: the EE at a delivery ratio of 1.
+    ceiling: f64,
+    /// The easiest-channel bound, `None` until a candidate clears the
+    /// ceiling.
+    bound: Option<f64>,
 }
 
 impl<'s> OwnEeBounds<'s> {
@@ -832,17 +824,32 @@ impl<'s> OwnEeBounds<'s> {
         }
     }
 
-    /// The memoised bound for `cfg`'s SF and TP, from `compute` on the
-    /// first ask.
-    fn get_or_insert_with(&mut self, cfg: TxConfig, compute: impl FnOnce() -> f64) -> f64 {
-        let level = match self.levels.iter().position(|(tp, _)| *tp == cfg.tp) {
+    /// `cfg`'s power in mW and its (SF, TP) entry, computed from `state`
+    /// on the first ask.
+    fn entry(&mut self, state: &ModelState<'_>, cfg: TxConfig) -> (f64, &mut SfTpEntry) {
+        let level = match self.levels.iter().position(|level| level.tp == cfg.tp) {
             Some(level) => level,
             None => {
-                self.levels.push((cfg.tp, [None; 6]));
+                self.levels.push(TpLevel {
+                    tp: cfg.tp,
+                    p_mw: cfg.tp.milliwatts(),
+                    by_sf: [None; 6],
+                });
                 self.levels.len() - 1
             }
         };
-        *self.levels[level].1[cfg.sf.index()].get_or_insert_with(compute)
+        let device = self.scan.device;
+        let level = &mut self.levels[level];
+        let entry = level.by_sf[cfg.sf.index()].get_or_insert_with(|| {
+            let model = state.model;
+            let energy_j = model.cycle_energy_of(device, &cfg);
+            SfTpEntry {
+                energy_j,
+                ceiling: model.payload_bits / (energy_j * 1_000.0),
+                bound: None,
+            }
+        });
+        (level.p_mw, entry)
     }
 }
 
@@ -852,13 +859,13 @@ impl<'s> OwnEeBounds<'s> {
 /// without assuming that libm's `exp` is monotone.
 ///
 /// The bound of an (SF, TP) and the exact own EE on one of its channels
-/// run the same arithmetic (`ModelState::ee_at`), with the same power,
-/// θ row and cycle energy. Only the contention differs, and the bound's
-/// is no larger: its `h` and each gateway's interference are minima of
-/// the channels' own values, so no libm call sits between them. Every
-/// step from there to the PDR exponent is a correctly rounded IEEE
-/// operation, and rounding is monotone, so the bound's exponent is at
-/// least the channel's, bit for bit. Then:
+/// run the same arithmetic (`ModelState::prr_at`, then Eq. 17's
+/// division), with the same power, θ row and cycle energy. Only the
+/// contention differs, and the bound's is no larger: its `h` and each
+/// gateway's interference are minima of the channels' own values, so no
+/// libm call sits between them. Every step from there to the PDR exponent
+/// is a correctly rounded IEEE operation, and rounding is monotone, so
+/// the bound's exponent is at least the channel's, bit for bit. Then:
 ///
 /// * `exp` is the one step evaluated at two different arguments. libm
 ///   documents its error in ulps (glibc: 1 ulp), not its monotonicity.
@@ -880,6 +887,25 @@ impl<'s> OwnEeBounds<'s> {
 /// margin: the rounding of `1 − θ·PDR` near 1, which dominates a starved
 /// device's near-zero EE, is the same monotone step on both sides.
 const PDR_WIDEN: f64 = 1.0 + 16.0 * f64::EPSILON;
+
+/// A gateway whose Eq. 10 exponent `x` exceeds this changes nothing in
+/// Eq. 13, so `ModelState::prr_at` skips it without calling `exp`. An
+/// unreachable gateway's exponent is `+∞`.
+///
+/// Its delivery ratio `e^{−x}` is below `e^{−40} ≈ 4.2·10⁻¹⁸`. libm's
+/// result is within a few ulps of that, and the own-EE bound's
+/// [`PDR_WIDEN`] lifts it by another factor of `1 + 2⁻⁴⁸`, so every
+/// ratio `prr_at` could form there stays below `2⁻⁵⁴ ≈ 5.6·10⁻¹⁷`. With
+/// `θ ≤ 1`, the gateway's factor `1 − θ·PDR` then lies within half an ulp
+/// of 1 and rounds to exactly 1 (a tie rounds to 1, its even neighbour).
+/// Multiplying Eq. 13's product by exactly 1 leaves it unchanged, so the
+/// skip changes no bit of any EE, exact or bound.
+///
+/// The own-EE bound stays sound under the skip. Its exponent at a gateway
+/// is at most each channel's (see [`PDR_WIDEN`]), so a gateway the bound
+/// skips has an exponent above 40 on every channel too, and its factor is
+/// exactly 1 on both sides.
+const NEGLIGIBLE_EXPONENT: f64 = 40.0;
 
 /// A delivery ratio widened by [`PDR_WIDEN`], capped at 1.
 fn widen_pdr(pdr: f64) -> f64 {
@@ -903,10 +929,11 @@ impl<'m> ModelState<'m> {
             model,
             alloc,
             members: vec![Vec::new(); n_groups],
-            power_sum: vec![vec![0.0; g]; n_groups],
+            power_sum: vec![0.0; n_groups * g],
             alpha_sum: vec![0.0; n_groups],
             power_mw: vec![0.0; n],
-            q: vec![vec![0.0; g]; n],
+            energy_j: vec![0.0; n],
+            q: vec![0.0; n * g],
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
@@ -917,10 +944,8 @@ impl<'m> ModelState<'m> {
             // Out-of-scope contributions seed the sums; the loop below
             // then accumulates local devices on top exactly as for a
             // self-contained deployment.
-            for grp in 0..n_groups {
-                state.alpha_sum[grp] = ambient.load[grp];
-                state.power_sum[grp][..g].copy_from_slice(&ambient.power[grp * g..(grp + 1) * g]);
-            }
+            state.alpha_sum.copy_from_slice(&ambient.load);
+            state.power_sum.copy_from_slice(&ambient.power);
             state.lambda.copy_from_slice(&ambient.lambda);
         }
         for i in 0..n {
@@ -930,10 +955,11 @@ impl<'m> ModelState<'m> {
             state.alpha_sum[grp] += model.duty_of(i, cfg.sf);
             let p_mw = cfg.tp.milliwatts();
             state.power_mw[i] = p_mw;
+            state.energy_j[i] = model.cycle_energy_of(i, &cfg);
             for k in 0..g {
-                state.power_sum[grp][k] += p_mw * model.attenuation.at(i, k);
+                state.power_sum[grp * g + k] += p_mw * model.attenuation.at(i, k);
                 let q = model.occupancy_probability(i, &cfg, k);
-                state.q[i][k] = q;
+                state.q[i * g + k] = q;
                 state.lambda[k] += q;
             }
         }
@@ -949,9 +975,9 @@ impl<'m> ModelState<'m> {
         let row = self.theta.row(i);
         let stamp = &self.theta.stamp[i];
         if stamp.load(Ordering::Acquire) != self.generation {
+            let q = self.q_row(i);
             for (k, slot) in row.iter().enumerate() {
-                let theta =
-                    poisson_at_most((self.lambda[k] - self.q[i][k]).max(0.0), OTHERS_BUDGET);
+                let theta = poisson_at_most((self.lambda[k] - q[k]).max(0.0), OTHERS_BUDGET);
                 slot.store(theta.to_bits(), Ordering::Relaxed);
             }
             stamp.store(self.generation, Ordering::Release);
@@ -962,6 +988,20 @@ impl<'m> ModelState<'m> {
     #[inline]
     fn group_of(&self, cfg: &TxConfig) -> usize {
         group_index(cfg.sf, cfg.channel, self.model.n_channels)
+    }
+
+    /// Group `grp`'s received-power sums over the gateways.
+    #[inline]
+    fn power_sums(&self, grp: usize) -> &[f64] {
+        let g = self.model.gateway_count();
+        &self.power_sum[grp * g..(grp + 1) * g]
+    }
+
+    /// Device `i`'s occupancy probabilities over the gateways.
+    #[inline]
+    fn q_row(&self, i: usize) -> &[f64] {
+        let g = self.model.gateway_count();
+        &self.q[i * g..(i + 1) * g]
     }
 
     /// The bound allocation.
@@ -979,9 +1019,11 @@ impl<'m> ModelState<'m> {
         &self.ee
     }
 
-    /// The network minimum EE (the paper's fairness objective).
+    /// The network minimum EE (the paper's fairness objective), folded
+    /// from the cached group minima: every device sits in exactly one
+    /// group, so this is the minimum over every cached EE.
     pub fn min_ee(&self) -> f64 {
-        self.ee
+        self.group_min
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min)
@@ -1003,7 +1045,7 @@ impl<'m> ModelState<'m> {
     pub fn interference_on(&self, i: usize, k: usize) -> f64 {
         let cfg = &self.alloc[i];
         let grp = self.group_of(cfg);
-        (self.power_sum[grp][k] - self.power_mw[i] * self.model.attenuation.at(i, k)).max(0.0)
+        (self.power_sums(grp)[k] - self.power_mw[i] * self.model.attenuation.at(i, k)).max(0.0)
     }
 
     /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
@@ -1015,50 +1057,70 @@ impl<'m> ModelState<'m> {
     }
 
     /// EE of device `i` under a hypothetical configuration and group shape:
-    /// `p_mw` is `cfg`'s transmit power in mW, `load` the summed duty
-    /// cycle of its co-group contenders and `interference(k)` the mean
-    /// co-group interference at each gateway.
+    /// `sf`, `p_mw` and `energy_j` are the configuration's SF, transmit
+    /// power in mW and cycle energy in J, `load` the summed duty cycle of
+    /// its co-group contenders and `interference(k)` the mean co-group
+    /// interference at each gateway.
     fn ee_raw(
         &self,
         i: usize,
-        cfg: &TxConfig,
+        sf: SpreadingFactor,
         p_mw: f64,
+        energy_j: f64,
         load: f64,
         interference: impl Fn(usize) -> f64,
     ) -> f64 {
-        self.ee_at(i, cfg, p_mw, overlap_at(load), interference, |pdr| pdr)
+        let prr = self.prr_at(i, sf, p_mw, overlap_at(load), interference, |pdr| pdr);
+        self.ee_from(prr, energy_j)
     }
 
-    /// [`ModelState::ee_raw`] at overlap probability `h`, with `widen`
-    /// applied to each gateway's delivery ratio before Eq. 13: the
+    /// Eq. 17: the EE at reception ratio `prr` and cycle energy
+    /// `energy_j`.
+    fn ee_from(&self, prr: f64, energy_j: f64) -> f64 {
+        self.model.payload_bits * prr / (energy_j * 1_000.0)
+    }
+
+    /// Device `i`'s reception ratio (Eq. 10 per gateway, Eq. 13 over
+    /// them) at SF `sf`, power `p_mw` and overlap probability `h`, with
+    /// `widen` applied to each gateway's delivery ratio before Eq. 13: the
     /// identity for exact values, [`widen_pdr`] for the own-EE bound.
-    fn ee_at(
+    /// Gateways past [`NEGLIGIBLE_EXPONENT`] are skipped, which changes no
+    /// bit of the result.
+    fn prr_at(
         &self,
         i: usize,
-        cfg: &TxConfig,
+        sf: SpreadingFactor,
         p_mw: f64,
         h: f64,
         interference: impl Fn(usize) -> f64,
         widen: impl Fn(f64) -> f64,
     ) -> f64 {
         let model = self.model;
-        let sfi = cfg.sf.index();
+        let sfi = sf.index();
+        let (threshold, sensitivity) = (model.th_lin[sfi], model.sens_mw[sfi]);
         let thetas = self.theta_row(i);
-        let per_gw = (0..model.gateway_count()).map(|k| {
-            let mean_rx = p_mw * model.attenuation.at(i, k);
-            let theta = theta_at(thetas, k);
-            let p = pdr_with(
-                model.pdr_form,
-                mean_rx,
-                model.th_lin[sfi],
-                h,
-                interference(k).max(0.0),
-                model.noise_mw,
-                model.sens_mw[sfi],
-            );
-            (theta, widen(p))
-        });
-        model.payload_bits * prr(per_gw) / (model.cycle_energy_of(i, cfg) * 1_000.0)
+        let per_gw = model
+            .attenuation
+            .row(i)
+            .iter()
+            .enumerate()
+            .filter_map(|(k, &a)| {
+                let x = pdr_exponent(
+                    model.pdr_form,
+                    p_mw * a,
+                    threshold,
+                    h,
+                    interference(k).max(0.0),
+                    model.noise_mw,
+                    sensitivity,
+                );
+                // Its Eq. 13 factor would be exactly 1.
+                if x > NEGLIGIBLE_EXPONENT {
+                    return None;
+                }
+                Some((theta_at(thetas, k), widen((-x).exp())))
+            });
+        prr(per_gw)
     }
 
     /// What device `i` contends with in group `grp` of SF `sf`: the
@@ -1076,7 +1138,7 @@ impl<'m> ModelState<'m> {
         // sf)` is then the duty i adds to it.
         let own_group = grp == self.group_of(&self.alloc[i]);
         let own_p = self.power_mw[i];
-        let sums = &self.power_sum[grp];
+        let sums = self.power_sums(grp);
         let load = if own_group {
             self.alpha_sum[grp] - model.duty_of(i, sf)
         } else {
@@ -1097,8 +1159,9 @@ impl<'m> ModelState<'m> {
         let grp = self.group_of(&cfg);
         let load = self.alpha_sum[grp] - self.model.duty_of(i, cfg.sf);
         let own = self.power_mw[i];
-        self.ee_raw(i, &cfg, own, load, |k| {
-            self.power_sum[grp][k] - own * self.model.attenuation.at(i, k)
+        let sums = self.power_sums(grp);
+        self.ee_raw(i, cfg.sf, own, self.energy_j[i], load, |k| {
+            sums[k] - own * self.model.attenuation.at(i, k)
         })
     }
 
@@ -1118,28 +1181,22 @@ impl<'m> ModelState<'m> {
             .fold(f64::INFINITY, f64::min);
     }
 
-    /// Exact upper bound on [`ModelState::ee_if`] for device `i` under
-    /// `cfg`: the delivery ratio never exceeds 1, so the delivered bits
-    /// over the cycle energy — a pure function of the device's reporting
-    /// interval and the candidate's SF/TP, with no load or interference
-    /// terms — caps the achievable EE. `O(1)`, used by the candidate
-    /// scans to discard candidates without touching the contention model.
-    pub fn own_ee_ceiling(&self, i: usize, cfg: TxConfig) -> f64 {
-        self.model.payload_bits / (self.model.cycle_energy_of(i, &cfg) * 1_000.0)
-    }
-
     /// The scanned device's [`ModelState::ee_if`] for `cfg` when it
     /// passes `clears`, a test that can only turn true as its argument
     /// rises; `None` otherwise. Two upper bounds are tested first, so
     /// most failing candidates never reach the `O(gateways)` exact value:
     ///
-    /// 1. the `O(1)` [`ModelState::own_ee_ceiling`];
+    /// 1. the energy ceiling: the delivery ratio never exceeds 1, so the
+    ///    delivered bits over the cycle energy cap the EE;
     /// 2. the own EE at the easiest contention any channel of `cfg`'s SF
     ///    offers (see [`ScanCache`]), which caps `ee_if` on every channel
     ///    because the delivery ratio never rises with `h·Ī` (Eq. 10, both
-    ///    [`PdrForm`]s). It is computed once per (SF, TP level) per scan
-    ///    into `bounds`. The derivation beside the constant `PDR_WIDEN`
+    ///    [`PdrForm`]s). The derivation beside the constant `PDR_WIDEN`
     ///    shows why it holds without assuming libm's `exp` monotone.
+    ///
+    /// Both depend only on `cfg`'s SF and TP, so `bounds` computes each at
+    /// most once per scan, along with the power and cycle energy that the
+    /// bound and the exact value share.
     ///
     /// # Panics
     ///
@@ -1152,33 +1209,52 @@ impl<'m> ModelState<'m> {
     ) -> Option<f64> {
         let scan = bounds.scan;
         self.assert_fresh(scan);
-        let i = scan.device;
-        if !clears(self.own_ee_ceiling(i, cfg)) {
+        let (p_mw, entry) = bounds.entry(self, cfg);
+        if !clears(entry.ceiling) {
             return None;
         }
-        if !clears(bounds.get_or_insert_with(cfg, || self.own_ee_bound(scan, cfg))) {
+        let energy_j = entry.energy_j;
+        let bound = *entry
+            .bound
+            .get_or_insert_with(|| self.own_ee_bound(scan, cfg.sf, p_mw, energy_j));
+        if !clears(bound) {
             return None;
         }
-        let ee = self.ee_if(i, cfg);
+        let ee = self.ee_if_at(scan.device, cfg, p_mw, energy_j);
         clears(ee).then_some(ee)
     }
 
+    /// The scanned device's [`ModelState::ee_if`] for `cfg`, bit for bit,
+    /// with the power and cycle energy read from `bounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the state changed since `bounds`' scan was prepared.
+    pub fn own_ee(&self, bounds: &mut OwnEeBounds<'_>, cfg: TxConfig) -> f64 {
+        let scan = bounds.scan;
+        self.assert_fresh(scan);
+        let (p_mw, entry) = bounds.entry(self, cfg);
+        let energy_j = entry.energy_j;
+        self.ee_if_at(scan.device, cfg, p_mw, energy_j)
+    }
+
     /// Upper bound on [`ModelState::ee_if`] for the scanned device over
-    /// every channel of `cfg`'s SF at `cfg`'s power (the channel itself
-    /// is ignored): the own EE at the SF's easiest contention, each
+    /// every channel of SF `sf` at power `p_mw` with cycle energy
+    /// `energy_j`: the own EE at the SF's easiest contention, each
     /// gateway's delivery ratio widened by [`PDR_WIDEN`].
-    fn own_ee_bound(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
-        let sfi = cfg.sf.index();
+    fn own_ee_bound(&self, scan: &ScanCache, sf: SpreadingFactor, p_mw: f64, energy_j: f64) -> f64 {
+        let sfi = sf.index();
         let g = self.model.gateway_count();
         let interference = &scan.easiest_interference[sfi * g..(sfi + 1) * g];
-        self.ee_at(
+        let prr = self.prr_at(
             scan.device,
-            &cfg,
-            cfg.tp.milliwatts(),
+            sf,
+            p_mw,
             scan.easiest_overlap[sfi],
             |k| interference[k],
             widen_pdr,
-        )
+        );
+        self.ee_from(prr, energy_j)
     }
 
     /// The EE device `i` itself would have after moving to `cfg`
@@ -1186,8 +1262,19 @@ impl<'m> ModelState<'m> {
     /// greedy allocator to break ties between moves that leave the
     /// network minimum unchanged.
     pub fn ee_if(&self, i: usize, cfg: TxConfig) -> f64 {
+        self.ee_if_at(
+            i,
+            cfg,
+            cfg.tp.milliwatts(),
+            self.model.cycle_energy_of(i, &cfg),
+        )
+    }
+
+    /// [`ModelState::ee_if`] with `cfg`'s power in mW and cycle energy in
+    /// J given.
+    fn ee_if_at(&self, i: usize, cfg: TxConfig, p_mw: f64, energy_j: f64) -> f64 {
         let (load, interference) = self.contenders_in(i, self.group_of(&cfg), cfg.sf);
-        self.ee_raw(i, &cfg, cfg.tp.milliwatts(), load, interference)
+        self.ee_raw(i, cfg.sf, p_mw, energy_j, load, interference)
     }
 
     /// The network minimum EE if device `i` moved to `cfg`, or `None` as
@@ -1246,13 +1333,13 @@ impl<'m> ModelState<'m> {
 
         // 3. Devices in the new group (gaining i).
         if !same_group {
+            let sums = self.power_sums(g_new);
             for &j in &self.members[g_new] {
                 let jc = self.alloc[j];
                 let jp = self.power_mw[j];
                 let load_j = self.alpha_sum[g_new] - model.duty_of(j, jc.sf) + alpha_new;
-                let ee_j = self.ee_raw(j, &jc, jp, load_j, |k| {
-                    self.power_sum[g_new][k] - jp * model.attenuation.at(j, k)
-                        + new_p * model.attenuation.at(i, k)
+                let ee_j = self.ee_raw(j, jc.sf, jp, self.energy_j[j], load_j, |k| {
+                    sums[k] - jp * model.attenuation.at(j, k) + new_p * model.attenuation.at(i, k)
                 });
                 if ee_j <= floor {
                     return None;
@@ -1294,8 +1381,9 @@ impl<'m> ModelState<'m> {
             Some(_) => self.alpha_sum[grp] - model.duty_of(j, jc.sf),
             None => self.alpha_sum[grp] - model.duty_of(j, jc.sf) - model.duty_of(i, old_cfg.sf),
         };
-        self.ee_raw(j, &jc, jp, load_j, |k| {
-            let base = self.power_sum[grp][k] - jp * model.attenuation.at(j, k);
+        let sums = self.power_sums(grp);
+        self.ee_raw(j, jc.sf, jp, self.energy_j[j], load_j, |k| {
+            let base = sums[k] - jp * model.attenuation.at(j, k);
             match stay_p {
                 Some(new_p) => {
                     base - old_p * model.attenuation.at(i, k) + new_p * model.attenuation.at(i, k)
@@ -1314,12 +1402,13 @@ impl<'m> ModelState<'m> {
         let old_cfg = self.alloc[i];
         let old_p = self.power_mw[i];
         let new_p = cfg.tp.milliwatts();
+        let g = model.gateway_count();
 
-        for k in 0..model.gateway_count() {
-            self.power_sum[g_old][k] -= old_p * model.attenuation.at(i, k);
+        for k in 0..g {
+            self.power_sum[g_old * g + k] -= old_p * model.attenuation.at(i, k);
             let q_new = model.occupancy_probability(i, &cfg, k);
-            self.lambda[k] += q_new - self.q[i][k];
-            self.q[i][k] = q_new;
+            self.lambda[k] += q_new - self.q[i * g + k];
+            self.q[i * g + k] = q_new;
         }
         self.alpha_sum[g_old] -= model.duty_of(i, old_cfg.sf);
         self.alpha_sum[g_new] += model.duty_of(i, cfg.sf);
@@ -1331,11 +1420,12 @@ impl<'m> ModelState<'m> {
             self.members[g_old].swap_remove(pos);
             self.members[g_new].push(i);
         }
-        for k in 0..model.gateway_count() {
-            self.power_sum[g_new][k] += new_p * model.attenuation.at(i, k);
+        for k in 0..g {
+            self.power_sum[g_new * g + k] += new_p * model.attenuation.at(i, k);
         }
         self.alloc[i] = cfg;
         self.power_mw[i] = new_p;
+        self.energy_j[i] = model.cycle_energy_of(i, &cfg);
         // Λ and q just moved, which shifts θ for every device. Advancing
         // the generation marks every row stale, and must come before the
         // EE refresh below, whose reads refill the rows they need.
@@ -1482,6 +1572,7 @@ impl<'m> ModelState<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pdr::pdr_with;
     use lora_phy::path_loss::LinkEnvironment;
     use lora_sim::{DeviceSite, Position};
     use proptest::prelude::*;
@@ -1772,6 +1863,44 @@ mod tests {
         }
     }
 
+    /// [`NetworkModel::evaluate`] with the exact Poisson–binomial capacity
+    /// factor instead of the Poisson approximation. `O(N²·G)`.
+    fn evaluate_exact_theta(model: &NetworkModel, alloc: &[TxConfig]) -> Vec<f64> {
+        let n = model.device_count();
+        let g = model.gateway_count();
+        // q[k][j]
+        let mut q = vec![vec![0.0; n]; g];
+        for j in 0..n {
+            for (k, qk) in q.iter_mut().enumerate() {
+                qk[j] = model.occupancy_probability(j, &alloc[j], k);
+            }
+        }
+        let state = model.state(alloc.to_vec()).expect("valid allocation");
+        (0..n)
+            .map(|i| {
+                let cfg = &alloc[i];
+                let h = state.overlap_for(i);
+                let per_gw = (0..g).map(|k| {
+                    let probs: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| q[k][j]).collect();
+                    let theta = crate::capacity::poisson_binomial_at_most(&probs, OTHERS_BUDGET);
+                    let mean_rx = cfg.tp.milliwatts() * model.attenuation.at(i, k);
+                    let interference = state.interference_on(i, k);
+                    let p = pdr_with(
+                        model.pdr_form,
+                        mean_rx,
+                        model.th_lin[cfg.sf.index()],
+                        h,
+                        interference,
+                        model.noise_mw,
+                        model.sens_mw[cfg.sf.index()],
+                    );
+                    (theta, p)
+                });
+                model.payload_bits * prr(per_gw) / (model.cycle_energy_j(cfg) * 1_000.0)
+            })
+            .collect()
+    }
+
     #[test]
     fn exact_theta_agrees_with_poisson_at_scale() {
         let topo = line_topology(60, 60.0, 2);
@@ -1780,7 +1909,7 @@ mod tests {
             .map(|i| TxConfig::new(SpreadingFactor::Sf7, TxPowerDbm::new(14.0), i % 8))
             .collect();
         let approx = model.evaluate(&alloc);
-        let exact = model.evaluate_exact_theta(&alloc);
+        let exact = evaluate_exact_theta(&model, &alloc);
         for (a, e) in approx.iter().zip(&exact) {
             assert!((a - e).abs() / e.max(1e-9) < 0.05, "{a} vs {e}");
         }
@@ -1928,7 +2057,10 @@ mod tests {
     /// The θ the state's live `Λ` and `q` give for `(i, k)` right now,
     /// computed eagerly.
     fn eager_theta(state: &ModelState<'_>, i: usize, k: usize) -> f64 {
-        poisson_at_most((state.lambda[k] - state.q[i][k]).max(0.0), OTHERS_BUDGET)
+        poisson_at_most(
+            (state.lambda[k] - state.q_row(i)[k]).max(0.0),
+            OTHERS_BUDGET,
+        )
     }
 
     /// Reads every `θ` of `state` in a shuffled order and checks each
@@ -1981,8 +2113,141 @@ mod tests {
         model.with_ambient(offsets)
     }
 
+    /// Device `i`'s EE under the state's allocation, evaluated literally:
+    /// Eq. 10 at every gateway, Eq. 13 over all of them and Eq. 17's
+    /// division by the energy model's cycle energy, from the state's
+    /// public terms. It skips no gateway and caches nothing.
+    fn literal_ee(state: &ModelState<'_>, i: usize) -> f64 {
+        let model = state.model;
+        let cfg = state.alloc()[i];
+        let sfi = cfg.sf.index();
+        let h = state.overlap_for(i);
+        let per_gw: Vec<(f64, f64)> = (0..model.gateway_count())
+            .map(|k| {
+                let pdr = pdr_with(
+                    model.pdr_form,
+                    cfg.tp.milliwatts() * model.attenuation(i, k),
+                    model.th_lin[sfi],
+                    h,
+                    state.interference_on(i, k),
+                    model.noise_mw,
+                    model.sens_mw[sfi],
+                );
+                (state.theta(i, k), pdr)
+            })
+            .collect();
+        model.payload_bits() * prr(per_gw) / (model.cycle_energy_of(i, &cfg) * 1_000.0)
+    }
+
+    /// Checks the cached EE of each of `devices` against [`literal_ee`],
+    /// bit for bit.
+    fn check_ee_is_literal(
+        state: &ModelState<'_>,
+        devices: impl IntoIterator<Item = usize>,
+        at: &str,
+    ) -> Result<(), TestCaseError> {
+        for j in devices {
+            prop_assert_eq!(
+                state.ee(j).to_bits(),
+                literal_ee(state, j).to_bits(),
+                "cached EE of device {} {}",
+                j,
+                at
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn scan_kernel_matches_the_literal_model(
+            devices in 1usize..40,
+            gateways in 1usize..=4,
+            // Wide discs: a device's far gateways reach Eq. 10 exponents
+            // past `NEGLIGIBLE_EXPONENT`, its near ones stay below.
+            radius_km in 3u32..=12,
+            ambient in any::<bool>(),
+            traffic in 0usize..3,
+            paper_form in any::<bool>(),
+            seed in any::<u64>(),
+            steps in 1usize..12,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut config = SimConfig::default();
+            match traffic {
+                0 => {}
+                1 => {
+                    config.per_device_intervals_s =
+                        Some((0..devices).map(|_| rng.gen_range(60.0..1_800.0)).collect());
+                }
+                _ => {
+                    config.traffic = Traffic::DutyCycleTarget {
+                        duty: rng.gen_range(0.001..0.05),
+                    };
+                }
+            }
+            let radius = f64::from(radius_km) * 1_000.0;
+            let topo = Topology::disc(devices, gateways, radius, &config, seed);
+            let form = if paper_form {
+                PdrForm::PaperEq10
+            } else {
+                PdrForm::JointExponential
+            };
+            let mut model = NetworkModel::new(&config, &topo).with_pdr_form(form);
+            if ambient {
+                model = with_random_ambient(model, &mut rng);
+            }
+            let channels = model.channel_count();
+            let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
+            let mut state = model.state(alloc).unwrap();
+            check_ee_is_literal(&state, 0..devices, "after state()")?;
+            for step in 0..steps {
+                // The scanned device's own EE through the per-scan table,
+                // on every candidate.
+                let device = rng.gen_range(0..devices);
+                let scan = state.prepare_scan(device);
+                let mut table = OwnEeBounds::new(&scan);
+                for sf in SpreadingFactor::ALL {
+                    for tp in TxPowerDbm::eu_levels() {
+                        for channel in 0..channels {
+                            let cfg = TxConfig::new(sf, tp, channel);
+                            let want = state.ee_if(device, cfg).to_bits();
+                            let cleared = state.own_ee_clearing(&mut table, cfg, |_| true);
+                            prop_assert_eq!(
+                                cleared.map(f64::to_bits),
+                                Some(want),
+                                "step {}, device {}, {:?}",
+                                step,
+                                device,
+                                cfg
+                            );
+                            prop_assert_eq!(state.own_ee(&mut table, cfg).to_bits(), want);
+                        }
+                    }
+                }
+                if rng.gen_range(0..6) == 0 {
+                    state.refresh();
+                    check_ee_is_literal(&state, 0..devices, "after refresh()")?;
+                    continue;
+                }
+                let device = rng.gen_range(0..devices);
+                let cfg = random_config(&mut rng, channels);
+                let g_old = state.group_of(&state.alloc[device]);
+                state.apply(device, cfg);
+                // Only the two touched groups are re-evaluated; the rest
+                // keep their EE until the next refresh.
+                let touched: Vec<usize> = state.members[g_old]
+                    .iter()
+                    .chain(&state.members[state.group_of(&cfg)])
+                    .copied()
+                    .collect();
+                check_ee_is_literal(&state, touched, &format!("after move {step}"))?;
+            }
+            state.refresh();
+            check_ee_is_literal(&state, 0..devices, "after the final refresh()")?;
+        }
 
         #[test]
         fn own_ee_bound_caps_every_channel(
@@ -2030,7 +2295,8 @@ mod tests {
                     let scan = state.prepare_scan(device);
                     for sf in SpreadingFactor::ALL {
                         for tp in TxPowerDbm::eu_levels() {
-                            let bound = state.own_ee_bound(&scan, TxConfig::new(sf, tp, 0));
+                            let energy_j = model.cycle_energy_of(device, &TxConfig::new(sf, tp, 0));
+                            let bound = state.own_ee_bound(&scan, sf, tp.milliwatts(), energy_j);
                             for channel in 0..channels {
                                 let cfg = TxConfig::new(sf, tp, channel);
                                 let ee = state.ee_if(device, cfg);

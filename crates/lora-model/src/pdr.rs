@@ -48,24 +48,41 @@ pub fn pdr_with(
     noise_mw: f64,
     sensitivity_mw: f64,
 ) -> f64 {
+    (-pdr_exponent(
+        form,
+        mean_rx_mw,
+        snr_threshold_lin,
+        overlap_probability,
+        mean_interference_mw,
+        noise_mw,
+        sensitivity_mw,
+    ))
+    .exp()
+}
+
+/// The exponent `x` of Eq. (10)'s `PDR = e^{−x}` in `form`, or `+∞` for
+/// an unreachable gateway (`mean_rx_mw ≤ 0`), whose PDR is then 0.
+///
+/// IEEE division is sign-symmetric, so `(-x).exp()` is bit for bit the
+/// `exp(−numerator / mean_rx)` the forms are written as.
+pub(crate) fn pdr_exponent(
+    form: PdrForm,
+    mean_rx_mw: f64,
+    snr_threshold_lin: f64,
+    overlap_probability: f64,
+    mean_interference_mw: f64,
+    noise_mw: f64,
+    sensitivity_mw: f64,
+) -> f64 {
     if mean_rx_mw <= 0.0 {
-        return 0.0;
+        return f64::INFINITY;
     }
-    match form {
-        PdrForm::PaperEq10 => pdr(
-            mean_rx_mw,
-            snr_threshold_lin,
-            overlap_probability,
-            mean_interference_mw,
-            noise_mw,
-            sensitivity_mw,
-        ),
-        PdrForm::JointExponential => {
-            let snr_term =
-                snr_threshold_lin * (overlap_probability * mean_interference_mw + noise_mw);
-            (-snr_term.max(sensitivity_mw) / mean_rx_mw).exp()
-        }
-    }
+    let snr_term = snr_threshold_lin * (overlap_probability * mean_interference_mw + noise_mw);
+    let numerator = match form {
+        PdrForm::PaperEq10 => snr_term + sensitivity_mw,
+        PdrForm::JointExponential => snr_term.max(sensitivity_mw),
+    };
+    numerator / mean_rx_mw
 }
 
 /// Per-gateway packet delivery ratio, paper Eq. (10), linear units.
@@ -90,12 +107,15 @@ pub fn pdr(
     debug_assert!(mean_rx_mw >= 0.0);
     debug_assert!((0.0..=1.0).contains(&overlap_probability));
     debug_assert!(mean_interference_mw >= 0.0 && noise_mw >= 0.0 && sensitivity_mw >= 0.0);
-    if mean_rx_mw <= 0.0 {
-        return 0.0;
-    }
-    let numerator = snr_threshold_lin * (overlap_probability * mean_interference_mw + noise_mw)
-        + sensitivity_mw;
-    (-numerator / mean_rx_mw).exp()
+    pdr_with(
+        PdrForm::PaperEq10,
+        mean_rx_mw,
+        snr_threshold_lin,
+        overlap_probability,
+        mean_interference_mw,
+        noise_mw,
+        sensitivity_mw,
+    )
 }
 
 /// Multi-gateway packet reception ratio, paper Eq. (13):

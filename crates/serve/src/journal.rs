@@ -719,16 +719,10 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use ef_lora::EfLora;
     use lora_scenario::catalog;
     use lora_scenario::spec::{ChurnEvent, ChurnKind};
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("ef-lora-journal-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn smoke_spec() -> ScenarioSpec {
         catalog::scale_devices(&catalog::churn_heavy(), 0.15)
@@ -776,7 +770,8 @@ mod tests {
 
     #[test]
     fn append_scan_round_trips_records() {
-        let path = tmp_dir("roundtrip").join("wal.journal");
+        let dir = TempDir::new("journal-roundtrip");
+        let path = dir.path().join("wal.journal");
         let mut journal = Journal::create(&path, FsyncPolicy::Never, &genesis()).unwrap();
         let records = vec![mutation(0, 2), mutation(1, 3), mutation(2, 1)];
         for record in &records {
@@ -789,12 +784,12 @@ mod tests {
         assert_eq!(&scanned.records[1..], records.as_slice());
         assert_eq!(scanned.durable_bytes, journal.bytes());
         assert_eq!(scanned.truncated_bytes, 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn scan_truncates_torn_tails_at_every_boundary_kind() {
-        let path = tmp_dir("torn").join("wal.journal");
+        let dir = TempDir::new("journal-torn");
+        let path = dir.path().join("wal.journal");
         let mut journal = Journal::create(&path, FsyncPolicy::Never, &genesis()).unwrap();
         journal.append(&mutation(0, 2)).unwrap();
         let two_records = journal.bytes();
@@ -811,23 +806,22 @@ mod tests {
             assert_eq!(scanned.durable_bytes, two_records, "cut at {cut}");
             assert_eq!(scanned.truncated_bytes, cut - two_records, "cut at {cut}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn scan_rejects_files_without_the_magic_header() {
-        let dir = tmp_dir("magic");
-        let path = dir.join("wal.journal");
+        let dir = TempDir::new("journal-magic");
+        let path = dir.path().join("wal.journal");
         std::fs::write(&path, b"not a journal at all").unwrap();
         assert!(matches!(scan(&path), Err(JournalError::Corrupt { .. })));
         std::fs::write(&path, b"EFLJ").unwrap(); // shorter than the magic
         assert!(matches!(scan(&path), Err(JournalError::Corrupt { .. })));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn failed_fsync_rolls_the_frame_back_and_breaks_the_journal() {
-        let path = tmp_dir("fsync").join("wal.journal");
+        let dir = TempDir::new("journal-fsync");
+        let path = dir.path().join("wal.journal");
         let mut journal = Journal::create(&path, FsyncPolicy::Always, &genesis()).unwrap();
         let a = mutation(0, 2);
         journal.append(&a).unwrap();
@@ -860,12 +854,12 @@ mod tests {
         let recovered = recover(&path, None, FsyncPolicy::Always).unwrap();
         assert_eq!(recovered.info.replayed, 1);
         assert_eq!(recovered.state.snapshot(), live.snapshot());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn failed_explicit_sync_breaks_the_journal() {
-        let path = tmp_dir("sync").join("wal.journal");
+        let dir = TempDir::new("journal-sync");
+        let path = dir.path().join("wal.journal");
         let mut journal = Journal::create(&path, FsyncPolicy::Batch, &genesis()).unwrap();
         journal.append(&mutation(0, 2)).unwrap();
         let after_a = journal.bytes();
@@ -881,12 +875,12 @@ mod tests {
             journal.append(&mutation(1, 1)),
             Err(JournalError::Broken { .. })
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn reset_truncates_down_to_the_new_base() {
-        let path = tmp_dir("reset").join("wal.journal");
+        let dir = TempDir::new("journal-reset");
+        let path = dir.path().join("wal.journal");
         let mut journal = Journal::create(&path, FsyncPolicy::Never, &genesis()).unwrap();
         for i in 0..5 {
             journal.append(&mutation(i, 1)).unwrap();
@@ -899,7 +893,6 @@ mod tests {
         journal.append(&mutation(0, 2)).unwrap();
         journal.sync().unwrap();
         assert_eq!(scan(&path).unwrap().records.len(), 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -931,7 +924,8 @@ mod tests {
 
     #[test]
     fn recover_reproduces_the_live_state_exactly() {
-        let path = tmp_dir("recover").join("wal.journal");
+        let dir = TempDir::new("journal-recover");
+        let path = dir.path().join("wal.journal");
         let mut live = ServeState::new(smoke_spec(), &EfLora::default()).unwrap();
         let mut journal = Journal::create(&path, FsyncPolicy::Never, &genesis()).unwrap();
         for i in 0..6u64 {
@@ -960,14 +954,13 @@ mod tests {
         );
         assert_eq!(recovered.truncated_bytes, 0);
         assert_eq!(recovered.state.recovery(), Some(recovered.info));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn recover_prefers_a_good_snapshot_and_survives_a_corrupt_one() {
-        let dir = tmp_dir("fallback");
-        let jpath = dir.join("wal.journal");
-        let spath = dir.join("snap.json");
+        let dir = TempDir::new("journal-fallback");
+        let jpath = dir.path().join("wal.journal");
+        let spath = dir.path().join("snap.json");
         let mut live = ServeState::new(smoke_spec(), &EfLora::default()).unwrap();
         let mut journal = Journal::create(&jpath, FsyncPolicy::Never, &genesis()).unwrap();
         for i in 0..4u64 {
@@ -1011,6 +1004,5 @@ mod tests {
                 replayed: 4
             }
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -40,6 +40,10 @@ pub mod reference;
 pub mod server;
 pub mod state;
 
+#[cfg(test)]
+#[path = "../tests/support/temp_dir.rs"]
+mod temp_dir;
+
 pub use journal::{FsyncPolicy, Journal, JournalError, JournalRecord};
 pub use protocol::{Request, Response};
 pub use server::{respond, serve, serve_journaled, ServerOptions};

@@ -678,6 +678,7 @@ pub fn decision_label(decision: &Decision) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use ef_lora::EfLora;
     use lora_scenario::catalog;
     use lora_scenario::spec::ChurnKind;
@@ -866,21 +867,14 @@ mod tests {
         assert!(ServeState::restore(short_alloc).is_err());
     }
 
-    fn snapshot_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("ef-lora-serve-snap-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn crashed_mid_stream_write_leaves_the_old_snapshot_intact() {
         // Regression for the bare `std::fs::write` era: a crash mid-write
         // destroyed the only snapshot on disk. The atomic path stages the
         // new image in `<path>.tmp`, so dying at any point before the
         // rename leaves the old file byte-for-byte untouched.
-        let dir = snapshot_dir("atomic");
-        let path = dir.join("snap.json");
+        let dir = TempDir::new("serve-snap-atomic");
+        let path = dir.path().join("snap.json");
         let mut state = smoke_state();
         state.snapshot_to_file(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
@@ -894,13 +888,12 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), good, "old snapshot survives");
         let restored = ServeState::restore_from_file(&path).unwrap();
         assert_eq!(restored.events_applied(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bit_flipped_snapshots_fail_with_a_typed_corrupt_error() {
-        let dir = snapshot_dir("bitflip");
-        let path = dir.join("snap.json");
+        let dir = TempDir::new("serve-snap-bitflip");
+        let path = dir.path().join("snap.json");
         smoke_state().snapshot_to_file(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip one bit in the body (past the header line).
@@ -923,26 +916,24 @@ mod tests {
             ServeState::restore_from_file(&path),
             Err(SnapshotError::Corrupt { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn legacy_headerless_snapshots_still_restore() {
-        let dir = snapshot_dir("legacy");
-        let path = dir.join("snap.json");
+        let dir = TempDir::new("serve-snap-legacy");
+        let path = dir.path().join("snap.json");
         let state = smoke_state();
         // The pre-journal on-disk format: pretty JSON, no header line.
         let body = serde_json::to_string_pretty(&state.snapshot()).unwrap();
         std::fs::write(&path, format!("{body}\n")).unwrap();
         let restored = ServeState::restore_from_file(&path).unwrap();
         assert_eq!(restored.snapshot(), state.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_files_round_trip_with_checksummed_headers() {
-        let dir = snapshot_dir("roundtrip");
-        let path = dir.join("snap.json");
+        let dir = TempDir::new("serve-snap-roundtrip");
+        let path = dir.path().join("snap.json");
         let mut state = smoke_state();
         state.apply_churn(&join(2)).unwrap();
         state.snapshot_to_file(&path).unwrap();
@@ -958,6 +949,5 @@ mod tests {
             None,
             "plain restore stamps no recovery"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use ef_lora::EfLora;
@@ -29,6 +28,11 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
+
 /// Seed of the fixture burst and of the offset/bit sampling streams.
 const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
@@ -37,7 +41,6 @@ const FIXTURE_EVENTS: usize = 30;
 
 /// The pristine journaled run every corruption case perturbs.
 struct Fixture {
-    dir: PathBuf,
     /// Journal bytes after the full burst (synced, no torn tail).
     pristine: Vec<u8>,
     /// Scanned records of `pristine`: Genesis + one per mutation.
@@ -51,12 +54,13 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("ef-lora-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // The fixture is a static, which is never dropped, so it keeps
+        // the journal's bytes and not its directory.
+        let dir = TempDir::new("chaos-fixture");
         let spec = catalog::scale_devices(&catalog::churn_heavy(), 0.15);
         let options = ServerOptions::default();
         let mut state = ServeState::new(spec.clone(), &EfLora::default()).unwrap();
-        let path = dir.join("pristine.journal");
+        let path = dir.path().join("pristine.journal");
         let base = JournalRecord::Genesis {
             strategy: "ef-lora".to_string(),
             spec: spec.clone(),
@@ -94,18 +98,16 @@ fn fixture() -> &'static Fixture {
             records: scanned.records,
             spec,
             live: state.snapshot(),
-            dir,
         }
     })
 }
 
-/// A unique scratch path (tests and proptest cases run concurrently).
-fn scratch_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    fixture().dir.join(format!(
-        "{tag}-{}.journal",
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A journal path in a directory of its own (tests and proptest cases
+/// run concurrently), removed when the returned guard drops.
+fn scratch_journal(tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new("chaos");
+    let path = dir.path().join(format!("{tag}.journal"));
+    (dir, path)
 }
 
 /// The query battery compared byte-for-byte between a recovered daemon
@@ -243,7 +245,7 @@ fn scanned_prefix_len(path: &Path) -> Result<Option<usize>, TestCaseError> {
 #[test]
 fn full_journal_recovery_matches_the_live_state() {
     let fx = fixture();
-    let path = scratch_path("full");
+    let (_dir, path) = scratch_journal("full");
     std::fs::write(&path, &fx.pristine).unwrap();
     let recovered = recover(&path, None, FsyncPolicy::Never).unwrap();
     assert_eq!(recovered.state.snapshot(), fx.live);
@@ -255,7 +257,6 @@ fn full_journal_recovery_matches_the_live_state() {
             replayed: FIXTURE_EVENTS as u64 + 2
         }
     );
-    std::fs::remove_file(&path).ok();
 }
 
 /// The headline sweep: cut the journal at > 100 offsets — every record
@@ -289,7 +290,7 @@ fn truncation_sweep_recovers_the_exact_durable_prefix() {
         offsets.len()
     );
 
-    let path = scratch_path("truncate");
+    let (_dir, path) = scratch_journal("truncate");
     let mut recoveries = 0usize;
     let mut typed_errors = 0usize;
     for &cut in &offsets {
@@ -309,7 +310,6 @@ fn truncation_sweep_recovers_the_exact_durable_prefix() {
     }
     assert!(recoveries > 80, "sweep exercised {recoveries} recoveries");
     assert!(typed_errors > 5, "sweep exercised {typed_errors} refusals");
-    std::fs::remove_file(&path).ok();
 }
 
 proptest! {
@@ -325,7 +325,7 @@ proptest! {
         let mut bytes = fx.pristine.clone();
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let path = scratch_path("bitflip");
+        let (_dir, path) = scratch_journal("bitflip");
         std::fs::write(&path, &bytes).unwrap();
         match scanned_prefix_len(&path)? {
             Some(prefix_len) if prefix_len > 0 => {
@@ -340,7 +340,6 @@ proptest! {
                 );
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Appending past a recovered prefix continues the history exactly:
@@ -353,7 +352,7 @@ proptest! {
         let boundaries = frame_boundaries(&fx.pristine);
         // Land on a boundary with at least the base record intact.
         let cut = boundaries[1 + boundary_index as usize % (boundaries.len() - 1)];
-        let path = scratch_path("resume");
+        let (_dir, path) = scratch_journal("resume");
         std::fs::write(&path, &fx.pristine[..cut]).unwrap();
 
         let recovered = recover(&path, None, FsyncPolicy::Never)
@@ -373,7 +372,6 @@ proptest! {
         let again = recover(&path, None, FsyncPolicy::Never)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(again.state.snapshot(), state.snapshot());
-        std::fs::remove_file(&path).ok();
     }
 }
 

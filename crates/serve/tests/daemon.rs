@@ -3,7 +3,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -15,11 +15,10 @@ use ef_lora_serve::reference::ReferenceState;
 use ef_lora_serve::{loadgen, serve, RecoveryInfo, ServeState, ServerOptions};
 use lora_scenario::catalog;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ef-lora-serve-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
 
 /// Spawns the daemon binary and scrapes the listen address from stdout.
 fn spawn_daemon(args: &[&str]) -> (Child, String) {
@@ -86,8 +85,8 @@ fn query_battery(client: &mut Client) -> Vec<String> {
 
 #[test]
 fn kill_then_restore_resumes_with_byte_identical_queries() {
-    let dir = tmp_dir("restore");
-    let snap = dir.join("snap.json");
+    let dir = TempDir::new("serve-restore");
+    let snap = dir.path().join("snap.json");
     let (mut child, addr) = spawn_daemon(&[
         "--name",
         "churn-heavy",
@@ -203,9 +202,8 @@ fn churn_heavy_classes(scale: f64) -> Vec<String> {
 /// [`ReferenceState`] replay of the durable record prefix.
 #[test]
 fn sigkill_mid_burst_recovers_exactly_the_durable_journal_prefix() {
-    let dir = tmp_dir("sigkill");
-    let journal_path = dir.join("wal.journal");
-    std::fs::remove_file(&journal_path).ok();
+    let dir = TempDir::new("serve-sigkill");
+    let journal_path = dir.path().join("wal.journal");
     let (mut child, addr) = spawn_daemon(&[
         "--name",
         "churn-heavy",
@@ -389,9 +387,8 @@ fn oversize_request_lines_get_an_in_band_error_and_the_connection_survives() {
 /// re-sent, and every event of the burst is eventually acknowledged.
 #[test]
 fn chaos_loadgen_rides_through_a_sigkill_restart() {
-    let dir = tmp_dir("chaos-loadgen");
-    let journal_path = dir.join("wal.journal");
-    std::fs::remove_file(&journal_path).ok();
+    let dir = TempDir::new("serve-chaos-loadgen");
+    let journal_path = dir.path().join("wal.journal");
     let (mut child, addr) = spawn_daemon(&[
         "--name",
         "churn-heavy",
