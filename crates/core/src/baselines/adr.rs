@@ -56,13 +56,6 @@ impl AdrLora {
         }
     }
 
-    /// Overrides the safety margin.
-    #[must_use]
-    pub fn with_device_margin_db(mut self, margin_db: f64) -> Self {
-        self.device_margin_db = margin_db;
-        self
-    }
-
     /// The network-server ADR step: from the best SNR a device would see
     /// at maximum power, derive its (SF, TP).
     fn adr_step(
@@ -177,10 +170,12 @@ mod tests {
         assert!(alloc.satisfies_constraints(2.0, 14.0, 8));
         // A bolder margin (0 dB) must never pick slower SFs than the
         // conservative default anywhere.
-        let bold = AdrLora::default()
-            .with_device_margin_db(0.0)
-            .allocate(&ctx)
-            .unwrap();
+        let bold = AdrLora {
+            device_margin_db: 0.0,
+            ..AdrLora::default()
+        }
+        .allocate(&ctx)
+        .unwrap();
         for (c, b) in alloc.iter().zip(bold.iter()) {
             assert!(b.sf <= c.sf, "bold {b} vs conservative {c}");
         }

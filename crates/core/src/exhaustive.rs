@@ -7,9 +7,8 @@
 //! truth to measure [`crate::EfLora`] against: on the enumerable instances
 //! we exercise, the greedy reaches ≥ 95 % of the optimal minimum EE.
 //!
-//! The search space is `(|SF|·|TP|·|CH|)^N`; callers bound it through
-//! [`ExhaustiveSearch::with_candidates`] and the hard cap
-//! [`ExhaustiveSearch::max_configurations`].
+//! The search space is `(|SF|·|TP|·|CH|)^N` over a fixed 12-candidate
+//! set, bounded by the hard cap [`ExhaustiveSearch::max_configurations`].
 
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
 
@@ -45,25 +44,6 @@ impl ExhaustiveSearch {
             candidates,
             max_configurations: 20_000_000,
         }
-    }
-
-    /// Replaces the per-device candidate set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    #[must_use]
-    pub fn with_candidates(mut self, candidates: Vec<TxConfig>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        self.candidates = candidates;
-        self
-    }
-
-    /// Sets the enumeration budget (total configurations).
-    #[must_use]
-    pub fn with_max_configurations(mut self, max: u64) -> Self {
-        self.max_configurations = max;
-        self
     }
 
     /// The enumeration budget.
@@ -111,13 +91,6 @@ impl Strategy for ExhaustiveSearch {
             return Err(AllocError::InvalidParameter {
                 reason: "search space exceeds the enumeration budget",
             });
-        }
-        for cfg in &self.candidates {
-            if cfg.channel >= ctx.channel_count() {
-                return Err(AllocError::InvalidParameter {
-                    reason: "candidate channel outside the regional plan",
-                });
-            }
         }
 
         let n = ctx.device_count();
@@ -220,22 +193,6 @@ mod tests {
         let ctx = AllocationContext::new(&config, &topo, &model);
         // 12^12 ≈ 8.9e12 ≫ the default budget.
         let err = ExhaustiveSearch::new().allocate(&ctx).unwrap_err();
-        assert!(matches!(err, AllocError::InvalidParameter { .. }));
-    }
-
-    #[test]
-    fn candidate_channels_are_validated() {
-        let (config, topo) = tiny(2, 1);
-        let model = NetworkModel::new(&config, &topo);
-        let ctx = AllocationContext::new(&config, &topo, &model);
-        let err = ExhaustiveSearch::new()
-            .with_candidates(vec![TxConfig::new(
-                SpreadingFactor::Sf7,
-                TxPowerDbm::new(14.0),
-                99,
-            )])
-            .allocate(&ctx)
-            .unwrap_err();
         assert!(matches!(err, AllocError::InvalidParameter { .. }));
     }
 

@@ -60,6 +60,23 @@
 //!
 //! Skipped candidates still count as evaluated.
 //!
+//! The grid is ordered SF → channel → TP, so each SF is a contiguous
+//! block of `channels × n_tp` candidates, and the rules are decided per
+//! block and per (SF, TP) column rather than per candidate
+//! (`crate::sf_blocks`). `ub` depends on the candidate's channel but not
+//! its TP level, so it is computed once per channel of a block. The
+//! energy ceiling and the (SF, TP) bound depend on the TP level but not
+//! the channel, so whether both already fail rule 2's plateau bar is a
+//! verdict per TP column, decided the first time a candidate of the
+//! column needs it. A candidate whose column fails is skipped without
+//! touching [`ModelState`]; one whose column passes goes on to the exact
+//! `own`. The bar depends on `O` and `P`, so the verdicts are forgotten
+//! whenever `P` changes; once `I` exists, rule 2 skips every candidate
+//! whatever its column. A whole block is skipped when its largest `ub`
+//! is `≤ floor`, when `I` exists and its largest `ub` is `< I.min`, or
+//! when its largest `ub` is `≤ M + s` and every column fails: each time,
+//! the per-candidate rules would skip every candidate of the block.
+//!
 //! ## Parallel candidate scan
 //!
 //! The step-3 scan is read-only against [`ModelState`], so
@@ -71,21 +88,28 @@
 //! instead of scan-order-dependent banded comparisons.
 //!
 //! Each chunk keeps its own pruning floor, raised only on strict-improver
-//! finds, its own `I` and `P` for the skip rules, and its own (SF, TP)
-//! table ([`lora_model::OwnEeBounds`]). The table holds values, not
-//! verdicts, so which chunk computed one changes no skip. A
-//! candidate the floor or a rule drops could never have become the
-//! chunk's improver, so every chunk's improver is the exact best
-//! improver of its range. The floor and the rules that consult `I` can
-//! change a chunk's plateau move only once that chunk holds an
-//! improver — and the merge then
+//! finds, its own `I` and `P` for the skip rules, its own (SF, TP) table
+//! ([`lora_model::OwnEeBounds`]) and its own column verdicts. The table
+//! holds values, not verdicts, so which chunk computed one changes no
+//! skip; the verdicts depend on the chunk's own `P`. A candidate the
+//! floor or a rule drops could never have become the chunk's improver,
+//! so every chunk's improver is the exact best improver of its range.
+//! The floor and the rules that consult `I` can change a chunk's plateau
+//! move only once that chunk holds an improver — and the merge then
 //! commits an improver. When no chunk finds an improver, no floor ever
 //! rose and no rule consulted `I`, so every chunk's plateau move is the
-//! exact best plateau move of its range. None of this depends on where
-//! the chunk boundaries fall, so the merged move is a pure function of
-//! the model state, byte-identical for every thread count and
-//! partition, and committed moves stay sequential so the pass semantics
-//! are unchanged.
+//! exact best plateau move of its range.
+//!
+//! A chunk that starts or ends inside an SF block decides the block
+//! rules on the whole block, every channel's `ub` and every column's
+//! verdict, but counts and scans only its own share. The whole block's
+//! caps and verdicts are a stricter condition than its share's: when
+//! they skip the block, the per-candidate rules would skip every
+//! candidate of the share too. So the block rules change no chunk's
+//! result, and none of this depends on where the chunk boundaries fall:
+//! the merged move is a pure function of the model state, byte-identical
+//! for every thread count and partition, and committed moves stay
+//! sequential so the pass semantics are unchanged.
 
 use std::borrow::Cow;
 
@@ -100,6 +124,7 @@ use crate::allocation::Allocation;
 use crate::context::AllocationContext;
 use crate::density::{default_neighbor_radius, density_first_order};
 use crate::error::AllocError;
+use crate::sf_blocks::{ColumnVerdicts, SfBlocks};
 use crate::strategy::Strategy;
 
 /// The order in which the greedy pass visits devices.
@@ -280,6 +305,7 @@ impl EfLora {
             Some(tp) => Cow::Owned(candidate_grid(ctx, &[tp])),
             None => Cow::Borrowed(ctx.candidates()),
         };
+        let channels = ctx.channel_count();
         let order = self.visiting_order(ctx);
         let initial = self.initial_allocation(ctx);
         let mut state: ModelState<'_> = ctx.model().state(initial)?;
@@ -315,7 +341,7 @@ impl EfLora {
             passes += 1;
             let mut moves_this_pass = 0usize;
             for &device in &order {
-                let scan = scan_device(&state, &grid, device, self.threads);
+                let scan = scan_device(&state, &grid, channels, device, self.threads);
                 candidates_evaluated += scan.evaluated;
                 if let Some(choice) = scan.winner() {
                     state.apply(device, choice.cfg);
@@ -432,95 +458,131 @@ struct Incumbent {
     tie_slack: f64,
 }
 
+impl Incumbent {
+    /// Rule 2's test on a candidate's own EE: above the device's own EE
+    /// before the scan, and not below that of `plateau`, the best plateau
+    /// move so far. Like every test [`ModelState::own_ee_clearing`]
+    /// takes, it can only turn true as its argument rises.
+    fn plateau_bar(self, plateau: Option<Candidate>) -> impl Fn(f64) -> bool + Copy {
+        let plateau_own = plateau.map(|p| p.own);
+        move |ee| ee > self.own + self.tie_slack && plateau_own.is_none_or(|own| ee >= own)
+    }
+}
+
 /// Scans `grid[range]`, except the device's `current` configuration,
 /// with a chunk-local pruning floor. The floor starts at the global
 /// eligibility bound and rises only when a strict improver is found.
 /// Candidates the bounds prove unable to change the chunk's improver, or
-/// its plateau while it has no improver, skip the exact evaluation; see
+/// its plateau while it has no improver, skip the exact evaluation, one
+/// SF block or one (SF, TP) column at a time where the rules allow; see
 /// the module docs for why this keeps the merged result
 /// partition-invariant.
 fn scan_chunk(
     state: &ModelState<'_>,
     cache: &ScanCache,
     grid: &[TxConfig],
+    channels: usize,
     range: std::ops::Range<usize>,
     current: TxConfig,
     incumbent: Incumbent,
 ) -> DeviceScan {
     let Incumbent {
         min: current_min,
-        own: current_own,
         tie_slack,
+        ..
     } = incumbent;
     let mut scan = DeviceScan::default();
     let mut floor = current_min - tie_slack;
     let mut own_bounds = OwnEeBounds::new(cache);
-    for idx in range {
-        let cfg = grid[idx];
-        if cfg == current {
+    let mut blocks = SfBlocks::new(grid, channels, current);
+    let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
+    let mut next = range.start;
+    while next < range.end {
+        let (block, max_cap) = blocks.enter(state, cache, next, range.end);
+        next = block.end;
+        verdicts.forget();
+        // The rules below skip every candidate of the block when its
+        // largest cap and all its columns say so. They hold for the whole
+        // block, so for the chunk's share of it too.
+        let clears = incumbent.plateau_bar(scan.plateau);
+        if max_cap <= floor
+            || scan.improver.is_some_and(|b| max_cap < b.min)
+            || (max_cap <= current_min + tie_slack
+                && verdicts.all_fail(|column| {
+                    state.own_ee_may_clear(&mut own_bounds, blocks.column(column), clears)
+                }))
+        {
+            scan.evaluated += blocks.count(block);
             continue;
         }
-        scan.evaluated += 1;
-        // The skip rules of the module docs. The exact minimum never
-        // exceeds the untouched groups' minimum, `cap`; rule 1:
-        let cap = state.untouched_groups_min(cache, cfg);
-        if cap <= floor {
-            continue;
-        }
-        let mut own = None;
-        if cap <= current_min + tie_slack {
-            // Rule 2, not an improver: only a plateau move of a chunk
-            // without an improver still matters, and only if its own EE
-            // can reach the plateau bar.
-            if scan.improver.is_some() {
+        for (idx, cap, column) in blocks.candidates(block) {
+            scan.evaluated += 1;
+            // The skip rules of the module docs. The exact minimum never
+            // exceeds the untouched groups' minimum, `cap`; rule 1:
+            if cap <= floor {
                 continue;
             }
-            own = state.own_ee_clearing(&mut own_bounds, cfg, |ee| {
-                ee > current_own + tie_slack && scan.plateau.is_none_or(|p| ee >= p.own)
-            });
-            if own.is_none() {
+            let cfg = grid[idx];
+            let own = if cap <= current_min + tie_slack {
+                // Rule 2, not an improver: only a plateau move of a chunk
+                // without an improver still matters, and only if its own
+                // EE can reach the plateau bar, which its column's bounds
+                // decide first.
+                if scan.improver.is_some() {
+                    continue;
+                }
+                let clears = incumbent.plateau_bar(scan.plateau);
+                if !verdicts.clears(column, || {
+                    state.own_ee_may_clear(&mut own_bounds, cfg, clears)
+                }) {
+                    continue;
+                }
+                let Some(own) = state.own_ee_clearing(&mut own_bounds, cfg, clears) else {
+                    continue;
+                };
+                own
+            } else if scan.improver.is_some_and(|b| cap < b.min) {
+                // Rule 3: cannot beat the chunk's improver.
                 continue;
-            }
-        } else if scan.improver.is_some_and(|b| cap < b.min) {
-            // Rule 3: cannot beat the chunk's improver.
-            continue;
-        }
-        let Some(min) = state.min_ee_if_scanned(cache, cfg, floor) else {
-            continue;
-        };
-        let own = match own {
-            Some(own) => own,
-            None => state.own_ee(&mut own_bounds, cfg),
-        };
-        let candidate = Candidate { min, own, idx, cfg };
-        if min > current_min + tie_slack {
-            let better = match scan.improver {
-                None => true,
-                Some(b) => min > b.min || (min == b.min && own > b.own),
+            } else {
+                state.own_ee(&mut own_bounds, cfg)
             };
-            if better {
-                scan.improver = Some(candidate);
-                floor = min - tie_slack;
-            }
-        } else if min >= current_min - tie_slack && own > current_own + tie_slack {
-            let better = match scan.plateau {
-                None => true,
-                Some(b) => own > b.own || (own == b.own && min > b.min),
+            let Some(min) = state.min_ee_if_scanned(cache, cfg, own, floor) else {
+                continue;
             };
-            if better {
-                scan.plateau = Some(candidate);
+            let candidate = Candidate { min, own, idx, cfg };
+            if min > current_min + tie_slack {
+                let better = match scan.improver {
+                    None => true,
+                    Some(b) => min > b.min || (min == b.min && own > b.own),
+                };
+                if better {
+                    scan.improver = Some(candidate);
+                    floor = min - tie_slack;
+                }
+            } else if min >= current_min - tie_slack && own > incumbent.own + tie_slack {
+                let better = match scan.plateau {
+                    None => true,
+                    Some(b) => own > b.own || (own == b.own && min > b.min),
+                };
+                if better {
+                    // The plateau bar rose.
+                    scan.plateau = Some(candidate);
+                    verdicts.forget();
+                }
             }
         }
     }
     scan
 }
 
-/// Full candidate scan of `grid` for one device, fanned out over
-/// `threads` workers when the grid is large enough to amortise the
-/// spawns.
+/// Full candidate scan of `grid`, canonical over `channels` channels,
+/// for one device, fanned out over `threads` workers when the grid is
+/// large enough to amortise the spawns.
 fn scan_device(
     state: &ModelState<'_>,
     grid: &[TxConfig],
+    channels: usize,
     device: usize,
     threads: usize,
 ) -> DeviceScan {
@@ -535,16 +597,16 @@ fn scan_device(
     // The allocation is fixed for the whole scan, so the per-device
     // scratch can be shared read-only across the workers.
     let cache = state.prepare_scan(device);
+    let chunk = |range| scan_chunk(state, &cache, grid, channels, range, current, incumbent);
 
     // Below ~8 candidates per worker, spawn overhead dwarfs the scan.
     let threads = threads.clamp(1, (grid.len() / 8).max(1));
     if threads <= 1 {
-        return scan_chunk(state, &cache, grid, 0..grid.len(), current, incumbent);
+        return chunk(0..grid.len());
     }
     let ranges = lora_parallel::chunk_ranges(grid.len(), threads);
-    let chunks = lora_parallel::par_map_indexed(ranges.len(), threads, |c| {
-        scan_chunk(state, &cache, grid, ranges[c].clone(), current, incumbent)
-    });
+    let chunks =
+        lora_parallel::par_map_indexed(ranges.len(), threads, |c| chunk(ranges[c].clone()));
     let mut merged = DeviceScan::default();
     for chunk in chunks {
         merged.merge(chunk);
@@ -781,8 +843,13 @@ pub(crate) mod tests {
     }
 
     /// `model` under random out-of-scope pressure on every group and
-    /// gateway, as a sharded cell solve sees it.
-    pub(crate) fn with_random_ambient(model: NetworkModel, seed: u64) -> NetworkModel {
+    /// gateway, as a sharded cell solve sees it. Under `heavy` occupancy
+    /// each gateway's Λ offset sits near the demodulator budget, where θ
+    /// moves with every committed move. The cached EE of untouched groups
+    /// then goes stale within a pass, so a move into the group holding a
+    /// scan's smallest cap can clear that cap, and the caps of one SF
+    /// block decide moves.
+    pub(crate) fn with_random_ambient(model: NetworkModel, seed: u64, heavy: bool) -> NetworkModel {
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xa5);
         let groups = lora_model::contention::group_count(model.channel_count());
         let mut offsets = lora_model::Ambient::zeros(groups, model.gateway_count());
@@ -792,8 +859,9 @@ pub(crate) mod tests {
         for v in &mut offsets.load {
             *v = rng.gen_range(0.0..0.05);
         }
+        let occupancy = if heavy { 4.0..9.0 } else { 0.0..1.0 };
         for v in &mut offsets.lambda {
-            *v = rng.gen_range(0.0..1.0);
+            *v = rng.gen_range(occupancy.clone());
         }
         model.with_ambient(offsets)
     }
@@ -812,12 +880,13 @@ pub(crate) mod tests {
             gws in 1usize..4,
             seed in any::<u64>(),
             fixed_tp in any::<bool>(),
-            ambient in any::<bool>(),
+            // None, light or heavy out-of-scope occupancy.
+            ambient in 0usize..3,
         ) {
             let (config, topo) = setup(n, gws, seed);
             let mut model = NetworkModel::new(&config, &topo);
-            if ambient {
-                model = with_random_ambient(model, seed);
+            if ambient > 0 {
+                model = with_random_ambient(model, seed, ambient == 2);
             }
             let ctx = AllocationContext::new(&config, &topo, &model);
             let tp_levels = if fixed_tp {
@@ -842,8 +911,9 @@ pub(crate) mod tests {
                 for device in 0..n {
                     let (want, scored) =
                         oracle_scan(&state, ctx.channel_count(), device, &tp_levels);
-                    for threads in [1usize, 2, 3, 7] {
-                        let got = scan_device(&state, &grid, device, threads);
+                    // 4 and 7 workers cut chunks that end inside SF blocks.
+                    for threads in [1usize, 2, 3, 4, 7] {
+                        let got = scan_device(&state, &grid, ctx.channel_count(), device, threads);
                         let at = format!("device {device} threads {threads}");
                         prop_assert_eq!(got.evaluated, scored, "{}", at);
                         prop_assert_eq!(key(got.winner()), key(want), "{}", at);

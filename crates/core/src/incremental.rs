@@ -23,6 +23,7 @@ use lora_phy::{SpreadingFactor, TxConfig};
 use crate::allocation::Allocation;
 use crate::context::AllocationContext;
 use crate::error::AllocError;
+use crate::sf_blocks::{ColumnVerdicts, SfBlocks};
 
 /// Outcome of an incremental adjustment.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,36 +284,71 @@ fn scan_and_apply(
     // the end), so hoist every candidate-independent quantity.
     let scan = state.prepare_scan(device);
     let mut own_bounds = OwnEeBounds::new(&scan);
-    for &cfg in ctx.candidates() {
-        if cfg == current {
+    let grid = ctx.candidates();
+    let mut blocks = SfBlocks::new(grid, ctx.channel_count(), current);
+    let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
+    let mut next = 0;
+    while next < grid.len() {
+        let (block, max_cap) = blocks.enter(state, &scan, next, grid.len());
+        next = block.end;
+        verdicts.forget();
+        let (best_min, best_own) = best.map_or((current_min, current_own), |(m, o, _)| (m, o));
+        let clears = |ee: f64| ee > best_own + tie_slack;
+        // Each of these makes the per-candidate rules below skip every
+        // candidate of the block.
+        if max_cap <= floor
+            || (max_cap <= best_min + tie_slack
+                && verdicts.all_fail(|column| {
+                    state.own_ee_may_clear(&mut own_bounds, blocks.column(column), clears)
+                }))
+        {
+            candidates += blocks.count(block);
             continue;
         }
-        candidates += 1;
-        let (best_min, best_own) = best
-            .map(|(m, o, _)| (m, o))
-            .unwrap_or((current_min, current_own));
-        // Exact rejection: the network minimum after the move can never
-        // exceed the cached minimum of the untouched groups (it is one of
-        // the min components of the full evaluation), so when that cap
-        // cannot beat the incumbent minimum, only the own-EE tie-break
-        // could still accept the candidate. If the own EE cannot clear
-        // the incumbent, no acceptance clause can fire and the full
-        // evaluation is skipped.
-        let own = if state.untouched_groups_min(&scan, cfg) <= best_min + tie_slack {
-            match state.own_ee_clearing(&mut own_bounds, cfg, |ee| ee > best_own + tie_slack) {
-                Some(own) => own,
-                None => continue,
+        for (idx, cap, column) in blocks.candidates(block) {
+            candidates += 1;
+            // Exact rejection: the network minimum after the move can
+            // never exceed the cached minimum of the untouched groups,
+            // `cap` (it is one of the min components of the full
+            // evaluation). At or below the floor the full evaluation
+            // returns nothing.
+            if cap <= floor {
+                continue;
             }
-        } else {
-            state.own_ee(&mut own_bounds, cfg)
-        };
-        let Some(min) = state.min_ee_if_scanned(&scan, cfg, floor) else {
-            continue;
-        };
-        if min > best_min + tie_slack || (min >= best_min - tie_slack && own > best_own + tie_slack)
-        {
-            best = Some((min, own, cfg));
-            floor = min - tie_slack;
+            let cfg = grid[idx];
+            let (best_min, best_own) = best.map_or((current_min, current_own), |(m, o, _)| (m, o));
+            // When the cap cannot beat the incumbent minimum, only the
+            // own-EE tie-break could still accept the candidate. If the
+            // own EE cannot clear the incumbent, no acceptance clause can
+            // fire and the full evaluation is skipped; the column's bounds
+            // decide that first.
+            let own = if cap <= best_min + tie_slack {
+                let clears = |ee: f64| ee > best_own + tie_slack;
+                if !verdicts.clears(column, || {
+                    state.own_ee_may_clear(&mut own_bounds, cfg, clears)
+                }) {
+                    continue;
+                }
+                match state.own_ee_clearing(&mut own_bounds, cfg, clears) {
+                    Some(own) => own,
+                    None => continue,
+                }
+            } else {
+                state.own_ee(&mut own_bounds, cfg)
+            };
+            let Some(min) = state.min_ee_if_scanned(&scan, cfg, own, floor) else {
+                continue;
+            };
+            if min > best_min + tie_slack
+                || (min >= best_min - tie_slack && own > best_own + tie_slack)
+            {
+                best = Some((min, own, cfg));
+                floor = min - tie_slack;
+                // The bar moved, and a strict improver may have lowered
+                // it: a column that failed the old bar may clear the new
+                // one.
+                verdicts.forget();
+            }
         }
     }
     if let Some((_, _, cfg)) = best {
@@ -329,7 +365,7 @@ mod tests {
     use crate::strategy::Strategy;
     use lora_model::{ModelState, NetworkModel};
     use lora_sim::{SimConfig, Topology};
-    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
@@ -455,16 +491,27 @@ mod tests {
         assert_eq!(outcome.allocation.len(), 40);
     }
 
+    /// What the brute-force reference for [`scan_and_apply`] saw.
+    struct OracleScan {
+        /// The move it would commit.
+        winner: Option<TxConfig>,
+        /// Candidates scored.
+        scored: u64,
+        /// A strict improver lowered the own-EE bar, and a later candidate
+        /// of the same SF block that would have failed the old bar was
+        /// accepted.
+        reopened: bool,
+    }
+
     /// Brute-force reference for [`scan_and_apply`]: scores every
     /// candidate of the context's grid with the unpruned evaluation and
     /// applies the scan's sequential banded rule, including the running
-    /// floor's strict `min > floor`. Returns the move it would commit and
-    /// the number of candidates scored.
+    /// floor's strict `min > floor`.
     fn oracle_scan(
         ctx: &AllocationContext<'_>,
         state: &ModelState<'_>,
         device: usize,
-    ) -> (Option<TxConfig>, u64) {
+    ) -> OracleScan {
         let m = state.min_ee();
         let o = state.ee(device);
         let s = (m.abs() * 1e-9).max(1e-15);
@@ -472,6 +519,9 @@ mod tests {
         let mut floor = m - s;
         let mut best: Option<(f64, f64, TxConfig)> = None;
         let mut scored = 0;
+        // The SF block and the old bar after a strict improver lowered it.
+        let mut fallen: Option<(SpreadingFactor, f64)> = None;
+        let mut reopened = false;
         for &cfg in ctx.candidates() {
             if cfg == current {
                 continue;
@@ -483,11 +533,66 @@ mod tests {
             let own = state.ee_if(device, cfg);
             let (best_min, best_own) = best.map_or((m, o), |(min, own, _)| (min, own));
             if min > floor && (min > best_min + s || (min >= best_min - s && own > best_own + s)) {
+                reopened |= fallen.is_some_and(|(sf, bar)| sf == cfg.sf && own <= bar + s);
+                if min > best_min + s && own < best_own {
+                    fallen = Some((cfg.sf, best_own));
+                }
                 best = Some((min, own, cfg));
                 floor = min - s;
             }
         }
-        (best.map(|(_, _, cfg)| cfg), scored)
+        OracleScan {
+            winner: best.map(|(_, _, cfg)| cfg),
+            scored,
+            reopened,
+        }
+    }
+
+    /// Walks three repair rounds over every device of an `n`-device,
+    /// `gws`-gateway deployment from a random allocation, checking every
+    /// scan against [`oracle_scan`]: early scans find improvers, later
+    /// ones plateau moves or nothing. `ambient` is none, light or heavy
+    /// out-of-scope occupancy. Returns how many scans reopened a column.
+    fn check_repair_walk(
+        n: usize,
+        gws: usize,
+        seed: u64,
+        ambient: usize,
+    ) -> Result<usize, TestCaseError> {
+        let config = SimConfig::default();
+        // A 1.5 km disc: most devices reach SF7–SF8, whose channels
+        // fill, so a device's own group is often the easiest channel
+        // of its SF, where the own-EE bound must net it out.
+        let topo = Topology::disc(n, gws, 1_500.0, &config, seed);
+        let mut model = NetworkModel::new(&config, &topo);
+        if ambient > 0 {
+            model = with_random_ambient(model, seed, ambient == 2);
+        }
+        let ctx = AllocationContext::new(&config, &topo, &model);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let alloc = (0..n)
+            .map(|_| *ctx.candidates().choose(&mut rng).expect("a non-empty grid"))
+            .collect();
+        let mut state = model.state(alloc).unwrap();
+        let mut reopened = 0;
+        for round in 0..3 {
+            for device in 0..n {
+                let want = oracle_scan(&ctx, &state, device);
+                let before = state.alloc()[device];
+                let examined = scan_and_apply(&ctx, &mut state, device);
+                let at = format!("round {round} device {device}");
+                prop_assert_eq!(examined, want.scored, "{}", at);
+                prop_assert_eq!(
+                    state.alloc()[device],
+                    want.winner.unwrap_or(before),
+                    "{}",
+                    at
+                );
+                reopened += usize::from(want.reopened);
+            }
+            state.refresh();
+        }
+        Ok(reopened)
     }
 
     proptest! {
@@ -498,38 +603,21 @@ mod tests {
             n in 2usize..30,
             gws in 1usize..4,
             seed in any::<u64>(),
-            ambient in any::<bool>(),
+            ambient in 0usize..3,
         ) {
-            let config = SimConfig::default();
-            // A 1.5 km disc: most devices reach SF7–SF8, whose channels
-            // fill, so a device's own group is often the easiest channel
-            // of its SF, where the own-EE bound must net it out.
-            let topo = Topology::disc(n, gws, 1_500.0, &config, seed);
-            let mut model = NetworkModel::new(&config, &topo);
-            if ambient {
-                model = with_random_ambient(model, seed);
-            }
-            let ctx = AllocationContext::new(&config, &topo, &model);
-            // Walk three repair rounds over every device from a random
-            // allocation: early scans find improvers, later ones plateau
-            // moves or nothing.
-            let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let alloc = (0..n)
-                .map(|_| *ctx.candidates().choose(&mut rng).expect("a non-empty grid"))
-                .collect();
-            let mut state = model.state(alloc).unwrap();
-            for round in 0..3 {
-                for device in 0..n {
-                    let (want, scored) = oracle_scan(&ctx, &state, device);
-                    let before = state.alloc()[device];
-                    let examined = scan_and_apply(&ctx, &mut state, device);
-                    let at = format!("round {round} device {device}");
-                    prop_assert_eq!(examined, scored, "{}", at);
-                    prop_assert_eq!(state.alloc()[device], want.unwrap_or(before), "{}", at);
-                }
-                state.refresh();
-            }
+            check_repair_walk(n, gws, seed, ambient)?;
         }
+    }
+
+    #[test]
+    fn repair_scan_reopens_columns_when_a_strict_improver_lowers_the_bar() {
+        // The first acceptance clause takes a strict improver whatever its
+        // own EE, so the repair scan's own-EE bar can fall in mid-block.
+        // A column that failed the old bar may then clear the new one, and
+        // its verdict has to be decided again. Under heavy occupancy this
+        // walk commits such a reopened candidate.
+        let reopened = check_repair_walk(18, 1, 1842, 2).unwrap();
+        assert!(reopened > 0, "the walk must lower the bar in mid-block");
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod incremental;
 pub mod lifetime;
 pub mod placement;
 pub mod resilience;
+mod sf_blocks;
 pub mod spatial;
 pub mod strategy;
 

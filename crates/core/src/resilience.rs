@@ -143,11 +143,6 @@ impl ResilienceController {
         }
     }
 
-    /// Seeds the healthy-network baseline (bits/mJ) explicitly.
-    pub fn set_baseline(&mut self, min_ee: f64) {
-        self.baseline_min_ee = Some(min_ee);
-    }
-
     /// The baseline the controller compares against, if established.
     pub fn baseline_min_ee(&self) -> Option<f64> {
         self.baseline_min_ee
@@ -598,11 +593,13 @@ mod tests {
 
     #[test]
     fn controller_needs_the_hysteresis_streak() {
-        let mut c = ResilienceController::new(ResilienceConfig {
-            trigger_windows: 2,
-            ..ResilienceConfig::default()
-        });
-        c.set_baseline(10.0);
+        let mut c = ResilienceController::with_baseline(
+            ResilienceConfig {
+                trigger_windows: 2,
+                ..ResilienceConfig::default()
+            },
+            10.0,
+        );
         assert_eq!(c.observe(&report_with(9.0, 0.0)), Decision::Healthy);
         // One degraded window arms the streak; the second fires.
         assert!(matches!(
@@ -617,12 +614,14 @@ mod tests {
 
     #[test]
     fn controller_cooldown_rate_limits_reallocation() {
-        let mut c = ResilienceController::new(ResilienceConfig {
-            trigger_windows: 1,
-            cooldown_windows: 2,
-            ..ResilienceConfig::default()
-        });
-        c.set_baseline(10.0);
+        let mut c = ResilienceController::with_baseline(
+            ResilienceConfig {
+                trigger_windows: 1,
+                cooldown_windows: 2,
+                ..ResilienceConfig::default()
+            },
+            10.0,
+        );
         assert!(matches!(
             c.observe(&report_with(1.0, 0.9)),
             Decision::Reallocate { .. }
@@ -640,11 +639,13 @@ mod tests {
 
     #[test]
     fn healthy_windows_reset_the_streak() {
-        let mut c = ResilienceController::new(ResilienceConfig {
-            trigger_windows: 2,
-            ..ResilienceConfig::default()
-        });
-        c.set_baseline(10.0);
+        let mut c = ResilienceController::with_baseline(
+            ResilienceConfig {
+                trigger_windows: 2,
+                ..ResilienceConfig::default()
+            },
+            10.0,
+        );
         assert!(matches!(
             c.observe(&report_with(1.0, 0.0)),
             Decision::Degraded { .. }

@@ -46,6 +46,7 @@ use lora_phy::{dbm_to_mw, Bandwidth, SpreadingFactor, TxConfig, TxPowerDbm};
 use lora_sim::{AttenuationMatrix, DeviceSite, SimConfig, Topology};
 use lora_spatial::{
     attenuation_horizon_m, cell_size_m, CellGrid, FarFieldPricer, TiledAttenuation,
+    DEFAULT_HORIZON_EPSILON,
 };
 
 use crate::allocation::Allocation;
@@ -85,7 +86,6 @@ pub struct SpatialEfLora {
     threads: usize,
     dense_threshold: usize,
     target_occupancy: usize,
-    horizon_epsilon: f64,
     max_cell_gateways: usize,
 }
 
@@ -99,7 +99,6 @@ impl Default for SpatialEfLora {
             threads: 1,
             dense_threshold: 1_000,
             target_occupancy: 256,
-            horizon_epsilon: lora_spatial::DEFAULT_HORIZON_EPSILON,
             max_cell_gateways: 16,
         }
     }
@@ -165,14 +164,6 @@ impl SpatialEfLora {
     #[must_use]
     pub fn with_target_occupancy(mut self, devices: usize) -> Self {
         self.target_occupancy = devices.max(1);
-        self
-    }
-
-    /// Relevance threshold for the attenuation horizon (fraction of the
-    /// noise floor, see [`lora_spatial::horizon::attenuation_horizon_m`]).
-    #[must_use]
-    pub fn with_horizon_epsilon(mut self, epsilon: f64) -> Self {
-        self.horizon_epsilon = epsilon;
         self
     }
 
@@ -348,7 +339,7 @@ impl SpatialEfLora {
             sharded: false,
             cells: 1,
             cell_size_m: f64::INFINITY,
-            horizon_m: attenuation_horizon_m(config, self.horizon_epsilon),
+            horizon_m: attenuation_horizon_m(config, DEFAULT_HORIZON_EPSILON),
             min_ee,
             mean_ee,
             jain,
@@ -492,7 +483,7 @@ impl<'a> Shards<'a> {
             sens_mw[sf.index()] = dbm_to_mw(sf.sensitivity_dbm(bw, config.noise_figure_db));
         }
 
-        let horizon_m = attenuation_horizon_m(config, params.horizon_epsilon);
+        let horizon_m = attenuation_horizon_m(config, DEFAULT_HORIZON_EPSILON);
         let edge = cell_size_m(
             horizon_m,
             topology.radius_m(),

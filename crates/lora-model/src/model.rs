@@ -428,12 +428,18 @@ impl NetworkModel {
     /// demodulator path at gateway `k` at a random instant — transmitting
     /// (duty cycle) and detectable (Rayleigh survival of the sensitivity).
     pub fn occupancy_probability(&self, device: usize, cfg: &TxConfig, gateway: usize) -> f64 {
-        let mean_rx = cfg.tp.milliwatts() * self.attenuation.at(device, gateway);
+        self.occupancy_at(device, cfg.sf, cfg.tp.milliwatts(), gateway)
+    }
+
+    /// [`NetworkModel::occupancy_probability`] at SF `sf` and transmit
+    /// power `p_mw` in mW.
+    fn occupancy_at(&self, device: usize, sf: SpreadingFactor, p_mw: f64, gateway: usize) -> f64 {
+        let mean_rx = p_mw * self.attenuation.at(device, gateway);
         if mean_rx <= 0.0 {
             return 0.0;
         }
-        let detect = (-self.sens_mw[cfg.sf.index()] / mean_rx).exp();
-        self.duty_of(device, cfg.sf) * detect
+        let detect = (-self.sens_mw[sf.index()] / mean_rx).exp();
+        self.duty_of(device, sf) * detect
     }
 
     /// Validates an allocation against this model.
@@ -520,7 +526,7 @@ impl NetworkModel {
     /// Returns the validation errors of [`NetworkModel::validate`].
     pub fn state(&self, alloc: Vec<TxConfig>) -> Result<ModelState<'_>, ModelError> {
         self.validate(&alloc)?;
-        Ok(ModelState::build(self, alloc, 0))
+        Ok(ModelState::build(self, alloc))
     }
 
     /// Re-derives the reporting-interval fields from `config` after a
@@ -919,52 +925,79 @@ fn overlap_at(load: f64) -> f64 {
 }
 
 impl<'m> ModelState<'m> {
-    /// Binds `alloc` at `generation`; every θ row is filled at that
-    /// generation by the EE pass at the end.
-    fn build(model: &'m NetworkModel, alloc: Vec<TxConfig>, generation: u64) -> Self {
+    /// Binds `alloc`: derives each device's own terms (power, cycle
+    /// energy, occupancy per gateway), then folds them into the group and
+    /// gateway sums and runs the EE pass.
+    fn build(model: &'m NetworkModel, alloc: Vec<TxConfig>) -> Self {
         let n = model.device_count();
         let g = model.gateway_count();
         let n_groups = group_count(model.n_channels);
+        let mut power_mw = Vec::with_capacity(n);
+        let mut energy_j = Vec::with_capacity(n);
+        let mut q = Vec::with_capacity(n * g);
+        for (i, cfg) in alloc.iter().enumerate() {
+            let p_mw = cfg.tp.milliwatts();
+            power_mw.push(p_mw);
+            energy_j.push(model.cycle_energy_of(i, cfg));
+            q.extend((0..g).map(|k| model.occupancy_at(i, cfg.sf, p_mw, k)));
+        }
         let mut state = ModelState {
             model,
             alloc,
             members: vec![Vec::new(); n_groups],
             power_sum: vec![0.0; n_groups * g],
             alpha_sum: vec![0.0; n_groups],
-            power_mw: vec![0.0; n],
-            energy_j: vec![0.0; n],
-            q: vec![0.0; n * g],
+            power_mw,
+            energy_j,
+            q,
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
             theta: ThetaRows::unfilled(n, g),
-            generation,
+            generation: 0,
         };
-        if let Some(ambient) = &model.ambient {
+        state.fold();
+        state
+    }
+
+    /// Rebuilds the members, `Σα`, the received-power sums and `Λ` from
+    /// the per-device terms in device order, seeded from the model's
+    /// [`Ambient`], then runs the EE pass, which fills every θ row at the
+    /// current generation. [`ModelState::apply`] keeps the per-device
+    /// terms exactly as [`ModelState::build`] derives them, so folding
+    /// them gives the bits a fresh build would.
+    fn fold(&mut self) {
+        let model = self.model;
+        let g = model.gateway_count();
+        for members in &mut self.members {
+            members.clear();
+        }
+        match &model.ambient {
             // Out-of-scope contributions seed the sums; the loop below
             // then accumulates local devices on top exactly as for a
             // self-contained deployment.
-            state.alpha_sum.copy_from_slice(&ambient.load);
-            state.power_sum.copy_from_slice(&ambient.power);
-            state.lambda.copy_from_slice(&ambient.lambda);
-        }
-        for i in 0..n {
-            let cfg = state.alloc[i];
-            let grp = state.group_of(&cfg);
-            state.members[grp].push(i);
-            state.alpha_sum[grp] += model.duty_of(i, cfg.sf);
-            let p_mw = cfg.tp.milliwatts();
-            state.power_mw[i] = p_mw;
-            state.energy_j[i] = model.cycle_energy_of(i, &cfg);
-            for k in 0..g {
-                state.power_sum[grp * g + k] += p_mw * model.attenuation.at(i, k);
-                let q = model.occupancy_probability(i, &cfg, k);
-                state.q[i * g + k] = q;
-                state.lambda[k] += q;
+            Some(ambient) => {
+                self.alpha_sum.copy_from_slice(&ambient.load);
+                self.power_sum.copy_from_slice(&ambient.power);
+                self.lambda.copy_from_slice(&ambient.lambda);
+            }
+            None => {
+                self.alpha_sum.fill(0.0);
+                self.power_sum.fill(0.0);
+                self.lambda.fill(0.0);
             }
         }
-        state.recompute_all_ee();
-        state
+        for (i, cfg) in self.alloc.iter().enumerate() {
+            let grp = group_index(cfg.sf, cfg.channel, model.n_channels);
+            self.members[grp].push(i);
+            self.alpha_sum[grp] += model.duty_of(i, cfg.sf);
+            let p_mw = self.power_mw[i];
+            for (k, &q) in self.q[i * g..(i + 1) * g].iter().enumerate() {
+                self.power_sum[grp * g + k] += p_mw * model.attenuation.at(i, k);
+                self.lambda[k] += q;
+            }
+        }
+        self.recompute_all_ee();
     }
 
     /// Device `i`'s θ row over the gateways, computed from the live `Λ`
@@ -1207,6 +1240,38 @@ impl<'m> ModelState<'m> {
         cfg: TxConfig,
         clears: impl Fn(f64) -> bool,
     ) -> Option<f64> {
+        let (p_mw, energy_j) = self.own_ee_bounds_clearing(bounds, cfg, &clears)?;
+        let ee = self.ee_if_at(bounds.scan.device, cfg, p_mw, energy_j);
+        clears(ee).then_some(ee)
+    }
+
+    /// Whether both upper bounds of [`ModelState::own_ee_clearing`] pass
+    /// `clears` at `cfg`'s SF and TP. When they do not,
+    /// `own_ee_clearing` returns `None` on every channel, so a scan can
+    /// decide a whole (SF, TP) column at once; `cfg`'s channel is not
+    /// read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the state changed since `bounds`' scan was prepared.
+    pub fn own_ee_may_clear(
+        &self,
+        bounds: &mut OwnEeBounds<'_>,
+        cfg: TxConfig,
+        clears: impl Fn(f64) -> bool,
+    ) -> bool {
+        self.own_ee_bounds_clearing(bounds, cfg, &clears).is_some()
+    }
+
+    /// `cfg`'s power in mW and cycle energy in J when its energy ceiling
+    /// and then its easiest-channel bound pass `clears`, `None` as soon as
+    /// one fails.
+    fn own_ee_bounds_clearing(
+        &self,
+        bounds: &mut OwnEeBounds<'_>,
+        cfg: TxConfig,
+        clears: &impl Fn(f64) -> bool,
+    ) -> Option<(f64, f64)> {
         let scan = bounds.scan;
         self.assert_fresh(scan);
         let (p_mw, entry) = bounds.entry(self, cfg);
@@ -1217,11 +1282,7 @@ impl<'m> ModelState<'m> {
         let bound = *entry
             .bound
             .get_or_insert_with(|| self.own_ee_bound(scan, cfg.sf, p_mw, energy_j));
-        if !clears(bound) {
-            return None;
-        }
-        let ee = self.ee_if_at(scan.device, cfg, p_mw, energy_j);
-        clears(ee).then_some(ee)
+        clears(bound).then_some((p_mw, energy_j))
     }
 
     /// The scanned device's [`ModelState::ee_if`] for `cfg`, bit for bit,
@@ -1281,17 +1342,19 @@ impl<'m> ModelState<'m> {
     /// soon as it can be shown not to exceed `floor` (pruning for the
     /// greedy scan). `floor = f64::NEG_INFINITY` disables pruning.
     pub fn min_ee_if(&self, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
-        self.min_ee_after(i, cfg, floor, None)
+        self.min_ee_after(i, cfg, self.ee_if(i, cfg), floor, None)
     }
 
-    /// [`ModelState::min_ee_if`], with the minimum EE of `i`'s old group
-    /// after `i` leaves it passed in as `exit_min` when the caller has it
-    /// precomputed (it does not depend on the candidate). Only a
-    /// cross-group move reads `exit_min`.
+    /// [`ModelState::min_ee_if`], with `i`'s own EE after the move given
+    /// as `ee_i` (its [`ModelState::ee_if`]), and the minimum EE of `i`'s
+    /// old group after `i` leaves it passed in as `exit_min` when the
+    /// caller has it precomputed (it does not depend on the candidate).
+    /// Only a cross-group move reads `exit_min`.
     fn min_ee_after(
         &self,
         i: usize,
         cfg: TxConfig,
+        ee_i: f64,
         floor: f64,
         exit_min: Option<f64>,
     ) -> Option<f64> {
@@ -1303,7 +1366,6 @@ impl<'m> ModelState<'m> {
         let alpha_new = model.duty_of(i, cfg.sf);
 
         // 1. The moved device itself.
-        let ee_i = self.ee_if(i, cfg);
         if ee_i <= floor {
             return None;
         }
@@ -1406,7 +1468,7 @@ impl<'m> ModelState<'m> {
 
         for k in 0..g {
             self.power_sum[g_old * g + k] -= old_p * model.attenuation.at(i, k);
-            let q_new = model.occupancy_probability(i, &cfg, k);
+            let q_new = model.occupancy_at(i, cfg.sf, new_p, k);
             self.lambda[k] += q_new - self.q[i * g + k];
             self.q[i * g + k] = q_new;
         }
@@ -1450,15 +1512,17 @@ impl<'m> ModelState<'m> {
         }
     }
 
-    /// Recomputes every aggregate and cached value from scratch, flushing
-    /// the rounding of the incrementally updated `Λ` and the stale EE of
-    /// devices outside the groups committed moves touched. The greedy
+    /// Re-folds every aggregate and cached EE from the per-device terms
+    /// the state keeps, flushing the rounding of the incrementally
+    /// updated sums and `Λ` and the stale EE of devices outside the groups
+    /// committed moves touched. The result is bit for bit the state
+    /// [`NetworkModel::state`] builds for the same allocation. The greedy
     /// allocator calls this between passes.
     pub fn refresh(&mut self) {
-        // Build at the new generation, so the build's EE pass fills each
-        // θ row once and for good.
-        let generation = self.generation + 1;
-        *self = ModelState::build(self.model, std::mem::take(&mut self.alloc), generation);
+        // Fold at a new generation, so the EE pass fills each θ row once
+        // and for good.
+        self.generation += 1;
+        self.fold();
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
@@ -1549,6 +1613,9 @@ impl<'m> ModelState<'m> {
     /// [`ModelState::min_ee_if`] served from a [`ScanCache`]: the same
     /// component EEs (bitwise — every arithmetic expression matches),
     /// hence the same pruning verdict and the same returned minimum.
+    /// `own` is the scanned device's own EE at `cfg`, bit for bit its
+    /// [`ModelState::ee_if`], which the scans already hold from
+    /// [`ModelState::own_ee`] or [`ModelState::own_ee_clearing`].
     /// A cross-group candidate reads its old group's part from the cache
     /// and costs `O(new-group members × gateways)`; a same-group
     /// candidate (only the transmit power changes) evaluates both parts.
@@ -1556,9 +1623,20 @@ impl<'m> ModelState<'m> {
     /// # Panics
     ///
     /// Panics when the state changed since `scan` was prepared.
-    pub fn min_ee_if_scanned(&self, scan: &ScanCache, cfg: TxConfig, floor: f64) -> Option<f64> {
+    pub fn min_ee_if_scanned(
+        &self,
+        scan: &ScanCache,
+        cfg: TxConfig,
+        own: f64,
+        floor: f64,
+    ) -> Option<f64> {
         self.assert_fresh(scan);
-        self.min_ee_after(scan.device, cfg, floor, Some(scan.exit_min))
+        debug_assert_eq!(
+            own.to_bits(),
+            self.ee_if(scan.device, cfg).to_bits(),
+            "the own EE handed to min_ee_if_scanned is not ee_if's"
+        );
+        self.min_ee_after(scan.device, cfg, own, floor, Some(scan.exit_min))
     }
 
     fn assert_fresh(&self, scan: &ScanCache) {
@@ -1958,7 +2036,8 @@ mod tests {
                     for tp_i in 0..7 {
                         let cfg = TxConfig::new(sf, TxPowerDbm::new(2.0 + tp_i as f64 * 2.0), ch);
                         let plain = state.min_ee_if(device, cfg, floor);
-                        let fast = state.min_ee_if_scanned(&scan, cfg, floor);
+                        let own = state.ee_if(device, cfg);
+                        let fast = state.min_ee_if_scanned(&scan, cfg, own, floor);
                         match (plain, fast) {
                             (Some(a), Some(b)) => assert_eq!(
                                 a.to_bits(),
@@ -1995,7 +2074,8 @@ mod tests {
             TxConfig::new(SpreadingFactor::Sf8, TxPowerDbm::new(14.0), 1),
         );
         let cfg = TxConfig::new(SpreadingFactor::Sf9, TxPowerDbm::new(8.0), 2);
-        let _ = state.min_ee_if_scanned(&scan, cfg, f64::NEG_INFINITY);
+        let own = state.ee_if(3, cfg);
+        let _ = state.min_ee_if_scanned(&scan, cfg, own, f64::NEG_INFINITY);
     }
 
     #[test]
@@ -2315,6 +2395,72 @@ mod tests {
                 }
                 let device = rng.gen_range(0..devices);
                 state.apply(device, random_config(&mut rng, channels));
+            }
+        }
+
+        #[test]
+        fn refresh_equals_a_fresh_build(
+            devices in 1usize..40,
+            gateways in 1usize..=4,
+            ambient in any::<bool>(),
+            traffic in 0usize..3,
+            // Walks confined to the first `spread` SFs and channels crowd
+            // a few groups, whose member lists `apply` leaves out of
+            // device order.
+            spread in 1usize..=6,
+            seed in any::<u64>(),
+            steps in 1usize..24,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut config = SimConfig::default();
+            match traffic {
+                0 => {}
+                1 => {
+                    config.per_device_intervals_s =
+                        Some((0..devices).map(|_| rng.gen_range(60.0..1_800.0)).collect());
+                }
+                _ => {
+                    config.traffic = Traffic::DutyCycleTarget {
+                        duty: rng.gen_range(0.001..0.05),
+                    };
+                }
+            }
+            let topo = Topology::disc(devices, gateways, 3_000.0, &config, seed);
+            let mut model = NetworkModel::new(&config, &topo);
+            if ambient {
+                model = with_random_ambient(model, &mut rng);
+            }
+            let channels = model.channel_count();
+            let crowded = |rng: &mut ChaCha12Rng| {
+                let cfg = random_config(rng, channels);
+                let sf = SpreadingFactor::ALL[rng.gen_range(0..spread)];
+                TxConfig::new(sf, cfg.tp, rng.gen_range(0..spread.min(channels)))
+            };
+            let alloc = (0..devices).map(|_| crowded(&mut rng)).collect();
+            let mut state = model.state(alloc).unwrap();
+            for step in 0..steps {
+                let device = rng.gen_range(0..devices);
+                let cfg = crowded(&mut rng);
+                state.apply(device, cfg);
+                if step + 1 < steps && rng.gen_range(0..4) != 0 {
+                    continue;
+                }
+                state.refresh();
+                let fresh = model.state(state.alloc.clone()).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(&state.members, &fresh.members, "members at step {}", step);
+                for (name, got, want) in [
+                    ("alpha_sum", &state.alpha_sum, &fresh.alpha_sum),
+                    ("power_sum", &state.power_sum, &fresh.power_sum),
+                    ("lambda", &state.lambda, &fresh.lambda),
+                    ("q", &state.q, &fresh.q),
+                    ("power_mw", &state.power_mw, &fresh.power_mw),
+                    ("energy_j", &state.energy_j, &fresh.energy_j),
+                    ("ee", &state.ee, &fresh.ee),
+                    ("group_min", &state.group_min, &fresh.group_min),
+                ] {
+                    prop_assert_eq!(bits(got), bits(want), "{} at step {}", name, step);
+                }
             }
         }
 

@@ -83,33 +83,9 @@ pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
 
-/// Converts a power in milliwatts to dBm.
-///
-/// # Panics
-///
-/// Panics in debug builds if `mw` is not strictly positive; a zero or
-/// negative power has no dBm representation.
-///
-/// ```
-/// assert!((lora_phy::mw_to_dbm(1.0)).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    debug_assert!(mw > 0.0, "power must be positive to convert to dBm");
-    10.0 * mw.log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dbm_mw_round_trip() {
-        for dbm in [-137.0, -60.0, 0.0, 2.0, 14.0, 27.0] {
-            let back = mw_to_dbm(dbm_to_mw(dbm));
-            assert!((back - dbm).abs() < 1e-9, "{dbm} -> {back}");
-        }
-    }
 
     #[test]
     fn fourteen_dbm_is_about_25_mw() {

@@ -41,20 +41,6 @@ pub fn snr_db(rx_dbm: f64, noise_floor_dbm: f64) -> f64 {
     rx_dbm - noise_floor_dbm
 }
 
-/// Whether a gateway can decode a packet **in the absence of interference**:
-/// both the sensitivity condition and the SNR-threshold condition of paper
-/// Eq. (7) with the mean channel (no fading).
-pub fn decodable_without_interference(
-    sf: SpreadingFactor,
-    bw: Bandwidth,
-    nf_db: f64,
-    rx_dbm: f64,
-) -> bool {
-    let sens = sf.sensitivity_dbm(bw, nf_db);
-    let snr = snr_db(rx_dbm, noise_floor_dbm(bw, nf_db));
-    rx_dbm >= sens && snr >= sf.snr_threshold_db()
-}
-
 /// The smallest spreading factor whose sensitivity is met by `rx_dbm`
 /// (mean channel, margin `margin_db` of extra headroom), or `None` if even
 /// SF12 cannot close the link.
@@ -105,27 +91,6 @@ mod tests {
         let no_fade = received_power_dbm(14.0, 100.0, 1.0);
         let deep_fade = received_power_dbm(14.0, 100.0, 0.1);
         assert!((no_fade - deep_fade - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sensitivity_implies_snr_threshold() {
-        // By Eq. (11) sensitivity == noise floor + SNR threshold, so meeting
-        // the sensitivity exactly meets the SNR threshold too.
-        for sf in SpreadingFactor::ALL {
-            let sens = sf.sensitivity_dbm(Bandwidth::Bw125, 6.0);
-            assert!(decodable_without_interference(
-                sf,
-                Bandwidth::Bw125,
-                6.0,
-                sens
-            ));
-            assert!(!decodable_without_interference(
-                sf,
-                Bandwidth::Bw125,
-                6.0,
-                sens - 0.1
-            ));
-        }
     }
 
     #[test]

@@ -22,8 +22,6 @@ use crate::error::PhyError;
 pub struct TxPowerDbm(f64);
 
 impl TxPowerDbm {
-    /// The lowest power of the paper's allocation set.
-    pub const MIN_EU: TxPowerDbm = TxPowerDbm(2.0);
     /// The highest power of the paper's allocation set (also the EU ERP cap).
     pub const MAX_EU: TxPowerDbm = TxPowerDbm(14.0);
 
@@ -94,7 +92,7 @@ mod tests {
     fn eu_levels_are_the_papers_seven() {
         let levels = TxPowerDbm::eu_levels();
         assert_eq!(levels.len(), 7);
-        assert_eq!(levels[0], TxPowerDbm::MIN_EU);
+        assert_eq!(levels[0].dbm(), 2.0);
         assert_eq!(levels[6], TxPowerDbm::MAX_EU);
         for w in levels.windows(2) {
             assert!((w[1].dbm() - w[0].dbm() - 2.0).abs() < 1e-12);

@@ -108,15 +108,6 @@ impl SpreadingFactor {
         f64::from(self.chips_per_symbol()) / bw.hz()
     }
 
-    /// Raw bit rate in bits per second, `SF · BW / 2^SF`.
-    ///
-    /// (Before coding overhead; the paper quotes 5.47 kbps for SF7 and
-    /// 0.25 kbps for SF12 at 125 kHz after 4/5 coding.)
-    #[inline]
-    pub fn raw_bit_rate_bps(self, bw: Bandwidth) -> f64 {
-        f64::from(self.bits_per_symbol()) / self.symbol_time_s(bw)
-    }
-
     /// Minimum SNR in dB at which a gateway demodulates this SF
     /// (paper Table IV).
     ///
@@ -225,16 +216,6 @@ mod tests {
             let ratio = next.symbol_time_s(Bandwidth::Bw125) / sf.symbol_time_s(Bandwidth::Bw125);
             assert!((ratio - 2.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn paper_quoted_data_rates() {
-        // Paper intro: SF7 -> 5.47 kbps, SF12 -> 0.25 kbps at 125 kHz
-        // (those figures include 4/5 coding: raw * 4/5).
-        let sf7 = SpreadingFactor::Sf7.raw_bit_rate_bps(Bandwidth::Bw125) * 4.0 / 5.0;
-        let sf12 = SpreadingFactor::Sf12.raw_bit_rate_bps(Bandwidth::Bw125) * 4.0 / 5.0;
-        assert!((sf7 - 5468.75).abs() < 1.0, "sf7: {sf7}");
-        assert!((sf12 - 292.97).abs() < 60.0, "sf12: {sf12}");
     }
 
     #[test]

@@ -119,20 +119,6 @@ impl ToaParams {
         }
     }
 
-    /// Sets the number of programmed preamble symbols.
-    #[must_use]
-    pub fn with_preamble_symbols(mut self, symbols: u32) -> Self {
-        self.preamble_symbols = symbols;
-        self
-    }
-
-    /// Sets the low-data-rate optimisation policy.
-    #[must_use]
-    pub fn with_low_data_rate(mut self, ldro: LowDataRateOptimize) -> Self {
-        self.low_data_rate = ldro;
-        self
-    }
-
     /// The spreading factor.
     #[inline]
     pub fn sf(&self) -> SpreadingFactor {

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use lora_phy::{SpreadingFactor, TxConfig};
-
 use crate::metrics;
 
 /// Per-device statistics from one simulation run.
@@ -190,59 +188,6 @@ impl SimReport {
         let lifetimes: Vec<f64> = self.devices.iter().filter_map(|d| d.lifetime_s).collect();
         metrics::percentile(&lifetimes, dead_fraction * 100.0)
     }
-
-    /// The empirical CDF of energy efficiencies (paper Fig. 5).
-    pub fn ee_cdf(&self) -> Vec<(f64, f64)> {
-        metrics::empirical_cdf(&self.ee_values())
-    }
-
-    /// Per-spreading-factor breakdown of the run, given the allocation the
-    /// run used: device count, mean PRR and mean EE per SF — the view the
-    /// paper's Fig. 4 discussion reasons in ("end devices that use large
-    /// spreading factors…").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alloc` does not have one entry per reported device.
-    pub fn per_sf_breakdown(&self, alloc: &[TxConfig]) -> [SfBreakdown; 6] {
-        assert_eq!(
-            alloc.len(),
-            self.devices.len(),
-            "allocation/report size mismatch"
-        );
-        let mut out = [SfBreakdown::default(); 6];
-        for (cfg, d) in alloc.iter().zip(&self.devices) {
-            let b = &mut out[cfg.sf.index()];
-            b.devices += 1;
-            b.mean_prr += d.prr();
-            b.mean_ee_bits_per_mj += d.ee_bits_per_mj;
-        }
-        for b in &mut out {
-            if b.devices > 0 {
-                b.mean_prr /= b.devices as f64;
-                b.mean_ee_bits_per_mj /= b.devices as f64;
-            }
-        }
-        out
-    }
-}
-
-/// Aggregated statistics for the devices sharing one spreading factor.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SfBreakdown {
-    /// Devices allocated this SF.
-    pub devices: usize,
-    /// Their mean packet reception ratio.
-    pub mean_prr: f64,
-    /// Their mean energy efficiency, bits/mJ.
-    pub mean_ee_bits_per_mj: f64,
-}
-
-impl SfBreakdown {
-    /// Convenience: the six SFs in order, for labelling breakdown rows.
-    pub fn sf_labels() -> [SpreadingFactor; 6] {
-        SpreadingFactor::ALL
-    }
 }
 
 #[cfg(test)]
@@ -314,32 +259,5 @@ mod tests {
         assert!((r.network_lifetime_s(0.10) - 550.0).abs() < 1e-9);
         // First-death definition (fraction → 0).
         assert_eq!(r.network_lifetime_s(0.0), 500.0);
-    }
-
-    #[test]
-    fn per_sf_breakdown_partitions_devices() {
-        let r = report();
-        let alloc = vec![
-            TxConfig::new(SpreadingFactor::Sf7, lora_phy::TxPowerDbm::new(14.0), 0),
-            TxConfig::new(SpreadingFactor::Sf9, lora_phy::TxPowerDbm::new(14.0), 1),
-            TxConfig::new(SpreadingFactor::Sf9, lora_phy::TxPowerDbm::new(2.0), 2),
-        ];
-        let b = r.per_sf_breakdown(&alloc);
-        assert_eq!(b[SpreadingFactor::Sf7.index()].devices, 1);
-        assert_eq!(b[SpreadingFactor::Sf9.index()].devices, 2);
-        assert_eq!(b.iter().map(|x| x.devices).sum::<usize>(), 3);
-        // SF9 group: PRRs 0.5 and 0.8 → mean 0.65.
-        assert!((b[SpreadingFactor::Sf9.index()].mean_prr - 0.65).abs() < 1e-12);
-        // Empty SFs stay zeroed.
-        assert_eq!(b[SpreadingFactor::Sf12.index()], SfBreakdown::default());
-    }
-
-    #[test]
-    fn cdf_covers_all_devices() {
-        let r = report();
-        let cdf = r.ee_cdf();
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0].0, 0.5);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 }

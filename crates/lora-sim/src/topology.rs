@@ -180,28 +180,6 @@ impl Topology {
     pub fn gateway_count(&self) -> usize {
         self.gateways.len()
     }
-
-    /// Distance matrix `[device][gateway]` in metres.
-    pub fn distances(&self) -> Vec<Vec<f64>> {
-        self.devices
-            .iter()
-            .map(|d| {
-                self.gateways
-                    .iter()
-                    .map(|g| d.position.distance_to(g))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Distance from device `i` to its nearest gateway.
-    pub fn nearest_gateway_distance(&self, device: usize) -> f64 {
-        let p = self.devices[device].position;
-        self.gateways
-            .iter()
-            .map(|g| p.distance_to(g))
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// The linear path-loss attenuation matrix `[device][gateway]`, stored
@@ -673,18 +651,5 @@ mod tests {
         got.patch_row(&config, 7, &sites[7], full.gateways());
         let moved = Topology::from_sites(sites, full.gateways().to_vec(), 5_000.0);
         assert_eq!(got, attenuation_matrix(&config, &moved));
-    }
-
-    #[test]
-    fn distance_matrix_shape() {
-        let config = SimConfig::default();
-        let topo = Topology::disc(10, 4, 2_000.0, &config, 5);
-        let m = topo.distances();
-        assert_eq!(m.len(), 10);
-        assert!(m.iter().all(|row| row.len() == 4));
-        for (i, row) in m.iter().enumerate() {
-            let nearest = row.iter().copied().fold(f64::INFINITY, f64::min);
-            assert!((topo.nearest_gateway_distance(i) - nearest).abs() < 1e-12);
-        }
     }
 }
