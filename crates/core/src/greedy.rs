@@ -15,13 +15,13 @@
 //! 4. repeat passes until a pass improves the minimum EE by at most `δ`
 //!    (paper default 0.01 bits/mJ).
 //!
-//! ## Candidate evaluation
+//! ## Acceptance rule
 //!
-//! A candidate is scored by its predicted network minimum `min` (from
-//! [`ModelState::min_ee_if_scanned`], which touches only the two
-//! contention groups a move affects) and the mover's own EE `own`
-//! (from [`ModelState::ee_if`]). With `M` and `O` the network minimum
-//! and the device's own EE before the scan, and the tie slack
+//! Each device's scan is one walk of [`lora_model::scan`], which applies
+//! the exact skip rules; this module supplies only the acceptance rule. A
+//! candidate is scored by its predicted network minimum `min` and the
+//! mover's own EE `own`. With `M` and `O` the network minimum and the
+//! device's own EE before the scan, and the tie slack
 //! `s = max(|M|·10⁻⁹, 10⁻¹⁵)`:
 //!
 //! * a **strict improver** has `min > M + s`; among improvers the winner
@@ -34,82 +34,39 @@
 //!   `(own, min)`, same tie-break;
 //! * any strict improver beats every plateau move.
 //!
-//! The exact evaluation runs behind a rising floor that abandons a
-//! candidate as soon as one component EE falls to it, and most
-//! candidates never reach it: upper bounds that never fall below the
-//! exact values prove they cannot change the result. The
-//! untouched-groups cap `ub` ([`ModelState::untouched_groups_min`], O(1)
-//! from the per-scan [`lora_model::ScanCache`]) is one of the min
-//! components of the exact evaluation, so `min ≤ ub`. The plateau
-//! test's `own` goes through [`ModelState::own_ee_clearing`], which
-//! tries three values, cheapest first: the energy ceiling (O(1)); the
-//! own EE at the easiest contention any channel of the candidate's SF
-//! offers, which caps `own` on every channel of that SF and is
-//! computed once per (SF, TP level) per chunk; and only then the exact
-//! `own`. The chunk's (SF, TP) table ([`lora_model::OwnEeBounds`]) also
-//! holds the power and cycle energy of every exact `own` it computes,
-//! the improvers' included. Writing `I` and `P` for the best improver and
-//! plateau move found so far, a candidate is skipped when
-//!
-//! 1. `ub ≤ floor` — the exact evaluation would return nothing;
-//! 2. `ub ≤ M + s`, so it cannot be an improver, and either `I` exists
-//!    or the first of its energy ceiling, its (SF, TP) bound and its
-//!    exact `own` that fails is `≤ O + s` or `< P.own` — it cannot
-//!    become the plateau move;
-//! 3. `ub > M + s`, `I` exists and `ub < I.min` — it cannot beat `I`.
-//!
-//! Skipped candidates still count as evaluated.
-//!
-//! The grid is ordered SF → channel → TP, so each SF is a contiguous
-//! block of `channels × n_tp` candidates, and the rules are decided per
-//! block and per (SF, TP) column rather than per candidate
-//! (`crate::sf_blocks`). `ub` depends on the candidate's channel but not
-//! its TP level, so it is computed once per channel of a block. The
-//! energy ceiling and the (SF, TP) bound depend on the TP level but not
-//! the channel, so whether both already fail rule 2's plateau bar is a
-//! verdict per TP column, decided the first time a candidate of the
-//! column needs it. A candidate whose column fails is skipped without
-//! touching [`ModelState`]; one whose column passes goes on to the exact
-//! `own`. The bar depends on `O` and `P`, so the verdicts are forgotten
-//! whenever `P` changes; once `I` exists, rule 2 skips every candidate
-//! whatever its column. A whole block is skipped when its largest `ub`
-//! is `≤ floor`, when `I` exists and its largest `ub` is `< I.min`, or
-//! when its largest `ub` is `≤ M + s` and every column fails: each time,
-//! the per-candidate rules would skip every candidate of the block.
+//! As a [`Rule`], with `I` and `P` the best improver and plateau move so
+//! far: the floor is `M − s`, raised to `I.min − s` with each improver
+//! taken; a cap triages as `Skip` at or below the floor or, once `I`
+//! exists, below `I.min`, as `OwnBar` up to `M + s` (only a plateau move
+//! is possible) and as `Exact` above; and the bar clears an `own` above
+//! `O + s` and not below `P.own`. Since `I.min > M + s`, the triage never
+//! returns `OwnBar` once `I` exists. All three change only when an offer
+//! is taken.
 //!
 //! ## Parallel candidate scan
 //!
 //! The step-3 scan is read-only against [`ModelState`], so
 //! [`EfLora::with_threads`] partitions the (SF, channel, TP) grid into
-//! contiguous chunks scanned by scoped worker threads. The grid is the
-//! same for every device of an allocation; it includes the device's
-//! current configuration, which the chunk holding it skips. Determinism
-//! is preserved by selecting winners with the exact total order above
-//! instead of scan-order-dependent banded comparisons.
+//! contiguous chunks that scoped worker threads walk over one shared
+//! [`lora_model::scan::Scan`], each chunk with its own copy of the rule.
+//! The grid is the same for every device of an allocation; it includes
+//! the device's current configuration, which the chunk holding it skips.
+//! Determinism is preserved by selecting winners with the exact total
+//! order above instead of scan-order-dependent banded comparisons.
 //!
-//! Each chunk keeps its own pruning floor, raised only on strict-improver
-//! finds, its own `I` and `P` for the skip rules, its own (SF, TP) table
-//! ([`lora_model::OwnEeBounds`]) and its own column verdicts. The table
-//! holds values, not verdicts, so which chunk computed one changes no
-//! skip; the verdicts depend on the chunk's own `P`. A candidate the
-//! floor or a rule drops could never have become the chunk's improver,
-//! so every chunk's improver is the exact best improver of its range.
-//! The floor and the rules that consult `I` can change a chunk's plateau
-//! move only once that chunk holds an improver — and the merge then
-//! commits an improver. When no chunk finds an improver, no floor ever
-//! rose and no rule consulted `I`, so every chunk's plateau move is the
-//! exact best plateau move of its range.
-//!
-//! A chunk that starts or ends inside an SF block decides the block
-//! rules on the whole block, every channel's `ub` and every column's
-//! verdict, but counts and scans only its own share. The whole block's
-//! caps and verdicts are a stricter condition than its share's: when
-//! they skip the block, the per-candidate rules would skip every
-//! candidate of the share too. So the block rules change no chunk's
-//! result, and none of this depends on where the chunk boundaries fall:
-//! the merged move is a pure function of the model state, byte-identical
-//! for every thread count and partition, and committed moves stay
-//! sequential so the pass semantics are unchanged.
+//! Each chunk's rule keeps its own floor, raised only on strict-improver
+//! finds, and its own `I` and `P`. A candidate the floor or a skip drops
+//! could never have become the chunk's improver, so every chunk's improver
+//! is the exact best improver of its range. The floor and the skips that
+//! consult `I` can change a chunk's plateau move only once that chunk
+//! holds an improver — and the merge then commits an improver. When no
+//! chunk finds an improver, no floor ever rose and no triage consulted
+//! `I`, so every chunk's plateau move is the exact best plateau move of
+//! its range. The walk's block skips are exact for any range, including
+//! one that splits an SF block, so none of this depends on where the
+//! chunk boundaries fall: the merged move is a pure function of the model
+//! state, byte-identical for every thread count and partition, and
+//! committed moves stay sequential so the pass semantics are unchanged.
 
 use std::borrow::Cow;
 
@@ -117,14 +74,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use lora_model::{ModelState, OwnEeBounds, ScanCache};
+use lora_model::scan::{Candidate, Rule, Triage};
+use lora_model::ModelState;
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
 
 use crate::allocation::Allocation;
 use crate::context::AllocationContext;
 use crate::density::{default_neighbor_radius, density_first_order};
 use crate::error::AllocError;
-use crate::sf_blocks::{ColumnVerdicts, SfBlocks};
 use crate::strategy::Strategy;
 
 /// The order in which the greedy pass visits devices.
@@ -305,7 +262,6 @@ impl EfLora {
             Some(tp) => Cow::Owned(candidate_grid(ctx, &[tp])),
             None => Cow::Borrowed(ctx.candidates()),
         };
-        let channels = ctx.channel_count();
         let order = self.visiting_order(ctx);
         let initial = self.initial_allocation(ctx);
         let mut state: ModelState<'_> = ctx.model().state(initial)?;
@@ -341,7 +297,7 @@ impl EfLora {
             passes += 1;
             let mut moves_this_pass = 0usize;
             for &device in &order {
-                let scan = scan_device(&state, &grid, channels, device, self.threads);
+                let scan = scan_device(&state, &grid, device, self.threads);
                 candidates_evaluated += scan.evaluated;
                 if let Some(choice) = scan.winner() {
                     state.apply(device, choice.cfg);
@@ -374,19 +330,25 @@ impl EfLora {
     }
 }
 
-/// A surviving candidate: predicted network minimum, the mover's own EE,
-/// its index in canonical grid order, and the configuration itself.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    min: f64,
-    own: f64,
-    idx: usize,
-    cfg: TxConfig,
+/// The tie slack `s = max(|M|·10⁻⁹, 10⁻¹⁵)` of a scan that starts at
+/// network minimum `min`: the band within which both scans' acceptance
+/// rules treat two minima as tied.
+pub(crate) fn tie_slack(min: f64) -> f64 {
+    (min.abs() * 1e-9).max(1e-15)
 }
 
-/// One chunk's (or the whole grid's) scan outcome.
-#[derive(Debug, Clone, Copy, Default)]
+/// The dense acceptance rule of one chunk (or the whole grid), and what it
+/// found: the module docs' rule and total order.
+#[derive(Debug, Clone, Copy)]
 struct DeviceScan {
+    /// The network minimum `M` before the scan.
+    min: f64,
+    /// The scanned device's own EE `O` before the scan.
+    own: f64,
+    /// The tie slack `s`.
+    tie_slack: f64,
+    /// The chunk's pruning floor, raised only when an improver is taken.
+    floor: f64,
     /// Best strict improver — exact max of `(min, own)`, earliest idx.
     improver: Option<Candidate>,
     /// Best plateau move — exact max of `(own, min)`, earliest idx.
@@ -396,6 +358,21 @@ struct DeviceScan {
 }
 
 impl DeviceScan {
+    /// The rule before a scan that starts at network minimum `min` and
+    /// the device's own EE `own`: nothing found, the floor at `M − s`.
+    fn new(min: f64, own: f64) -> Self {
+        let tie_slack = tie_slack(min);
+        DeviceScan {
+            min,
+            own,
+            tie_slack,
+            floor: min - tie_slack,
+            improver: None,
+            plateau: None,
+            evaluated: 0,
+        }
+    }
+
     /// The move to commit: any strict improver beats every plateau move.
     fn winner(&self) -> Option<Candidate> {
         self.improver.or(self.plateau)
@@ -432,6 +409,49 @@ impl DeviceScan {
     }
 }
 
+impl Rule for DeviceScan {
+    fn floor(&self) -> f64 {
+        self.floor
+    }
+
+    fn triage(&self, cap: f64) -> Triage {
+        if cap <= self.floor || self.improver.is_some_and(|b| cap < b.min) {
+            Triage::Skip
+        } else if cap <= self.min + self.tie_slack {
+            Triage::OwnBar
+        } else {
+            Triage::Exact
+        }
+    }
+
+    fn clears(&self, own: f64) -> bool {
+        own > self.own + self.tie_slack && self.plateau.is_none_or(|p| own >= p.own)
+    }
+
+    fn offer(&mut self, c: Candidate) -> bool {
+        if c.min > self.min + self.tie_slack {
+            let better = self
+                .improver
+                .is_none_or(|b| c.min > b.min || (c.min == b.min && c.own > b.own));
+            if better {
+                self.improver = Some(c);
+                self.floor = c.min - self.tie_slack;
+            }
+            better
+        } else if c.min >= self.min - self.tie_slack && c.own > self.own + self.tie_slack {
+            let better = self
+                .plateau
+                .is_none_or(|b| c.own > b.own || (c.own == b.own && c.min > b.min));
+            if better {
+                self.plateau = Some(c);
+            }
+            better
+        } else {
+            false
+        }
+    }
+}
+
 /// The canonical candidate grid over `tp_levels`: SF ascending, then
 /// channel, then TP in `tp_levels`' order. Chunk boundaries and
 /// tie-breaking are defined over this order; scans skip the device's
@@ -448,156 +468,23 @@ fn candidate_grid(ctx: &AllocationContext<'_>, tp_levels: &[TxPowerDbm]) -> Vec<
     grid
 }
 
-/// The scanned device's standing before the scan: the network minimum,
-/// its own EE, and the comparison slack — shared read-only by every
-/// chunk so all workers prune against the same incumbent.
-#[derive(Debug, Clone, Copy)]
-struct Incumbent {
-    min: f64,
-    own: f64,
-    tie_slack: f64,
-}
-
-impl Incumbent {
-    /// Rule 2's test on a candidate's own EE: above the device's own EE
-    /// before the scan, and not below that of `plateau`, the best plateau
-    /// move so far. Like every test [`ModelState::own_ee_clearing`]
-    /// takes, it can only turn true as its argument rises.
-    fn plateau_bar(self, plateau: Option<Candidate>) -> impl Fn(f64) -> bool + Copy {
-        let plateau_own = plateau.map(|p| p.own);
-        move |ee| ee > self.own + self.tie_slack && plateau_own.is_none_or(|own| ee >= own)
-    }
-}
-
-/// Scans `grid[range]`, except the device's `current` configuration,
-/// with a chunk-local pruning floor. The floor starts at the global
-/// eligibility bound and rises only when a strict improver is found.
-/// Candidates the bounds prove unable to change the chunk's improver, or
-/// its plateau while it has no improver, skip the exact evaluation, one
-/// SF block or one (SF, TP) column at a time where the rules allow; see
-/// the module docs for why this keeps the merged result
-/// partition-invariant.
-fn scan_chunk(
-    state: &ModelState<'_>,
-    cache: &ScanCache,
-    grid: &[TxConfig],
-    channels: usize,
-    range: std::ops::Range<usize>,
-    current: TxConfig,
-    incumbent: Incumbent,
-) -> DeviceScan {
-    let Incumbent {
-        min: current_min,
-        tie_slack,
-        ..
-    } = incumbent;
-    let mut scan = DeviceScan::default();
-    let mut floor = current_min - tie_slack;
-    let mut own_bounds = OwnEeBounds::new(cache);
-    let mut blocks = SfBlocks::new(grid, channels, current);
-    let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
-    let mut next = range.start;
-    while next < range.end {
-        let (block, max_cap) = blocks.enter(state, cache, next, range.end);
-        next = block.end;
-        verdicts.forget();
-        // The rules below skip every candidate of the block when its
-        // largest cap and all its columns say so. They hold for the whole
-        // block, so for the chunk's share of it too.
-        let clears = incumbent.plateau_bar(scan.plateau);
-        if max_cap <= floor
-            || scan.improver.is_some_and(|b| max_cap < b.min)
-            || (max_cap <= current_min + tie_slack
-                && verdicts.all_fail(|column| {
-                    state.own_ee_may_clear(&mut own_bounds, blocks.column(column), clears)
-                }))
-        {
-            scan.evaluated += blocks.count(block);
-            continue;
-        }
-        for (idx, cap, column) in blocks.candidates(block) {
-            scan.evaluated += 1;
-            // The skip rules of the module docs. The exact minimum never
-            // exceeds the untouched groups' minimum, `cap`; rule 1:
-            if cap <= floor {
-                continue;
-            }
-            let cfg = grid[idx];
-            let own = if cap <= current_min + tie_slack {
-                // Rule 2, not an improver: only a plateau move of a chunk
-                // without an improver still matters, and only if its own
-                // EE can reach the plateau bar, which its column's bounds
-                // decide first.
-                if scan.improver.is_some() {
-                    continue;
-                }
-                let clears = incumbent.plateau_bar(scan.plateau);
-                if !verdicts.clears(column, || {
-                    state.own_ee_may_clear(&mut own_bounds, cfg, clears)
-                }) {
-                    continue;
-                }
-                let Some(own) = state.own_ee_clearing(&mut own_bounds, cfg, clears) else {
-                    continue;
-                };
-                own
-            } else if scan.improver.is_some_and(|b| cap < b.min) {
-                // Rule 3: cannot beat the chunk's improver.
-                continue;
-            } else {
-                state.own_ee(&mut own_bounds, cfg)
-            };
-            let Some(min) = state.min_ee_if_scanned(cache, cfg, own, floor) else {
-                continue;
-            };
-            let candidate = Candidate { min, own, idx, cfg };
-            if min > current_min + tie_slack {
-                let better = match scan.improver {
-                    None => true,
-                    Some(b) => min > b.min || (min == b.min && own > b.own),
-                };
-                if better {
-                    scan.improver = Some(candidate);
-                    floor = min - tie_slack;
-                }
-            } else if min >= current_min - tie_slack && own > incumbent.own + tie_slack {
-                let better = match scan.plateau {
-                    None => true,
-                    Some(b) => own > b.own || (own == b.own && min > b.min),
-                };
-                if better {
-                    // The plateau bar rose.
-                    scan.plateau = Some(candidate);
-                    verdicts.forget();
-                }
-            }
-        }
-    }
-    scan
-}
-
-/// Full candidate scan of `grid`, canonical over `channels` channels,
-/// for one device, fanned out over `threads` workers when the grid is
-/// large enough to amortise the spawns.
+/// Full candidate scan of `grid`, in canonical order, for one device,
+/// fanned out over `threads` workers when the grid is large enough to
+/// amortise the spawns. Every chunk walks one shared scan with a fresh
+/// copy of the starting rule.
 fn scan_device(
     state: &ModelState<'_>,
     grid: &[TxConfig],
-    channels: usize,
     device: usize,
     threads: usize,
 ) -> DeviceScan {
-    let current_min = state.min_ee();
-    let current_own = state.ee(device);
-    let current = state.alloc()[device];
-    let incumbent = Incumbent {
-        min: current_min,
-        own: current_own,
-        tie_slack: (current_min.abs() * 1e-9).max(1e-15),
+    let start = DeviceScan::new(state.min_ee(), state.ee(device));
+    let scan = state.prepare_scan(device);
+    let chunk = |range| {
+        let mut rule = start;
+        rule.evaluated = scan.walk(grid, range, &mut rule);
+        rule
     };
-    // The allocation is fixed for the whole scan, so the per-device
-    // scratch can be shared read-only across the workers.
-    let cache = state.prepare_scan(device);
-    let chunk = |range| scan_chunk(state, &cache, grid, channels, range, current, incumbent);
 
     // Below ~8 candidates per worker, spawn overhead dwarfs the scan.
     let threads = threads.clamp(1, (grid.len() / 8).max(1));
@@ -607,7 +494,7 @@ fn scan_device(
     let ranges = lora_parallel::chunk_ranges(grid.len(), threads);
     let chunks =
         lora_parallel::par_map_indexed(ranges.len(), threads, |c| chunk(ranges[c].clone()));
-    let mut merged = DeviceScan::default();
+    let mut merged = start;
     for chunk in chunks {
         merged.merge(chunk);
     }
@@ -651,7 +538,10 @@ pub(crate) mod tests {
     use super::*;
     use lora_model::NetworkModel;
     use lora_sim::{SimConfig, Topology};
-    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+    use proptest::collection::vec;
+    use proptest::prelude::{
+        any, prop_assert, prop_assert_eq, proptest, ProptestConfig, TestCaseError,
+    };
     use rand::Rng;
 
     fn setup(n: usize, gws: usize, seed: u64) -> (SimConfig, Topology) {
@@ -871,6 +761,77 @@ pub(crate) mod tests {
         c.map(|c| (c.idx, c.cfg, c.min.to_bits(), c.own.to_bits()))
     }
 
+    /// `base` moved by `k` quarters of the tie slack `s`.
+    fn quarters(base: f64, s: f64, k: i32) -> f64 {
+        base + f64::from(k) * s / 4.0
+    }
+
+    /// Every value within 4 tie slacks of `base`, a quarter slack apart,
+    /// ascending: they fall on both sides of every bar a rule draws around
+    /// a network minimum or own EE of `base`.
+    pub(crate) fn around(base: f64, s: f64) -> Vec<f64> {
+        (-16..=16).map(|k| quarters(base, s, k)).collect()
+    }
+
+    /// Candidates whose network minimum and own EE sit the given numbers
+    /// of quarter slacks from `m` and `o`, numbered in order.
+    pub(crate) fn offers_around(m: f64, o: f64, s: f64, offsets: &[(i32, i32)]) -> Vec<Candidate> {
+        offsets
+            .iter()
+            .enumerate()
+            .map(|(idx, &(k, j))| Candidate {
+                min: quarters(m, s, k),
+                own: quarters(o, s, j),
+                idx,
+                cfg: TxConfig::default(),
+            })
+            .collect()
+    }
+
+    /// Offers `rule` each of `offers` in turn and checks the [`Rule`]
+    /// contract in every state on the way, over the ascending `caps` and
+    /// `owns`: the triage never falls as the cap rises, the own-EE bar
+    /// never turns false as the own EE rises, and an offer the rule refuses
+    /// changes none of its floor, triage and bar.
+    pub(crate) fn check_rule_contract<R: Rule>(
+        mut rule: R,
+        caps: &[f64],
+        owns: &[f64],
+        offers: &[Candidate],
+    ) -> Result<(), TestCaseError> {
+        let view = |rule: &R| {
+            let triage: Vec<Triage> = caps.iter().map(|&cap| rule.triage(cap)).collect();
+            let clears: Vec<bool> = owns.iter().map(|&own| rule.clears(own)).collect();
+            (rule.floor().to_bits(), triage, clears)
+        };
+        let mut seen = view(&rule);
+        for step in 0..=offers.len() {
+            let (_, triage, clears) = &seen;
+            prop_assert!(
+                triage.windows(2).all(|w| w[0] <= w[1]),
+                "after {} offers the triage falls as the cap rises: {:?}",
+                step,
+                triage
+            );
+            prop_assert!(
+                clears.windows(2).all(|w| w[0] <= w[1]),
+                "after {} offers the bar turns false as the own EE rises: {:?}",
+                step,
+                clears
+            );
+            let Some(&candidate) = offers.get(step) else {
+                break;
+            };
+            let taken = rule.offer(candidate);
+            let now = view(&rule);
+            if !taken {
+                prop_assert_eq!(&now, &seen, "refused offer {} changed the rule", step);
+            }
+            seen = now;
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -913,7 +874,7 @@ pub(crate) mod tests {
                         oracle_scan(&state, ctx.channel_count(), device, &tp_levels);
                     // 4 and 7 workers cut chunks that end inside SF blocks.
                     for threads in [1usize, 2, 3, 4, 7] {
-                        let got = scan_device(&state, &grid, ctx.channel_count(), device, threads);
+                        let got = scan_device(&state, &grid, device, threads);
                         let at = format!("device {device} threads {threads}");
                         prop_assert_eq!(got.evaluated, scored, "{}", at);
                         prop_assert_eq!(key(got.winner()), key(want), "{}", at);
@@ -924,6 +885,23 @@ pub(crate) mod tests {
                 }
                 state.refresh();
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dense_rule_keeps_the_walk_contract(
+            m in 0.0f64..100.0,
+            o in 0.0f64..100.0,
+            // Minima and own EEs within 3 slacks of `m` and `o`: improvers
+            // just past `M + s`, plateau moves, and refused candidates.
+            offsets in vec((-12i32..=12, -12i32..=12), 0..16),
+        ) {
+            let s = tie_slack(m);
+            let offers = offers_around(m, o, s, &offsets);
+            check_rule_contract(DeviceScan::new(m, o), &around(m, s), &around(o, s), &offers)?;
         }
     }
 

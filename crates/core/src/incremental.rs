@@ -7,8 +7,8 @@
 //! it:
 //!
 //! * [`IncrementalAllocator::extend`] allocates only the *new* devices
-//!   (each by the same lexicographic max-min candidate scan the full
-//!   algorithm uses), then optionally repairs the handful of existing
+//!   (each by a lexicographic max-min candidate scan, the same walk the
+//!   full algorithm runs), then optionally repairs the handful of existing
 //!   devices whose contention groups the newcomers joined;
 //! * [`IncrementalAllocator::after_removal`] repairs the groups that lost
 //!   members after devices left.
@@ -16,14 +16,30 @@
 //! Every device outside the affected groups keeps its configuration
 //! verbatim, so the over-the-air reconfiguration cost is bounded by the
 //! group sizes rather than the network size.
+//!
+//! ## The repair rule
+//!
+//! Each device's scan is one walk of [`lora_model::scan`]; this module
+//! supplies only its acceptance rule, `Repair`, which is sequential and
+//! banded rather than the dense pass's total order. With `best_min` and
+//! `best_own` the best move so far (the device's standing before the scan
+//! until one is taken) and the tie slack `s`, it takes a candidate with
+//! `min > best_min + s`, a strict improver whatever its own EE, or with
+//! `min ≥ best_min − s` and `own > best_own + s`. Its floor is
+//! `best_min − s`; a cap triages as `Skip` at or below it, `OwnBar` up to
+//! `best_min + s` and `Exact` above. The own-EE bar can *fall*, when the
+//! first clause takes an improver with a lower own EE, so a column that
+//! failed the old bar may clear the new one: the walk forgets its column
+//! verdicts whenever the rule takes an offer.
 
-use lora_model::OwnEeBounds;
+use lora_model::scan::{Candidate, Rule, Triage};
+use lora_model::ModelState;
 use lora_phy::{SpreadingFactor, TxConfig};
 
 use crate::allocation::Allocation;
 use crate::context::AllocationContext;
 use crate::error::AllocError;
-use crate::sf_blocks::{ColumnVerdicts, SfBlocks};
+use crate::greedy::tie_slack;
 
 /// Outcome of an incremental adjustment.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,32 +121,21 @@ impl IncrementalAllocator {
         }
 
         let mut state = ctx.model().state(alloc)?;
-        let mut candidates = 0u64;
 
-        // Place each new device with the full lexicographic candidate scan.
-        for device in previous.len()..n {
-            candidates += scan_and_apply(ctx, &mut state, device);
-        }
-
-        let mut reconfigured = 0usize;
-        if self.repair {
+        // Place each new device with the full lexicographic candidate scan;
+        // placing a newcomer reconfigures nothing.
+        let (placed, _) = scan_each(ctx, &mut state, previous.len()..n);
+        let (candidates, reconfigured) = if self.repair {
             let touched = affected_devices(&state.alloc()[previous.len()..], previous);
-            for device in touched {
-                let before = state.alloc()[device];
-                candidates += scan_and_apply(ctx, &mut state, device);
-                if state.alloc()[device] != before {
-                    reconfigured += 1;
-                }
-            }
-        }
-        state.refresh();
-
-        Ok(IncrementalOutcome {
-            min_ee: state.min_ee(),
-            allocation: Allocation::new(state.alloc().to_vec()),
+            scan_each(ctx, &mut state, touched)
+        } else {
+            (0, 0)
+        };
+        Ok(refreshed_outcome(
+            &mut state,
+            placed + candidates,
             reconfigured,
-            candidates_evaluated: candidates,
-        })
+        ))
     }
 
     /// Repairs the configurations of an explicit set of devices in place.
@@ -182,7 +187,7 @@ impl IncrementalAllocator {
     pub fn repair_in_state(
         &self,
         ctx: &AllocationContext<'_>,
-        state: &mut lora_model::ModelState<'_>,
+        state: &mut ModelState<'_>,
         devices: &[usize],
     ) -> Result<IncrementalOutcome, AllocError> {
         if devices.iter().any(|&d| d >= state.alloc().len()) {
@@ -190,22 +195,8 @@ impl IncrementalAllocator {
                 reason: "repair device index out of range",
             });
         }
-        let mut candidates = 0u64;
-        let mut reconfigured = 0usize;
-        for &device in devices {
-            let before = state.alloc()[device];
-            candidates += scan_and_apply(ctx, state, device);
-            if state.alloc()[device] != before {
-                reconfigured += 1;
-            }
-        }
-        state.refresh();
-        Ok(IncrementalOutcome {
-            min_ee: state.min_ee(),
-            allocation: Allocation::new(state.alloc().to_vec()),
-            reconfigured,
-            candidates_evaluated: candidates,
-        })
+        let (candidates, reconfigured) = scan_each(ctx, state, devices.iter().copied());
+        Ok(refreshed_outcome(state, candidates, reconfigured))
     }
 
     /// Repairs an allocation after devices left the deployment.
@@ -231,24 +222,12 @@ impl IncrementalAllocator {
             });
         }
         let mut state = ctx.model().state(remaining.to_vec())?;
-        let mut candidates = 0u64;
-        let mut reconfigured = 0usize;
-        if self.repair {
-            for device in affected_devices(removed, remaining) {
-                let before = state.alloc()[device];
-                candidates += scan_and_apply(ctx, &mut state, device);
-                if state.alloc()[device] != before {
-                    reconfigured += 1;
-                }
-            }
-        }
-        state.refresh();
-        Ok(IncrementalOutcome {
-            min_ee: state.min_ee(),
-            allocation: Allocation::new(state.alloc().to_vec()),
-            reconfigured,
-            candidates_evaluated: candidates,
-        })
+        let (candidates, reconfigured) = if self.repair {
+            scan_each(ctx, &mut state, affected_devices(removed, remaining))
+        } else {
+            (0, 0)
+        };
+        Ok(refreshed_outcome(&mut state, candidates, reconfigured))
     }
 }
 
@@ -265,106 +244,120 @@ fn affected_devices(changes: &[TxConfig], existing: &[TxConfig]) -> Vec<usize> {
         .collect()
 }
 
-/// One device's lexicographic candidate scan (identical acceptance rule to
-/// the full Algorithm 1 pass); applies the best move. Returns the number
-/// of candidates examined.
-fn scan_and_apply(
+/// Scans each of `devices` in turn and applies its best move. Returns the
+/// candidates examined and how many of the devices moved.
+fn scan_each(
     ctx: &AllocationContext<'_>,
-    state: &mut lora_model::ModelState<'_>,
-    device: usize,
-) -> u64 {
-    let current_min = state.min_ee();
-    let current_own = state.ee(device);
-    let current = state.alloc()[device];
-    let tie_slack = (current_min.abs() * 1e-9).max(1e-15);
-    let mut floor = current_min - tie_slack;
-    let mut best: Option<(f64, f64, TxConfig)> = None;
+    state: &mut ModelState<'_>,
+    devices: impl IntoIterator<Item = usize>,
+) -> (u64, usize) {
     let mut candidates = 0u64;
-    // The allocation is fixed for the whole scan (apply happens once, at
-    // the end), so hoist every candidate-independent quantity.
-    let scan = state.prepare_scan(device);
-    let mut own_bounds = OwnEeBounds::new(&scan);
-    let grid = ctx.candidates();
-    let mut blocks = SfBlocks::new(grid, ctx.channel_count(), current);
-    let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
-    let mut next = 0;
-    while next < grid.len() {
-        let (block, max_cap) = blocks.enter(state, &scan, next, grid.len());
-        next = block.end;
-        verdicts.forget();
-        let (best_min, best_own) = best.map_or((current_min, current_own), |(m, o, _)| (m, o));
-        let clears = |ee: f64| ee > best_own + tie_slack;
-        // Each of these makes the per-candidate rules below skip every
-        // candidate of the block.
-        if max_cap <= floor
-            || (max_cap <= best_min + tie_slack
-                && verdicts.all_fail(|column| {
-                    state.own_ee_may_clear(&mut own_bounds, blocks.column(column), clears)
-                }))
-        {
-            candidates += blocks.count(block);
-            continue;
-        }
-        for (idx, cap, column) in blocks.candidates(block) {
-            candidates += 1;
-            // Exact rejection: the network minimum after the move can
-            // never exceed the cached minimum of the untouched groups,
-            // `cap` (it is one of the min components of the full
-            // evaluation). At or below the floor the full evaluation
-            // returns nothing.
-            if cap <= floor {
-                continue;
-            }
-            let cfg = grid[idx];
-            let (best_min, best_own) = best.map_or((current_min, current_own), |(m, o, _)| (m, o));
-            // When the cap cannot beat the incumbent minimum, only the
-            // own-EE tie-break could still accept the candidate. If the
-            // own EE cannot clear the incumbent, no acceptance clause can
-            // fire and the full evaluation is skipped; the column's bounds
-            // decide that first.
-            let own = if cap <= best_min + tie_slack {
-                let clears = |ee: f64| ee > best_own + tie_slack;
-                if !verdicts.clears(column, || {
-                    state.own_ee_may_clear(&mut own_bounds, cfg, clears)
-                }) {
-                    continue;
-                }
-                match state.own_ee_clearing(&mut own_bounds, cfg, clears) {
-                    Some(own) => own,
-                    None => continue,
-                }
-            } else {
-                state.own_ee(&mut own_bounds, cfg)
-            };
-            let Some(min) = state.min_ee_if_scanned(&scan, cfg, own, floor) else {
-                continue;
-            };
-            if min > best_min + tie_slack
-                || (min >= best_min - tie_slack && own > best_own + tie_slack)
-            {
-                best = Some((min, own, cfg));
-                floor = min - tie_slack;
-                // The bar moved, and a strict improver may have lowered
-                // it: a column that failed the old bar may clear the new
-                // one.
-                verdicts.forget();
-            }
+    let mut moved = 0usize;
+    for device in devices {
+        let before = state.alloc()[device];
+        candidates += scan_and_apply(ctx, state, device);
+        moved += usize::from(state.alloc()[device] != before);
+    }
+    (candidates, moved)
+}
+
+/// Refreshes `state` and reports it as the outcome of an adjustment that
+/// examined `candidates` and reconfigured `reconfigured` existing devices.
+fn refreshed_outcome(
+    state: &mut ModelState<'_>,
+    candidates: u64,
+    reconfigured: usize,
+) -> IncrementalOutcome {
+    state.refresh();
+    IncrementalOutcome {
+        min_ee: state.min_ee(),
+        allocation: Allocation::new(state.alloc().to_vec()),
+        reconfigured,
+        candidates_evaluated: candidates,
+    }
+}
+
+/// The repair scan's acceptance rule (see the module docs): the best move
+/// so far, or the device's standing before the scan until one is taken.
+#[derive(Debug)]
+struct Repair {
+    /// The tie slack `s`.
+    tie_slack: f64,
+    /// The best move's network minimum.
+    best_min: f64,
+    /// The best move's own EE.
+    best_own: f64,
+    /// The best move, `None` until one is taken.
+    best: Option<TxConfig>,
+}
+
+impl Repair {
+    /// The rule before a scan that starts at network minimum `min` and
+    /// the device's own EE `own`: no move taken.
+    fn new(min: f64, own: f64) -> Self {
+        Repair {
+            tie_slack: tie_slack(min),
+            best_min: min,
+            best_own: own,
+            best: None,
         }
     }
-    if let Some((_, _, cfg)) = best {
+}
+
+impl Rule for Repair {
+    fn floor(&self) -> f64 {
+        self.best_min - self.tie_slack
+    }
+
+    fn triage(&self, cap: f64) -> Triage {
+        if cap <= self.floor() {
+            Triage::Skip
+        } else if cap <= self.best_min + self.tie_slack {
+            Triage::OwnBar
+        } else {
+            Triage::Exact
+        }
+    }
+
+    fn clears(&self, own: f64) -> bool {
+        own > self.best_own + self.tie_slack
+    }
+
+    fn offer(&mut self, c: Candidate) -> bool {
+        let take = c.min > self.best_min + self.tie_slack
+            || (c.min >= self.best_min - self.tie_slack && self.clears(c.own));
+        if take {
+            self.best_min = c.min;
+            self.best_own = c.own;
+            self.best = Some(c.cfg);
+        }
+        take
+    }
+}
+
+/// One device's repair scan over the context's grid; applies the best
+/// move. Returns the number of candidates examined.
+fn scan_and_apply(ctx: &AllocationContext<'_>, state: &mut ModelState<'_>, device: usize) -> u64 {
+    let mut rule = Repair::new(state.min_ee(), state.ee(device));
+    let grid = ctx.candidates();
+    let examined = state
+        .prepare_scan(device)
+        .walk(grid, 0..grid.len(), &mut rule);
+    if let Some(cfg) = rule.best {
         state.apply(device, cfg);
     }
-    candidates
+    examined
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::tests::with_random_ambient;
+    use crate::greedy::tests::{around, check_rule_contract, offers_around, with_random_ambient};
     use crate::greedy::EfLora;
     use crate::strategy::Strategy;
-    use lora_model::{ModelState, NetworkModel};
+    use lora_model::NetworkModel;
     use lora_sim::{SimConfig, Topology};
+    use proptest::collection::vec;
     use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -606,6 +599,23 @@ mod tests {
             ambient in 0usize..3,
         ) {
             check_repair_walk(n, gws, seed, ambient)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn repair_rule_keeps_the_walk_contract(
+            m in 0.0f64..100.0,
+            o in 0.0f64..100.0,
+            // Strict improvers that lower the bar, ties that raise it, and
+            // refused candidates.
+            offsets in vec((-12i32..=12, -12i32..=12), 0..16),
+        ) {
+            let s = tie_slack(m);
+            let offers = offers_around(m, o, s, &offsets);
+            check_rule_contract(Repair::new(m, o), &around(m, s), &around(o, s), &offers)?;
         }
     }
 

@@ -66,7 +66,6 @@ pub mod incremental;
 pub mod lifetime;
 pub mod placement;
 pub mod resilience;
-mod sf_blocks;
 pub mod spatial;
 pub mod strategy;
 

@@ -16,7 +16,10 @@
 //!   (Eq. 10) and the multi-gateway reception ratio (Eq. 5/13);
 //! * [`model`] — [`model::NetworkModel`] binding a topology + configuration,
 //!   and [`model::ModelState`], the incrementally updatable evaluation the
-//!   greedy allocator scans candidates with.
+//!   allocators scan candidates with;
+//! * [`scan`] — the per-device candidate scan of Algorithm 1, one walk
+//!   with exact skip rules that every allocator drives with its own
+//!   acceptance [`scan::Rule`].
 //!
 //! # Example
 //!
@@ -43,8 +46,9 @@ pub mod error;
 pub mod interference;
 pub mod model;
 pub mod pdr;
+pub mod scan;
 pub mod validation;
 
 pub use error::ModelError;
-pub use model::{Ambient, ModelState, NetworkModel, OwnEeBounds, ScanCache};
+pub use model::{Ambient, ModelState, NetworkModel};
 pub use pdr::PdrForm;

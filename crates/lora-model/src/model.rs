@@ -40,6 +40,7 @@ use crate::contention::{group_count, group_index, overlap_from_load};
 use crate::error::ModelError;
 use crate::interference::{group_density, laplace_transform};
 use crate::pdr::{pdr_exponent, prr, PdrForm};
+use crate::scan::Scan;
 
 /// Allocation-independent model of one deployment.
 ///
@@ -586,21 +587,6 @@ impl NetworkModel {
         self.refresh_density(radius_m);
     }
 
-    /// Recomputes one device's row for an updated site (a churn
-    /// `Migrate` — the class move may change the propagation
-    /// environment and always changes the reporting interval).
-    pub fn patch_row(
-        &mut self,
-        config: &SimConfig,
-        device: usize,
-        site: &DeviceSite,
-        gateways: &[Position],
-    ) {
-        self.attenuation.patch_row(config, device, site, gateways);
-        self.beta[device] = config.betas.beta(site.environment);
-        self.refresh_intervals(config);
-    }
-
     /// Re-derives the deployment density with the construction-time
     /// expression (the population size just changed).
     fn refresh_density(&mut self, radius_m: f64) {
@@ -617,7 +603,7 @@ impl NetworkModel {
 /// evaluate single-device moves incrementally.
 #[derive(Debug, Clone)]
 pub struct ModelState<'m> {
-    model: &'m NetworkModel,
+    pub(crate) model: &'m NetworkModel,
     alloc: Vec<TxConfig>,
     /// Device ids per (SF, channel) group.
     members: Vec<Vec<usize>>,
@@ -654,17 +640,19 @@ pub struct ModelState<'m> {
     /// while producing bit-identical values.
     theta: ThetaRows,
     /// Advanced by every [`ModelState::apply`] and [`ModelState::refresh`],
-    /// so a [`ScanCache`] can tell whether the state it was prepared
-    /// against has changed since, and a θ row whether it was computed
-    /// against the current `Λ` and `q`.
+    /// so a θ row can tell whether it was computed against the current `Λ`
+    /// and `q`.
     generation: u64,
 }
 
-// `ModelState` must stay `Sync`, because the parallel dense scan shares
-// `&ModelState` across worker threads, and `Clone`.
+// `ModelState` must stay `Sync` and `Clone`, and a `Scan` `Sync`, because
+// the parallel dense scan shares one `Scan`, and through it `&ModelState`,
+// across worker threads.
 const _: () = {
     const fn assert_sync_clone<T: Sync + Clone>() {}
+    const fn assert_sync<T: Sync>() {}
     assert_sync_clone::<ModelState<'static>>();
+    assert_sync::<Scan<'static>>();
 };
 
 /// Stamp of a θ row that has never been filled.
@@ -735,8 +723,8 @@ fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
     f64::from_bits(row[k].load(Ordering::Relaxed))
 }
 
-/// Per-device scratch for a candidate scan, produced by
-/// [`ModelState::prepare_scan`].
+/// The candidate-independent parts of a candidate scan, computed by
+/// [`ModelState::scan_cache`] and held by a [`Scan`].
 ///
 /// During one scan of device `i` the allocation is fixed, so the parts
 /// of a candidate's evaluation that do not depend on the candidate can be
@@ -750,15 +738,12 @@ fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
 /// expressions identical to [`ModelState::min_ee_if`] — same values,
 /// fewer recomputations — and [`ModelState::own_ee_clearing`] bounds a
 /// candidate's own EE once per (SF, TP) from the easiest channel. The
-/// cache is invalidated by any [`ModelState::apply`] or
-/// [`ModelState::refresh`]; using it afterwards panics, so callers must
-/// re-prepare after committing a move.
+/// [`Scan`] holding the cache borrows the state, so the state cannot
+/// change while the cache is in use.
 #[derive(Debug, Clone)]
-pub struct ScanCache {
+pub(crate) struct ScanCache {
     /// The device being scanned.
-    device: usize,
-    /// The state's generation at prepare time.
-    generation: u64,
+    pub(crate) device: usize,
     /// Minimum EE over the old group's other members after `device`
     /// leaves (`∞` when it is the sole member) — the candidate-independent
     /// part 2 of [`ModelState::min_ee_if`] for cross-group moves.
@@ -787,13 +772,11 @@ pub struct ScanCache {
 /// so a scan's own-EE tests run the radio energy model at most once per
 /// (SF, TP) pair, 42 at most, instead of once per candidate.
 ///
-/// A memo belongs to one [`ScanCache`] and one scanning thread: the
-/// parallel dense scan keeps one per chunk, beside the shared cache. It
-/// stores values, not verdicts, so it stays valid while the scan's
-/// acceptance bar moves; like its cache, it is void once the state
-/// changes.
+/// A memo belongs to one [`ScanCache`] and one walk: walks that share a
+/// [`Scan`] keep one each. It stores values, not verdicts, so it stays
+/// valid while the rule's acceptance bar moves.
 #[derive(Debug)]
-pub struct OwnEeBounds<'s> {
+pub(crate) struct OwnEeBounds<'s> {
     scan: &'s ScanCache,
     /// Each TP level met so far.
     levels: Vec<TpLevel>,
@@ -823,7 +806,7 @@ struct SfTpEntry {
 
 impl<'s> OwnEeBounds<'s> {
     /// An empty memo for a scan prepared as `scan`.
-    pub fn new(scan: &'s ScanCache) -> Self {
+    pub(crate) fn new(scan: &'s ScanCache) -> Self {
         OwnEeBounds {
             scan,
             levels: Vec::new(),
@@ -1230,11 +1213,7 @@ impl<'m> ModelState<'m> {
     /// Both depend only on `cfg`'s SF and TP, so `bounds` computes each at
     /// most once per scan, along with the power and cycle energy that the
     /// bound and the exact value share.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state changed since `bounds`' scan was prepared.
-    pub fn own_ee_clearing(
+    pub(crate) fn own_ee_clearing(
         &self,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
@@ -1250,11 +1229,7 @@ impl<'m> ModelState<'m> {
     /// `own_ee_clearing` returns `None` on every channel, so a scan can
     /// decide a whole (SF, TP) column at once; `cfg`'s channel is not
     /// read.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state changed since `bounds`' scan was prepared.
-    pub fn own_ee_may_clear(
+    pub(crate) fn own_ee_may_clear(
         &self,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
@@ -1273,7 +1248,6 @@ impl<'m> ModelState<'m> {
         clears: &impl Fn(f64) -> bool,
     ) -> Option<(f64, f64)> {
         let scan = bounds.scan;
-        self.assert_fresh(scan);
         let (p_mw, entry) = bounds.entry(self, cfg);
         if !clears(entry.ceiling) {
             return None;
@@ -1287,16 +1261,11 @@ impl<'m> ModelState<'m> {
 
     /// The scanned device's [`ModelState::ee_if`] for `cfg`, bit for bit,
     /// with the power and cycle energy read from `bounds`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state changed since `bounds`' scan was prepared.
-    pub fn own_ee(&self, bounds: &mut OwnEeBounds<'_>, cfg: TxConfig) -> f64 {
-        let scan = bounds.scan;
-        self.assert_fresh(scan);
+    pub(crate) fn own_ee(&self, bounds: &mut OwnEeBounds<'_>, cfg: TxConfig) -> f64 {
+        let device = bounds.scan.device;
         let (p_mw, entry) = bounds.entry(self, cfg);
         let energy_j = entry.energy_j;
-        self.ee_if_at(scan.device, cfg, p_mw, energy_j)
+        self.ee_if_at(device, cfg, p_mw, energy_j)
     }
 
     /// Upper bound on [`ModelState::ee_if`] for the scanned device over
@@ -1526,10 +1495,8 @@ impl<'m> ModelState<'m> {
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
-    /// scan of device `i` (see [`ScanCache`]). Invalidated by any
-    /// [`ModelState::apply`] or [`ModelState::refresh`] — prepare again
-    /// after committing.
-    pub fn prepare_scan(&self, i: usize) -> ScanCache {
+    /// scan of device `i` (see [`ScanCache`]).
+    pub(crate) fn scan_cache(&self, i: usize) -> ScanCache {
         let g_old = self.group_of(&self.alloc[i]);
 
         // Part 2 of `min_ee_if` for a cross-group move, computed once
@@ -1578,7 +1545,6 @@ impl<'m> ModelState<'m> {
 
         ScanCache {
             device: i,
-            generation: self.generation,
             exit_min,
             g_old,
             other_min,
@@ -1596,12 +1562,7 @@ impl<'m> ModelState<'m> {
     /// exact result can never exceed it — a caller whose acceptance test
     /// already fails at this bound can skip the exact evaluation without
     /// changing any decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state changed since `scan` was prepared.
-    pub fn untouched_groups_min(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
-        self.assert_fresh(scan);
+    pub(crate) fn untouched_groups_min(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
         let g_new = self.group_of(&cfg);
         if g_new != scan.g_old && g_new == scan.other_min_idx {
             scan.other_min2
@@ -1619,31 +1580,19 @@ impl<'m> ModelState<'m> {
     /// A cross-group candidate reads its old group's part from the cache
     /// and costs `O(new-group members × gateways)`; a same-group
     /// candidate (only the transmit power changes) evaluates both parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state changed since `scan` was prepared.
-    pub fn min_ee_if_scanned(
+    pub(crate) fn min_ee_if_scanned(
         &self,
         scan: &ScanCache,
         cfg: TxConfig,
         own: f64,
         floor: f64,
     ) -> Option<f64> {
-        self.assert_fresh(scan);
         debug_assert_eq!(
             own.to_bits(),
             self.ee_if(scan.device, cfg).to_bits(),
             "the own EE handed to min_ee_if_scanned is not ee_if's"
         );
         self.min_ee_after(scan.device, cfg, own, floor, Some(scan.exit_min))
-    }
-
-    fn assert_fresh(&self, scan: &ScanCache) {
-        assert_eq!(
-            scan.generation, self.generation,
-            "stale scan cache: the state changed after prepare_scan"
-        );
     }
 }
 
@@ -2029,7 +1978,7 @@ mod tests {
             .collect();
         let state = model.state(alloc).unwrap();
         for device in [0usize, 7, 19, 29] {
-            let scan = state.prepare_scan(device);
+            let scan = state.scan_cache(device);
             let mut floor = f64::NEG_INFINITY;
             for sf in SpreadingFactor::ALL {
                 for ch in 0..8 {
@@ -2056,40 +2005,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "stale scan cache")]
-    fn scan_cache_is_rejected_after_apply() {
-        let topo = line_topology(12, 150.0, 2);
-        let model = model_for(&topo);
-        let mut state = model
-            .state(uniform_alloc(12, SpreadingFactor::Sf7, 0))
-            .unwrap();
-        let scan = state.prepare_scan(3);
-        // Same allocation length: the move leaves nothing a length check
-        // could notice.
-        state.apply(
-            5,
-            TxConfig::new(SpreadingFactor::Sf8, TxPowerDbm::new(14.0), 1),
-        );
-        let cfg = TxConfig::new(SpreadingFactor::Sf9, TxPowerDbm::new(8.0), 2);
-        let own = state.ee_if(3, cfg);
-        let _ = state.min_ee_if_scanned(&scan, cfg, own, f64::NEG_INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale scan cache")]
-    fn scan_cache_is_rejected_after_refresh() {
-        let topo = line_topology(12, 150.0, 2);
-        let model = model_for(&topo);
-        let mut state = model
-            .state(uniform_alloc(12, SpreadingFactor::Sf7, 0))
-            .unwrap();
-        let scan = state.prepare_scan(3);
-        state.refresh();
-        let cfg = TxConfig::new(SpreadingFactor::Sf9, TxPowerDbm::new(8.0), 2);
-        let _ = state.untouched_groups_min(&scan, cfg);
     }
 
     #[test]
@@ -2121,17 +2036,6 @@ mod tests {
             .collect();
         let survivors = Topology::from_sites(kept, full.gateways().to_vec(), radius);
         assert_eq!(shrunk, NetworkModel::new(&config, &survivors));
-
-        // Migrate: flip one device's propagation environment.
-        let mut sites = full.devices().to_vec();
-        sites[11].environment = match sites[11].environment {
-            LinkEnvironment::LineOfSight => LinkEnvironment::NonLineOfSight,
-            LinkEnvironment::NonLineOfSight => LinkEnvironment::LineOfSight,
-        };
-        let mut patched = NetworkModel::new(&config, &full);
-        patched.patch_row(&config, 11, &sites[11], full.gateways());
-        let moved = Topology::from_sites(sites, full.gateways().to_vec(), radius);
-        assert_eq!(patched, NetworkModel::new(&config, &moved));
     }
 
     /// The θ the state's live `Λ` and `q` give for `(i, k)` right now,
@@ -2287,7 +2191,7 @@ mod tests {
                 // The scanned device's own EE through the per-scan table,
                 // on every candidate.
                 let device = rng.gen_range(0..devices);
-                let scan = state.prepare_scan(device);
+                let scan = state.scan_cache(device);
                 let mut table = OwnEeBounds::new(&scan);
                 for sf in SpreadingFactor::ALL {
                     for tp in TxPowerDbm::eu_levels() {
@@ -2372,7 +2276,7 @@ mod tests {
             // incremental rounding, as they do mid-pass.
             for step in 0..=steps {
                 for device in 0..devices {
-                    let scan = state.prepare_scan(device);
+                    let scan = state.scan_cache(device);
                     for sf in SpreadingFactor::ALL {
                         for tp in TxPowerDbm::eu_levels() {
                             let energy_j = model.cycle_energy_of(device, &TxConfig::new(sf, tp, 0));

@@ -70,19 +70,6 @@ impl Default for CodingRate {
     }
 }
 
-/// Whether the low-data-rate optimisation (DE bit) is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum LowDataRateOptimize {
-    /// Let the implementation choose: enabled for SF11/SF12 at 125 kHz,
-    /// as mandated by the LoRaWAN regional parameters.
-    #[default]
-    Auto,
-    /// Force-enable.
-    Enabled,
-    /// Force-disable.
-    Disabled,
-}
-
 /// Parameters needed to compute the time-on-air of a frame.
 ///
 /// ```
@@ -102,21 +89,14 @@ pub struct ToaParams {
     sf: SpreadingFactor,
     bw: Bandwidth,
     cr: CodingRate,
-    preamble_symbols: u32,
-    low_data_rate: LowDataRateOptimize,
 }
 
 impl ToaParams {
-    /// Creates parameters with the LoRaWAN default preamble (8 symbols) and
-    /// automatic low-data-rate optimisation.
+    /// Creates parameters with the LoRaWAN preamble
+    /// ([`LORAWAN_PREAMBLE_SYMBOLS`]) and the LoRaWAN low-data-rate
+    /// optimisation rule.
     pub fn new(sf: SpreadingFactor, bw: Bandwidth, cr: CodingRate) -> Self {
-        ToaParams {
-            sf,
-            bw,
-            cr,
-            preamble_symbols: LORAWAN_PREAMBLE_SYMBOLS,
-            low_data_rate: LowDataRateOptimize::Auto,
-        }
+        ToaParams { sf, bw, cr }
     }
 
     /// The spreading factor.
@@ -137,18 +117,12 @@ impl ToaParams {
         self.cr
     }
 
-    /// Whether the DE bit ends up set for these parameters.
-    ///
-    /// `Auto` enables it for SF11/SF12 at 125 kHz, where the symbol time
-    /// exceeds 16 ms and crystal drift would otherwise break demodulation.
+    /// Whether the DE bit is set for these parameters: for SF11/SF12 at
+    /// 125 kHz, as the LoRaWAN regional parameters mandate, where the
+    /// symbol time exceeds 16 ms and crystal drift would otherwise break
+    /// demodulation.
     pub fn low_data_rate_enabled(&self) -> bool {
-        match self.low_data_rate {
-            LowDataRateOptimize::Enabled => true,
-            LowDataRateOptimize::Disabled => false,
-            LowDataRateOptimize::Auto => {
-                self.bw == Bandwidth::Bw125 && self.sf >= SpreadingFactor::Sf11
-            }
-        }
+        self.bw == Bandwidth::Bw125 && self.sf >= SpreadingFactor::Sf11
     }
 
     /// Number of payload symbols for a `payload_len`-byte PHY payload
@@ -187,9 +161,11 @@ impl ToaParams {
     }
 
     /// Total number of symbols in the frame, including the preamble
-    /// (`preamble_symbols + 4.25` sync symbols).
+    /// ([`LORAWAN_PREAMBLE_SYMBOLS`] plus 4.25 sync symbols).
     pub fn total_symbols(&self, payload_len: usize) -> Result<f64, PhyError> {
-        Ok(f64::from(self.preamble_symbols) + 4.25 + f64::from(self.payload_symbols(payload_len)?))
+        Ok(f64::from(LORAWAN_PREAMBLE_SYMBOLS)
+            + 4.25
+            + f64::from(self.payload_symbols(payload_len)?))
     }
 
     /// Time-on-air of a frame with a `payload_len`-byte PHY payload.

@@ -281,33 +281,11 @@ impl AttenuationMatrix {
         }
         self.data.truncate(write * g);
     }
-
-    /// Recomputes the row of device `i` for an updated site (migration
-    /// moves a device across propagation classes without moving it, but
-    /// the kernel is cheap enough to recompute unconditionally).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `device` is out of range.
-    pub fn patch_row(
-        &mut self,
-        config: &SimConfig,
-        device: usize,
-        site: &DeviceSite,
-        gateways: &[Position],
-    ) {
-        assert!(device < self.device_count(), "patch_row out of range");
-        assert_eq!(gateways.len(), self.n_gateways, "gateway count changed");
-        let mut row = Vec::with_capacity(self.n_gateways);
-        attenuation_row(config, site, gateways, &mut row);
-        self.data[device * self.n_gateways..(device + 1) * self.n_gateways].copy_from_slice(&row);
-    }
 }
 
 /// Appends the per-gateway linear attenuation row of one device site to
 /// `out` — the single kernel shared by the from-scratch
-/// [`attenuation_matrix`] build and the incremental row operations
-/// ([`AttenuationMatrix::extend_rows`] / [`AttenuationMatrix::patch_row`]),
+/// [`attenuation_matrix`] build and [`AttenuationMatrix::extend_rows`],
 /// which is what makes "incrementally maintained" and "rebuilt from
 /// scratch" bitwise-indistinguishable.
 #[inline]
@@ -635,21 +613,5 @@ mod tests {
             .collect();
         let survivors = Topology::from_sites(kept, full.gateways().to_vec(), 5_000.0);
         assert_eq!(got, attenuation_matrix(&config, &survivors));
-    }
-
-    #[test]
-    fn patch_row_matches_from_scratch_build() {
-        let config = SimConfig::default();
-        let full = Topology::disc(40, 3, 5_000.0, &config, 11);
-        let mut got = attenuation_matrix(&config, &full);
-        let mut sites = full.devices().to_vec();
-        // Flip a device's propagation class, as a Migrate event does.
-        sites[7].environment = match sites[7].environment {
-            LinkEnvironment::LineOfSight => LinkEnvironment::NonLineOfSight,
-            LinkEnvironment::NonLineOfSight => LinkEnvironment::LineOfSight,
-        };
-        got.patch_row(&config, 7, &sites[7], full.gateways());
-        let moved = Topology::from_sites(sites, full.gateways().to_vec(), 5_000.0);
-        assert_eq!(got, attenuation_matrix(&config, &moved));
     }
 }
