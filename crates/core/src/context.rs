@@ -44,16 +44,7 @@ impl<'a> AllocationContext<'a> {
             "model/topology gateway counts differ"
         );
         let tp_levels = config.region.tx_power_levels();
-        let channels = model.channel_count();
-        let mut candidates =
-            Vec::with_capacity(SpreadingFactor::ALL.len() * channels * tp_levels.len());
-        for sf in SpreadingFactor::ALL {
-            for channel in 0..channels {
-                for &tp in &tp_levels {
-                    candidates.push(TxConfig::new(sf, tp, channel));
-                }
-            }
-        }
+        let candidates = candidate_grid(model.channel_count(), &tp_levels);
         AllocationContext {
             config,
             topology,
@@ -129,6 +120,22 @@ impl<'a> AllocationContext<'a> {
         }
         Ok(())
     }
+}
+
+/// The canonical candidate grid over `channels` channels and `tp_levels`:
+/// SF ascending, then channel, then TP in `tp_levels`' order. Chunk
+/// boundaries and tie-breaking are defined over this order; scans skip
+/// the device's current configuration themselves.
+pub(crate) fn candidate_grid(channels: usize, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
+    let mut grid = Vec::with_capacity(SpreadingFactor::ALL.len() * channels * tp_levels.len());
+    for sf in SpreadingFactor::ALL {
+        for channel in 0..channels {
+            for &tp in tp_levels {
+                grid.push(TxConfig::new(sf, tp, channel));
+            }
+        }
+    }
+    grid
 }
 
 #[cfg(test)]

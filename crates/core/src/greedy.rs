@@ -79,7 +79,7 @@ use lora_model::ModelState;
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
 
 use crate::allocation::Allocation;
-use crate::context::AllocationContext;
+use crate::context::{candidate_grid, AllocationContext};
 use crate::density::{default_neighbor_radius, density_first_order};
 use crate::error::AllocError;
 use crate::strategy::Strategy;
@@ -193,11 +193,6 @@ impl EfLora {
         self.threads
     }
 
-    /// The convergence threshold `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
     /// The configured device visiting order.
     pub fn ordering(&self) -> DeviceOrdering {
         self.ordering
@@ -259,7 +254,7 @@ impl EfLora {
         }
 
         let grid = match self.fixed_tp {
-            Some(tp) => Cow::Owned(candidate_grid(ctx, &[tp])),
+            Some(tp) => Cow::Owned(candidate_grid(ctx.channel_count(), &[tp])),
             None => Cow::Borrowed(ctx.candidates()),
         };
         let order = self.visiting_order(ctx);
@@ -450,22 +445,6 @@ impl Rule for DeviceScan {
             false
         }
     }
-}
-
-/// The canonical candidate grid over `tp_levels`: SF ascending, then
-/// channel, then TP in `tp_levels`' order. Chunk boundaries and
-/// tie-breaking are defined over this order; scans skip the device's
-/// current configuration themselves.
-fn candidate_grid(ctx: &AllocationContext<'_>, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
-    let mut grid = Vec::with_capacity(6 * ctx.channel_count() * tp_levels.len());
-    for sf in SpreadingFactor::ALL {
-        for channel in 0..ctx.channel_count() {
-            for &tp in tp_levels {
-                grid.push(TxConfig::new(sf, tp, channel));
-            }
-        }
-    }
-    grid
 }
 
 /// Full candidate scan of `grid`, in canonical order, for one device,
@@ -867,7 +846,7 @@ pub(crate) mod tests {
                 })
                 .collect();
             let mut state = model.state(alloc).unwrap();
-            let grid = candidate_grid(&ctx, &tp_levels);
+            let grid = candidate_grid(ctx.channel_count(), &tp_levels);
             for _pass in 0..3 {
                 for device in 0..n {
                     let (want, scored) =

@@ -146,7 +146,9 @@ impl IncrementalAllocator {
     /// after a gateway failure, the caller rebuilds `ctx` from the masked
     /// topology and passes the devices whose link budget the failure
     /// changed, bounding the over-the-air reconfiguration cost by the
-    /// blast radius instead of the network size.
+    /// blast radius instead of the network size. The cell-sharded planner
+    /// repairs its cells through it too, with the out-of-cell world priced
+    /// into the cell model's [`lora_model::Ambient`].
     ///
     /// # Errors
     ///
@@ -165,38 +167,14 @@ impl IncrementalAllocator {
                 reason: "current allocation must cover the topology exactly",
             });
         }
-        let mut state = ctx.model().state(current.to_vec())?;
-        self.repair_in_state(ctx, &mut state, devices)
-    }
-
-    /// [`IncrementalAllocator::repair`] over a caller-built
-    /// [`lora_model::ModelState`].
-    ///
-    /// The cell-sharded stitch phase uses this: it builds each cell's
-    /// state against a model carrying [`lora_model::Ambient`] boundary
-    /// offsets, then repairs the cell's boundary devices in it — the same
-    /// scan-and-apply loop as [`IncrementalAllocator::repair`], with the
-    /// out-of-cell world priced into the state instead of absent. The
-    /// state is left refreshed and consistent with the returned
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::InvalidParameter`] when a device index is
-    /// out of range for the state's allocation.
-    pub fn repair_in_state(
-        &self,
-        ctx: &AllocationContext<'_>,
-        state: &mut ModelState<'_>,
-        devices: &[usize],
-    ) -> Result<IncrementalOutcome, AllocError> {
-        if devices.iter().any(|&d| d >= state.alloc().len()) {
+        if devices.iter().any(|&d| d >= current.len()) {
             return Err(AllocError::InvalidParameter {
                 reason: "repair device index out of range",
             });
         }
-        let (candidates, reconfigured) = scan_each(ctx, state, devices.iter().copied());
-        Ok(refreshed_outcome(state, candidates, reconfigured))
+        let mut state = ctx.model().state(current.to_vec())?;
+        let (candidates, reconfigured) = scan_each(ctx, &mut state, devices.iter().copied());
+        Ok(refreshed_outcome(&mut state, candidates, reconfigured))
     }
 
     /// Repairs an allocation after devices left the deployment.

@@ -22,10 +22,10 @@
 //! 3. **Stitch.** With every cell solved, the ring sums are recomputed
 //!    from the merged allocation and the devices near each cell border —
 //!    the ones whose phase-2 decisions used the stalest ring information
-//!    — are repaired in place by
-//!    [`IncrementalAllocator::repair_in_state`] against the refreshed
-//!    ambient. The stitched merge is kept only when it does not degrade
-//!    the exact localized `(min, mean)` EE of the solved merge.
+//!    — are repaired in place by [`IncrementalAllocator::repair`] against
+//!    the refreshed ambient. The stitched merge is kept only when it does
+//!    not degrade the exact localized `(min, mean)` EE of the solved
+//!    merge.
 //! 4. **Tail repair.** Parallel per-cell solves are simultaneous best
 //!    responses against a frozen field; when that snapshot shows one SF
 //!    lightly loaded, every cell migrates devices there at once and the
@@ -34,6 +34,15 @@
 //!    worst devices — each against a freshly re-priced exact ambient —
 //!    lift that tail; sequential moves cannot herd, and a `(min, mean)`
 //!    guard per round keeps the phase monotone.
+//!
+//! Every phase reads its cells through one pass: the phase prices its
+//! allocation snapshot once (a `Field`: transmit powers, group tally,
+//! far-field kernels), and each cell it touches gets its ambient from
+//! that snapshot, a model built from its tile and an
+//! [`AllocationContext`] handed to the phase's job — a call into a
+//! public entry point ([`EfLora::allocate_with_report`],
+//! [`IncrementalAllocator::repair`] or [`lora_model::ModelState::ee_all`]).
+//! Cell models and states live only inside the pass.
 //!
 //! Below [`SpatialEfLora::with_dense_threshold`] the whole pipeline
 //! short-circuits to the dense [`EfLora`] — byte-identical results, as
@@ -52,6 +61,7 @@ use lora_spatial::{
 use crate::allocation::Allocation;
 use crate::context::AllocationContext;
 use crate::error::AllocError;
+use crate::fairness;
 use crate::greedy::{DeviceOrdering, EfLora};
 use crate::incremental::IncrementalAllocator;
 use crate::strategy::Strategy;
@@ -110,20 +120,6 @@ impl SpatialEfLora {
         SpatialEfLora::default()
     }
 
-    /// Sets the convergence threshold `δ` of the per-cell solver.
-    #[must_use]
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        self.inner = self.inner.with_delta(delta);
-        self
-    }
-
-    /// Caps the per-cell improvement passes.
-    #[must_use]
-    pub fn with_max_passes(mut self, passes: usize) -> Self {
-        self.inner = self.inner.with_max_passes(passes);
-        self
-    }
-
     /// Sets the device visiting order. [`DeviceOrdering::Random`] seeds
     /// are re-derived per cell so no two cells share a permutation
     /// stream.
@@ -140,8 +136,9 @@ impl SpatialEfLora {
         self
     }
 
-    /// Sets the cell fan-out worker count (`0` = host parallelism). The
-    /// dense fallback path passes this through to [`EfLora::with_threads`].
+    /// Sets the cell fan-out worker count (`0` = host parallelism). It
+    /// sets nothing else: every cell solve, and the dense fallback's
+    /// candidate scan, runs on one thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
@@ -180,11 +177,6 @@ impl SpatialEfLora {
         self
     }
 
-    /// The configured fan-out worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Allocates the deployment and reports scale statistics.
     ///
     /// # Errors
@@ -221,14 +213,19 @@ impl SpatialEfLora {
         let mut alloc = shards.initial_allocation();
 
         // Phase 2: solve every occupied cell against the seed ring.
-        let solve = shards.solve_cells(&alloc, &self.inner)?;
-        let mut candidates = 0u64;
-        for cell_result in &solve {
-            candidates += cell_result.candidates;
-            for (&id, &cfg) in cell_result.members.iter().zip(&cell_result.alloc) {
-                alloc[id as usize] = cfg;
-            }
-        }
+        let mut candidates = {
+            let field = shards.field(&alloc, FarFieldMode::Pricing);
+            let solved = shards.each_cell(&shards.occupied, &alloc, &field, |cell, ctx, _| {
+                let report = self
+                    .inner
+                    .clone()
+                    .with_threads(1)
+                    .with_ordering(cell_ordering(self.inner.ordering(), cell))
+                    .allocate_with_report(ctx)?;
+                Ok((report.allocation, report.candidates_evaluated, 0))
+            })?;
+            shards.scatter(&shards.occupied, solved, &mut alloc).0
+        };
 
         // Phase 3: stitch cell borders against the solved ring. The
         // stitch prices remote cells through the channel-symmetric
@@ -237,21 +234,30 @@ impl SpatialEfLora {
         // mean field admits. Guard the merge with the exact localized
         // objective: the stitched allocation is kept only when it does
         // not degrade the (min, mean) EE of the solved phase.
-        let stitch = shards.stitch_cells(&alloc)?;
-        let mut boundary_reconfigured = 0usize;
         let mut stitched = alloc.clone();
-        for cell_result in &stitch {
-            candidates += cell_result.candidates;
-            boundary_reconfigured += cell_result.reconfigured;
-            for (&id, &cfg) in cell_result.members.iter().zip(&cell_result.alloc) {
-                stitched[id as usize] = cfg;
-            }
-        }
+        let (stitch_candidates, mut boundary_reconfigured) = {
+            let cells: Vec<usize> = shards
+                .occupied
+                .iter()
+                .copied()
+                .filter(|&cell| !shards.boundary_members(cell).is_empty())
+                .collect();
+            let field = shards.field(&alloc, FarFieldMode::Pricing);
+            let repairer = IncrementalAllocator::new();
+            let repaired = shards.each_cell(&cells, &alloc, &field, |cell, ctx, local| {
+                let outcome = repairer.repair(ctx, &local, &shards.boundary_members(cell))?;
+                Ok((
+                    outcome.allocation,
+                    outcome.candidates_evaluated,
+                    outcome.reconfigured,
+                ))
+            })?;
+            shards.scatter(&cells, repaired, &mut stitched)
+        };
+        candidates += stitch_candidates;
         let solved_ee = shards.evaluate(&alloc)?;
         let stitched_ee = shards.evaluate(&stitched)?;
-        let (solved_min, solved_mean, _) = summarize(&solved_ee);
-        let (stitched_min, stitched_mean, _) = summarize(&stitched_ee);
-        let mut ee = if (stitched_min, stitched_mean) >= (solved_min, solved_mean) {
+        let mut ee = if objective(&stitched_ee) >= objective(&solved_ee) {
             alloc = stitched;
             stitched_ee
         } else {
@@ -270,16 +276,15 @@ impl SpatialEfLora {
         // while a (min, mean) guard per round keeps the phase monotone.
         let (tail_reconfigured, tail_candidates) = shards.tail_repair(&mut alloc, &mut ee)?;
         candidates += tail_candidates;
-        let (min_ee, mean_ee, jain) = summarize(&ee);
         Ok(SpatialReport {
             allocation: Allocation::new(alloc),
             sharded: true,
             cells: shards.occupied.len(),
             cell_size_m: shards.grid.cell_size_m(),
             horizon_m: shards.horizon_m,
-            min_ee,
-            mean_ee,
-            jain,
+            min_ee: fairness::min_ee(&ee),
+            mean_ee: fairness::mean(&ee),
+            jain: fairness::jain_index(&ee),
             boundary_reconfigured,
             tail_reconfigured,
             candidates_evaluated: candidates,
@@ -327,22 +332,17 @@ impl SpatialEfLora {
     ) -> Result<SpatialReport, AllocError> {
         let model = NetworkModel::try_new(config, topology)?;
         let ctx = AllocationContext::new(config, topology, &model);
-        let report = self
-            .inner
-            .clone()
-            .with_threads(self.threads)
-            .allocate_with_report(&ctx)?;
+        let report = self.inner.allocate_with_report(&ctx)?;
         let ee = model.evaluate(report.allocation.as_slice());
-        let (min_ee, mean_ee, jain) = summarize(&ee);
         Ok(SpatialReport {
             allocation: report.allocation,
             sharded: false,
             cells: 1,
             cell_size_m: f64::INFINITY,
             horizon_m: attenuation_horizon_m(config, DEFAULT_HORIZON_EPSILON),
-            min_ee,
-            mean_ee,
-            jain,
+            min_ee: fairness::min_ee(&ee),
+            mean_ee: fairness::mean(&ee),
+            jain: fairness::jain_index(&ee),
             boundary_reconfigured: 0,
             tail_reconfigured: 0,
             candidates_evaluated: report.candidates_evaluated,
@@ -388,14 +388,6 @@ pub struct SpatialReport {
     pub candidates_evaluated: u64,
 }
 
-/// One cell's contribution back to the global allocation.
-struct CellOutcome {
-    members: Vec<u32>,
-    alloc: Vec<TxConfig>,
-    candidates: u64,
-    reconfigured: usize,
-}
-
 /// Everything the sharded phases share: the grid, the per-cell gateway
 /// subsets and attenuation tiles, the far-field pricer, and the handful
 /// of PHY-derived tables the ambient assembly needs.
@@ -439,26 +431,15 @@ struct GroupTally {
     power: Vec<f64>,
 }
 
-impl GroupTally {
-    /// Tallies `alloc`, whose transmit powers in mW are `power_mw` (see
-    /// [`powers_mw`]).
-    fn of(alloc: &[TxConfig], power_mw: &[f64], n_groups: usize, n_channels: usize) -> Self {
-        let mut count = vec![0.0; n_groups];
-        let mut power = vec![0.0; n_groups];
-        for (cfg, &p_mw) in alloc.iter().zip(power_mw) {
-            let grp = group_index(cfg.sf, cfg.channel, n_channels);
-            count[grp] += 1.0;
-            power[grp] += p_mw;
-        }
-        GroupTally { count, power }
-    }
-}
-
-/// Every device's transmit power in mW under `alloc`, computed once per
-/// allocation snapshot so the tallies and every cell's ambient read a
-/// power instead of converting it from dBm again.
-fn powers_mw(alloc: &[TxConfig]) -> Vec<f64> {
-    alloc.iter().map(|cfg| cfg.tp.milliwatts()).collect()
+/// One phase's pricing of an allocation snapshot, shared by every cell
+/// the phase touches: each device's transmit power in mW (so the tally
+/// and every cell's ambient read a power instead of converting it from
+/// dBm again), the per-group tally and the far-field occupancy kernels.
+struct Field {
+    power_mw: Vec<f64>,
+    tally: GroupTally,
+    kernels: Vec<f64>,
+    mode: FarFieldMode,
 }
 
 impl<'a> Shards<'a> {
@@ -587,23 +568,36 @@ impl<'a> Shards<'a> {
         })
     }
 
-    /// The [`Ambient`] of `cell` under `alloc` (transmit powers
-    /// `power_mw`): exact ring sums over the one-ring neighbours plus the
-    /// far field priced over the annulus beyond the exclusion radius.
+    /// Prices the snapshot `alloc` for one phase (see [`Field`]).
+    fn field(&self, alloc: &[TxConfig], mode: FarFieldMode) -> Field {
+        let power_mw: Vec<f64> = alloc.iter().map(|cfg| cfg.tp.milliwatts()).collect();
+        let mut tally = GroupTally {
+            count: vec![0.0; self.n_groups],
+            power: vec![0.0; self.n_groups],
+        };
+        for (cfg, &p_mw) in alloc.iter().zip(&power_mw) {
+            let grp = group_index(cfg.sf, cfg.channel, self.n_channels);
+            tally.count[grp] += 1.0;
+            tally.power[grp] += p_mw;
+        }
+        let kernels = self.occupancy_kernels(&tally, mode);
+        Field {
+            power_mw,
+            tally,
+            kernels,
+            mode,
+        }
+    }
+
+    /// The [`Ambient`] of `cell` under `alloc`, priced by `field`: exact
+    /// ring sums over the one-ring neighbours plus the far field priced
+    /// over the annulus beyond the exclusion radius.
     ///
     /// A ring member's attenuation toward one of `cell`'s gateways is
     /// read from the member's own cell tile, which holds the same bits as
     /// [`lora_sim::attenuation_row`] computes; only a gateway outside the
     /// neighbour's subset is computed here, by the same expression.
-    fn ambient_for(
-        &self,
-        cell: usize,
-        alloc: &[TxConfig],
-        power_mw: &[f64],
-        tally: &GroupTally,
-        far_occupancy_kernels: &[f64],
-        mode: FarFieldMode,
-    ) -> Ambient {
+    fn ambient_for(&self, cell: usize, alloc: &[TxConfig], field: &Field) -> Ambient {
         let gws = self.tiles.gateways(cell);
         let g = gws.len();
         let mut ambient = Ambient::zeros(self.n_groups, g);
@@ -615,7 +609,7 @@ impl<'a> Shards<'a> {
             let cfg = &alloc[member as usize];
             let grp = group_index(cfg.sf, cfg.channel, self.n_channels);
             near_count[grp] += 1.0;
-            near_power[grp] += power_mw[member as usize];
+            near_power[grp] += field.power_mw[member as usize];
         }
         // For each neighbour cell, the column of each of `cell`'s
         // gateways in the neighbour's tile, if it has one.
@@ -636,7 +630,7 @@ impl<'a> Shards<'a> {
             let j = j as usize;
             let cfg = &alloc[j];
             let grp = group_index(cfg.sf, cfg.channel, self.n_channels);
-            let p_mw = power_mw[j];
+            let p_mw = field.power_mw[j];
             let duty = self.duty(cfg.sf);
             near_count[grp] += 1.0;
             near_power[grp] += p_mw;
@@ -666,28 +660,19 @@ impl<'a> Shards<'a> {
                 }
             }
         }
-        self.price_far_field(
-            &mut ambient,
-            &near_count,
-            &near_power,
-            tally,
-            far_occupancy_kernels,
-            mode,
-        );
+        self.price_far_field(&mut ambient, &near_count, &near_power, field);
         ambient
     }
 
     /// Adds the far field to `ambient`: each group's devices outside the
-    /// cell and its ring (the tally less `near_count`/`near_power`) as a
-    /// PPP annulus beyond the exclusion radius.
+    /// cell and its ring (the field's tally less `near_count`/`near_power`)
+    /// as a PPP annulus beyond the exclusion radius.
     fn price_far_field(
         &self,
         ambient: &mut Ambient,
         near_count: &[f64],
         near_power: &[f64],
-        tally: &GroupTally,
-        far_occupancy_kernels: &[f64],
-        mode: FarFieldMode,
+        field: &Field,
     ) {
         let g = ambient.lambda.len();
         // In `Pricing` mode the far counts are symmetrised across the
@@ -711,8 +696,8 @@ impl<'a> Shards<'a> {
             let duty = self.duty(sf);
             let (sf_count, sf_power) =
                 (base..base + self.n_channels).fold((0.0, 0.0), |acc, grp| {
-                    let c = (tally.count[grp] - near_count[grp]).max(0.0);
-                    let p = (tally.power[grp] - near_power[grp]).max(0.0);
+                    let c = (field.tally.count[grp] - near_count[grp]).max(0.0);
+                    let p = (field.tally.power[grp] - near_power[grp]).max(0.0);
                     (acc.0 + c, acc.1 + p)
                 });
             if sf_count <= 0.0 {
@@ -720,14 +705,14 @@ impl<'a> Shards<'a> {
             }
             for ch in 0..self.n_channels {
                 let grp = base + ch;
-                let (far_count, mean_p) = match mode {
+                let (far_count, mean_p) = match field.mode {
                     FarFieldMode::Pricing => (sf_count / nc, sf_power / sf_count),
                     FarFieldMode::Exact => {
-                        let c = (tally.count[grp] - near_count[grp]).max(0.0);
+                        let c = (field.tally.count[grp] - near_count[grp]).max(0.0);
                         if c <= 0.0 {
                             continue;
                         }
-                        let p = (tally.power[grp] - near_power[grp]).max(0.0);
+                        let p = (field.tally.power[grp] - near_power[grp]).max(0.0);
                         (c, p / c)
                     }
                 };
@@ -737,7 +722,7 @@ impl<'a> Shards<'a> {
                 // far load is the full duty mass, not an annulus integral.
                 ambient.load[grp] += duty * far_count;
                 let far_interf = lambda_far * mean_p * q_i;
-                let far_lambda = lambda_far * duty * far_occupancy_kernels[grp];
+                let far_lambda = lambda_far * duty * field.kernels[grp];
                 for k in 0..g {
                     ambient.power[grp * g + k] += far_interf;
                     ambient.lambda[k] += far_lambda;
@@ -793,14 +778,19 @@ impl<'a> Shards<'a> {
         kernels
     }
 
-    /// The cell-local model over `cell`'s members and gateway subset,
-    /// with its attenuation rows taken from the tile and `ambient`
-    /// installed.
-    fn cell_model(
+    /// The cell pass: builds `cell`'s model — its members and gateway
+    /// subset, the attenuation rows of its tile and its ambient under
+    /// `alloc` priced by `field` — and hands `job` the cell's
+    /// [`AllocationContext`] and its members' configurations under
+    /// `alloc`, in member order. The model lives only for the job.
+    fn in_cell<T>(
         &self,
         cell: usize,
-        ambient: Ambient,
-    ) -> Result<(Topology, NetworkModel), AllocError> {
+        alloc: &[TxConfig],
+        field: &Field,
+        job: impl FnOnce(&AllocationContext<'_>, Vec<TxConfig>) -> Result<T, AllocError>,
+    ) -> Result<T, AllocError> {
+        let ambient = self.ambient_for(cell, alloc, field);
         let members = self.grid.members(cell);
         let devices: Vec<DeviceSite> = members
             .iter()
@@ -816,85 +806,47 @@ impl<'a> Shards<'a> {
             AttenuationMatrix::from_raw(gateway_ids.len(), self.tiles.block(cell).to_vec());
         let model = NetworkModel::try_new_with_attenuation(self.config, &local_topo, matrix)?
             .with_ambient(ambient);
-        Ok((local_topo, model))
+        let ctx = AllocationContext::new(self.config, &local_topo, &model);
+        job(&ctx, members.iter().map(|&id| alloc[id as usize]).collect())
     }
 
-    /// Phase 2: solve every occupied cell independently.
-    fn solve_cells(
+    /// Runs the cell pass over `cells` on the fan-out workers; `job` also
+    /// receives the cell. Results come back in `cells` order, and the
+    /// first failing cell's error is returned.
+    fn each_cell<T: Send>(
         &self,
+        cells: &[usize],
         alloc: &[TxConfig],
-        inner: &EfLora,
-    ) -> Result<Vec<CellOutcome>, AllocError> {
-        let power_mw = powers_mw(alloc);
-        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
-        let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
-        let results = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
-            let cell = self.occupied[idx];
-            let ambient = self.ambient_for(
-                cell,
-                alloc,
-                &power_mw,
-                &tally,
-                &kernels,
-                FarFieldMode::Pricing,
-            );
-            let (local_topo, model) = self.cell_model(cell, ambient)?;
-            let ctx = AllocationContext::new(self.config, &local_topo, &model);
-            let solver = inner
-                .clone()
-                .with_threads(1)
-                .with_ordering(cell_ordering(inner.ordering(), cell));
-            let report = solver.allocate_with_report(&ctx)?;
-            Ok(CellOutcome {
-                members: self.grid.members(cell).to_vec(),
-                alloc: report.allocation.as_slice().to_vec(),
-                candidates: report.candidates_evaluated,
-                reconfigured: 0,
-            })
-        });
-        results.into_iter().collect()
+        field: &Field,
+        job: impl Fn(usize, &AllocationContext<'_>, Vec<TxConfig>) -> Result<T, AllocError> + Sync,
+    ) -> Result<Vec<T>, AllocError> {
+        lora_parallel::par_map_indexed(cells.len(), self.threads, |idx| {
+            let cell = cells[idx];
+            self.in_cell(cell, alloc, field, |ctx, local| job(cell, ctx, local))
+        })
+        .into_iter()
+        .collect()
     }
 
-    /// Phase 3: repair each cell's boundary band against the solved
-    /// ring.
-    fn stitch_cells(&self, alloc: &[TxConfig]) -> Result<Vec<CellOutcome>, AllocError> {
-        let power_mw = powers_mw(alloc);
-        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
-        let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
-        let repairer = IncrementalAllocator::new();
-        let results = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
-            let cell = self.occupied[idx];
-            let members = self.grid.members(cell);
-            let boundary = self.boundary_members(cell);
-            if boundary.is_empty() {
-                return Ok(CellOutcome {
-                    members: Vec::new(),
-                    alloc: Vec::new(),
-                    candidates: 0,
-                    reconfigured: 0,
-                });
+    /// Writes each cell's allocation — its members' configurations in
+    /// member order, with the candidates it examined and the devices it
+    /// moved — back into `alloc` in `cells` order. Returns the summed
+    /// `(candidates, moved)`.
+    fn scatter(
+        &self,
+        cells: &[usize],
+        results: Vec<(Allocation, u64, usize)>,
+        alloc: &mut [TxConfig],
+    ) -> (u64, usize) {
+        let mut totals = (0, 0);
+        for (&cell, (cell_alloc, candidates, moved)) in cells.iter().zip(results) {
+            for (&id, &cfg) in self.grid.members(cell).iter().zip(cell_alloc.as_slice()) {
+                alloc[id as usize] = cfg;
             }
-            let ambient = self.ambient_for(
-                cell,
-                alloc,
-                &power_mw,
-                &tally,
-                &kernels,
-                FarFieldMode::Pricing,
-            );
-            let (local_topo, model) = self.cell_model(cell, ambient)?;
-            let ctx = AllocationContext::new(self.config, &local_topo, &model);
-            let local_alloc: Vec<TxConfig> = members.iter().map(|&id| alloc[id as usize]).collect();
-            let mut state = model.state(local_alloc)?;
-            let outcome = repairer.repair_in_state(&ctx, &mut state, &boundary)?;
-            Ok(CellOutcome {
-                members: members.to_vec(),
-                alloc: outcome.allocation.as_slice().to_vec(),
-                candidates: outcome.candidates_evaluated,
-                reconfigured: outcome.reconfigured,
-            })
-        });
-        results.into_iter().collect()
+            totals.0 += candidates;
+            totals.1 += moved;
+        }
+        totals
     }
 
     /// Local indices of `cell`'s members within the boundary band of the
@@ -920,10 +872,12 @@ impl<'a> Shards<'a> {
     ///
     /// Each round takes the [`TAIL_BATCH`] globally-worst devices under
     /// the exact localized objective and repairs them one at a time
-    /// against an [`FarFieldMode::Exact`] ambient — the ring-exact sums
-    /// see every earlier move of the round through `trial`, and because
-    /// the moves are sequential there is no frozen shared field to herd
-    /// against. A round is accepted only when it improves the
+    /// against an [`FarFieldMode::Exact`] ambient. The round prices its
+    /// starting allocation once; the ring-exact sums and the field's
+    /// transmit powers see every earlier move of the round through
+    /// `trial`, while the tally and kernels stay at the round's start.
+    /// Because the moves are sequential there is no frozen shared field
+    /// to herd against. A round is accepted only when it improves the
     /// lexicographic `(min, mean)` EE; the phase stops at the first
     /// round that makes no move or no improvement, or after
     /// [`TAIL_ROUNDS`] rounds. Returns `(devices moved, candidates
@@ -936,59 +890,38 @@ impl<'a> Shards<'a> {
         let repairer = IncrementalAllocator::new();
         let mut reconfigured = 0usize;
         let mut candidates = 0u64;
-        let (mut best_min, mut best_mean, _) = summarize(ee);
-        // Tracks `trial` through every move; a round starts from the
-        // accepted allocation, which is the previous round's trial.
-        let mut power_mw = powers_mw(alloc);
+        let mut best = objective(ee);
         for _ in 0..TAIL_ROUNDS {
             let mut order: Vec<usize> = (0..alloc.len()).collect();
             order.sort_by(|&a, &b| ee[a].total_cmp(&ee[b]).then(a.cmp(&b)));
             order.truncate(TAIL_BATCH);
 
             let mut trial = alloc.to_vec();
-            let tally = GroupTally::of(&trial, &power_mw, self.n_groups, self.n_channels);
-            let kernels = self.occupancy_kernels(&tally, FarFieldMode::Exact);
+            let mut field = self.field(&trial, FarFieldMode::Exact);
             let mut moved = 0usize;
             for dev in order {
-                let cell = self.grid.cell_of(dev);
-                let ambient = self.ambient_for(
-                    cell,
-                    &trial,
-                    &power_mw,
-                    &tally,
-                    &kernels,
-                    FarFieldMode::Exact,
-                );
-                let (local_topo, model) = self.cell_model(cell, ambient)?;
-                let ctx = AllocationContext::new(self.config, &local_topo, &model);
-                let members = self.grid.members(cell);
-                let local_alloc: Vec<TxConfig> =
-                    members.iter().map(|&id| trial[id as usize]).collect();
-                let mut state = model.state(local_alloc)?;
+                // Repairing one slot moves at most that device.
+                let slot = self.grid.slot_of(dev);
                 let outcome =
-                    repairer.repair_in_state(&ctx, &mut state, &[self.grid.slot_of(dev)])?;
+                    self.in_cell(self.grid.cell_of(dev), &trial, &field, |ctx, local| {
+                        repairer.repair(ctx, &local, &[slot])
+                    })?;
                 candidates += outcome.candidates_evaluated;
                 if outcome.reconfigured > 0 {
                     moved += outcome.reconfigured;
-                    for (&id, &cfg) in members.iter().zip(outcome.allocation.as_slice()) {
-                        let id = id as usize;
-                        if trial[id] != cfg {
-                            power_mw[id] = cfg.tp.milliwatts();
-                        }
-                        trial[id] = cfg;
-                    }
+                    trial[dev] = outcome.allocation[slot];
+                    field.power_mw[dev] = trial[dev].tp.milliwatts();
                 }
             }
             if moved == 0 {
                 break;
             }
             let trial_ee = self.evaluate(&trial)?;
-            let (min, mean, _) = summarize(&trial_ee);
-            if (min, mean) > (best_min, best_mean) {
+            let trial_best = objective(&trial_ee);
+            if trial_best > best {
                 alloc.copy_from_slice(&trial);
                 *ee = trial_ee;
-                best_min = min;
-                best_mean = mean;
+                best = trial_best;
                 reconfigured += moved;
             } else {
                 break;
@@ -1000,33 +933,13 @@ impl<'a> Shards<'a> {
     /// Sharded evaluation: per-cell models with ambient derived from
     /// `alloc`, EE values mapped back to global device order.
     fn evaluate(&self, alloc: &[TxConfig]) -> Result<Vec<f64>, AllocError> {
-        let power_mw = powers_mw(alloc);
-        let tally = GroupTally::of(alloc, &power_mw, self.n_groups, self.n_channels);
-        let kernels = self.occupancy_kernels(&tally, FarFieldMode::Exact);
-        let per_cell = lora_parallel::par_map_indexed(self.occupied.len(), self.threads, |idx| {
-            let cell = self.occupied[idx];
-            let ambient = self.ambient_for(
-                cell,
-                alloc,
-                &power_mw,
-                &tally,
-                &kernels,
-                FarFieldMode::Exact,
-            );
-            let (_, model) = self.cell_model(cell, ambient)?;
-            let local_alloc: Vec<TxConfig> = self
-                .grid
-                .members(cell)
-                .iter()
-                .map(|&id| alloc[id as usize])
-                .collect();
-            let state = model.state(local_alloc)?;
-            Ok::<Vec<f64>, AllocError>(state.ee_all().to_vec())
-        });
+        let field = self.field(alloc, FarFieldMode::Exact);
+        let per_cell = self.each_cell(&self.occupied, alloc, &field, |_, ctx, local| {
+            Ok(ctx.model().state(local)?.ee_all().to_vec())
+        })?;
         let mut ee = vec![0.0; alloc.len()];
-        for (idx, cell_ee) in per_cell.into_iter().enumerate() {
-            let cell_ee = cell_ee?;
-            for (&id, value) in self.grid.members(self.occupied[idx]).iter().zip(cell_ee) {
+        for (&cell, cell_ee) in self.occupied.iter().zip(per_cell) {
+            for (&id, value) in self.grid.members(cell).iter().zip(cell_ee) {
                 ee[id as usize] = value;
             }
         }
@@ -1046,23 +959,15 @@ fn cell_ordering(ordering: DeviceOrdering, cell: usize) -> DeviceOrdering {
     }
 }
 
-fn summarize(ee: &[f64]) -> (f64, f64, f64) {
-    let n = ee.len() as f64;
-    let min = ee.iter().copied().fold(f64::INFINITY, f64::min);
-    let sum: f64 = ee.iter().sum();
-    let sum_sq: f64 = ee.iter().map(|x| x * x).sum();
-    let jain = if sum_sq > 0.0 {
-        sum * sum / (n * sum_sq)
-    } else {
-        0.0
-    };
-    (min, sum / n, jain)
+/// The lexicographic objective the stitch and tail guards compare:
+/// `(min, mean)` EE.
+fn objective(ee: &[f64]) -> (f64, f64) {
+    (fairness::min_ee(ee), fairness::mean(ee))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fairness;
     use proptest::prelude::{any, proptest, ProptestConfig, Strategy as _};
 
     /// The ring sums as they were computed before the tiles were read:
@@ -1072,9 +977,7 @@ mod tests {
         shards: &Shards<'_>,
         cell: usize,
         alloc: &[TxConfig],
-        tally: &GroupTally,
-        far_occupancy_kernels: &[f64],
-        mode: FarFieldMode,
+        field: &Field,
     ) -> Ambient {
         let gws = shards.tiles.gateways(cell);
         let g = gws.len();
@@ -1113,14 +1016,7 @@ mod tests {
                 }
             }
         }
-        shards.price_far_field(
-            &mut ambient,
-            &near_count,
-            &near_power,
-            tally,
-            far_occupancy_kernels,
-            mode,
-        );
+        shards.price_far_field(&mut ambient, &near_count, &near_power, field);
         ambient
     }
 
@@ -1172,13 +1068,11 @@ mod tests {
     ) -> usize {
         let shards = Shards::build(planner, config, topo).unwrap();
         let alloc = scrambled_allocation(config, topo.device_count(), alloc_seed);
-        let power_mw = powers_mw(&alloc);
-        let tally = GroupTally::of(&alloc, &power_mw, shards.n_groups, shards.n_channels);
         for mode in [FarFieldMode::Pricing, FarFieldMode::Exact] {
-            let kernels = shards.occupancy_kernels(&tally, mode);
+            let field = shards.field(&alloc, mode);
             for &cell in &shards.occupied {
-                let got = shards.ambient_for(cell, &alloc, &power_mw, &tally, &kernels, mode);
-                let want = recomputed_ambient(&shards, cell, &alloc, &tally, &kernels, mode);
+                let got = shards.ambient_for(cell, &alloc, &field);
+                let want = recomputed_ambient(&shards, cell, &alloc, &field);
                 assert_eq!(
                     bits(&got.power),
                     bits(&want.power),

@@ -1,8 +1,11 @@
 //! The allocation-strategy abstraction.
 
 use crate::allocation::Allocation;
+use crate::baselines::{AdrLora, EfLoraFixedTp, LegacyLora, RsLora};
 use crate::context::AllocationContext;
 use crate::error::AllocError;
+use crate::greedy::EfLora;
+use crate::spatial::SpatialEfLora;
 
 /// An algorithm that assigns every device a (SF, TP, channel) triple.
 ///
@@ -38,6 +41,27 @@ pub trait Strategy {
     fn allocate(&self, ctx: &AllocationContext<'_>) -> Result<Allocation, AllocError>;
 }
 
+/// Resolves an allocation strategy by its command-line name, as the
+/// planner CLI and the daemon spell it.
+///
+/// # Errors
+///
+/// A message listing the valid names.
+pub fn strategy_by_name(name: &str) -> Result<Box<dyn Strategy>, String> {
+    match name {
+        "ef-lora" => Ok(Box::new(EfLora::default())),
+        "legacy" => Ok(Box::new(LegacyLora::default())),
+        "rs-lora" => Ok(Box::new(RsLora::default())),
+        "ef-lora-14dbm" => Ok(Box::new(EfLoraFixedTp::default())),
+        "adr" => Ok(Box::new(AdrLora::default())),
+        "ef-lora-spatial" => Ok(Box::new(SpatialEfLora::default().with_threads(0))),
+        other => Err(format!(
+            "unknown strategy `{other}` (expected ef-lora, legacy, rs-lora, ef-lora-14dbm, adr \
+             or ef-lora-spatial)"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,5 +86,20 @@ mod tests {
     fn trait_is_object_safe() {
         let s: &dyn Strategy = &Fixed;
         assert_eq!(s.name(), "fixed");
+    }
+
+    #[test]
+    fn strategies_resolve() {
+        for name in [
+            "ef-lora",
+            "legacy",
+            "rs-lora",
+            "ef-lora-14dbm",
+            "adr",
+            "ef-lora-spatial",
+        ] {
+            assert!(strategy_by_name(name).is_ok(), "{name}");
+        }
+        assert!(strategy_by_name("explora").is_err());
     }
 }

@@ -312,11 +312,6 @@ impl NetworkModel {
         self
     }
 
-    /// The installed ambient offsets, if any.
-    pub fn ambient(&self) -> Option<&Ambient> {
-        self.ambient.as_ref()
-    }
-
     /// Number of modelled devices.
     pub fn device_count(&self) -> usize {
         self.n_devices

@@ -35,12 +35,6 @@ pub fn received_power_dbm(tx_dbm: f64, loss_db: f64, fading_gain: f64) -> f64 {
     tx_dbm - loss_db + 10.0 * fading_gain.log10()
 }
 
-/// Signal-to-noise ratio in dB for a given received power and noise floor.
-#[inline]
-pub fn snr_db(rx_dbm: f64, noise_floor_dbm: f64) -> f64 {
-    rx_dbm - noise_floor_dbm
-}
-
 /// The smallest spreading factor whose sensitivity is met by `rx_dbm`
 /// (mean channel, margin `margin_db` of extra headroom), or `None` if even
 /// SF12 cannot close the link.

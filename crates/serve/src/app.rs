@@ -5,31 +5,13 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use ef_lora::{AdrLora, EfLora, EfLoraFixedTp, LegacyLora, RsLora, Strategy};
+pub use ef_lora::strategy::strategy_by_name;
 use lora_scenario::{catalog, ScenarioSpec};
 
 use crate::flags::Flags;
 use crate::journal::{self, FsyncPolicy, Journal, JournalRecord};
 use crate::server::{serve_journaled, ServerOptions};
 use crate::state::ServeState;
-
-/// Resolves an allocation strategy by CLI name.
-///
-/// # Errors
-///
-/// A message listing the valid names.
-pub fn strategy_by_name(name: &str) -> Result<Box<dyn Strategy>, String> {
-    match name {
-        "ef-lora" => Ok(Box::new(EfLora::default())),
-        "legacy" => Ok(Box::new(LegacyLora::default())),
-        "rs-lora" => Ok(Box::new(RsLora::default())),
-        "ef-lora-14dbm" => Ok(Box::new(EfLoraFixedTp::default())),
-        "adr" => Ok(Box::new(AdrLora::default())),
-        other => Err(format!(
-            "unknown strategy `{other}` (expected ef-lora, legacy, rs-lora, ef-lora-14dbm or adr)"
-        )),
-    }
-}
 
 /// Loads the scenario selected by `--spec FILE` or `--name CATALOG`,
 /// applying `--scale` and `--seed` overrides (the CLI `scenario`

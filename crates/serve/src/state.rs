@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use ef_lora::fairness::{jain_index, mean, min_ee};
 use ef_lora::resilience::{reallocate_masked, Decision, ResilienceConfig, ResilienceController};
 use ef_lora::{AllocationContext, Strategy};
 use lora_model::NetworkModel;
@@ -188,7 +189,7 @@ impl ServeState {
         let model = NetworkModel::new(&config, &topology);
         let ctx = AllocationContext::new(&config, &topology, &model);
         pop.alloc = strategy.allocate(&ctx)?.into_inner();
-        let baseline = ef_lora::fairness::min_ee(&model.evaluate(&pop.alloc));
+        let baseline = min_ee(&model.evaluate(&pop.alloc));
         Ok(ServeState {
             spec,
             classes,
@@ -292,15 +293,7 @@ impl ServeState {
     /// query no longer rebuilds anything, churn or no churn.
     pub fn model_metrics(&self) -> [f64; 3] {
         let ee = self.model.evaluate(&self.pop.alloc);
-        let n = ee.len().max(1) as f64;
-        let sum: f64 = ee.iter().sum();
-        let sum_sq: f64 = ee.iter().map(|x| x * x).sum();
-        let jain = if sum_sq > 0.0 {
-            sum * sum / (n * sum_sq)
-        } else {
-            0.0
-        };
-        [ef_lora::fairness::min_ee(&ee), sum / n, jain]
+        [min_ee(&ee), mean(&ee), jain_index(&ee)]
     }
 
     /// Applies one churn event through the incremental allocator.
