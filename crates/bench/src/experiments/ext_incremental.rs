@@ -9,9 +9,8 @@
 
 use serde::Serialize;
 
-use ef_lora::{AllocationContext, EfLora, IncrementalAllocator, Strategy};
+use ef_lora::{seed_newcomers, AllocationContext, EfLora, IncrementalAllocator, Strategy};
 use lora_model::NetworkModel;
-use lora_phy::{SpreadingFactor, TxConfig};
 use lora_sim::Topology;
 
 use crate::harness::{paper_config_at, Scale};
@@ -60,20 +59,11 @@ pub fn run(scale: &Scale) -> Vec<Response> {
 
     let mut responses = Vec::new();
 
-    // (a) Do nothing clever: newcomers get the legacy rule.
+    // (a) Do nothing clever: newcomers keep their seed configuration
+    // (the legacy SF rule at maximum power).
+    let seeded = seed_newcomers(&new_ctx, previous.as_slice());
     {
-        let mut alloc = previous.as_slice().to_vec();
-        for i in n_old..n_old + n_new {
-            let sf = new_model
-                .min_feasible_sf(i, new_ctx.max_tp())
-                .unwrap_or(SpreadingFactor::Sf12);
-            alloc.push(TxConfig::new(
-                sf,
-                new_ctx.max_tp(),
-                i % new_ctx.channel_count(),
-            ));
-        }
-        let min_ee = ef_lora::fairness::min_ee(&new_model.evaluate(&alloc));
+        let min_ee = ef_lora::fairness::min_ee(&new_model.evaluate(&seeded));
         responses.push(Response {
             label: "keep + legacy newcomers".into(),
             min_ee,
@@ -84,8 +74,9 @@ pub fn run(scale: &Scale) -> Vec<Response> {
 
     // (b) The incremental allocator.
     {
+        let mut state = new_model.state(seeded).expect("valid allocation");
         let outcome = IncrementalAllocator::default()
-            .extend(&new_ctx, previous.as_slice())
+            .extend(&mut state, new_ctx.candidates(), n_old)
             .expect("incremental allocation");
         responses.push(Response {
             label: "incremental EF-LoRa".into(),

@@ -2,7 +2,7 @@
 //! deployment (the Section III-E extension).
 
 use ef_lora::Allocation;
-use ef_lora::{AllocationContext, IncrementalAllocator};
+use ef_lora::{seed_newcomers, AllocationContext, IncrementalAllocator};
 use lora_model::NetworkModel;
 use lora_sim::Topology;
 
@@ -28,9 +28,12 @@ pub fn run(opts: &Options) -> Result<(), String> {
     let ctx = AllocationContext::new(&config, &topology, &model);
 
     let repair = opts.parse_or("repair", true)?;
+    let mut state = model
+        .state(seed_newcomers(&ctx, previous.as_slice()))
+        .map_err(|e| e.to_string())?;
     let outcome = IncrementalAllocator::default()
         .with_repair(repair)
-        .extend(&ctx, previous.as_slice())
+        .extend(&mut state, ctx.candidates(), previous.len())
         .map_err(|e| e.to_string())?;
 
     let added = topology.device_count() - previous.len();

@@ -8,15 +8,19 @@
 //! scratch at the point of use). The wire encodings must match **byte
 //! for byte**, and after every event the daemon's cached model must be
 //! bitwise equal to a from-scratch `NetworkModel::new` over the live
-//! population.
+//! population. One case moves devices through a masked reallocation,
+//! which the daemon's live model state must follow.
 
 use conformance::serve_equiv::{transcript_schedule, TRANSCRIPT_SEED};
-use ef_lora::EfLora;
+use ef_lora::resilience::Decision;
+use ef_lora::{fairness, EfLora};
 use ef_lora_serve::protocol::{encode, Request};
 use ef_lora_serve::reference::ReferenceState;
 use ef_lora_serve::{respond, ServeState, ServerOptions};
 use lora_scenario::catalog;
 use lora_scenario::spec::{ChurnEvent, ChurnKind};
+use lora_sim::report::{DeviceStats, GatewayStats};
+use lora_sim::{SimReport, Topology};
 use proptest::prelude::*;
 
 #[path = "../../serve/tests/support/temp_dir.rs"]
@@ -310,4 +314,89 @@ fn restore_after_hard_kill_continues_byte_identically() {
     let (live, _) = respond(&mut restored, &options, Request::Measure);
     assert_eq!(encode(&live), encode(&reference.respond(Request::Measure)));
     assert_eq!(restored.snapshot(), reference.snapshot());
+}
+
+/// A degraded window: every device limps at a tenth of the healthy
+/// baseline EE, and gateway 0's outage counter absorbs every attempt, so
+/// the controller decides `Reallocate` with gateway 0 suspect.
+fn degraded_window(state: &ServeState) -> SimReport {
+    let baseline = state
+        .controller()
+        .baseline_min_ee()
+        .expect("the baseline is injected at load");
+    let n = state.device_count();
+    let devices = (0..n)
+        .map(|_| DeviceStats {
+            attempts: 10,
+            delivered: 2,
+            energy_j: 1.0,
+            ee_bits_per_mj: 0.1 * baseline,
+            lifetime_s: None,
+        })
+        .collect();
+    let mut gateways = vec![GatewayStats::default(); state.gateway_count()];
+    gateways[0].outage_drops = 10 * n as u64;
+    SimReport {
+        devices,
+        gateways,
+        frames_delivered: 2 * n as u64,
+        duplicate_copies: 0,
+        duration_s: 600.0,
+    }
+}
+
+/// A reallocation that moves devices. Every `Measure`-driven
+/// `Reallocate` of the battery above has no suspect gateway and moves
+/// nothing, so this case injects a degraded window through
+/// `ingest_window` instead. The live model state must follow the moved
+/// devices: `Metrics` is bit-equal to a fresh evaluation, and everything
+/// after the window byte-equal to a from-scratch daemon restored from
+/// the same point.
+#[test]
+fn reallocation_that_moves_devices_keeps_the_live_state() {
+    let options = ServerOptions::default();
+    let (mut state, _) = smoke_pair();
+    let image = state.snapshot();
+    let topology = Topology::from_sites(image.sites, image.gateways, image.radius_m);
+    let window = state.ingest_window(&degraded_window(&state), &topology);
+    assert!(
+        matches!(&window.decision, Decision::Reallocate { suspects } if suspects == &[0]),
+        "the window must ask for a masked reallocation, got {:?}",
+        window.decision
+    );
+    assert!(
+        window.reconfigured > 0,
+        "the reallocation must move devices"
+    );
+
+    let ee = state.cached_model().evaluate(state.alloc());
+    let want = [
+        fairness::min_ee(&ee),
+        fairness::mean(&ee),
+        fairness::jain_index(&ee),
+    ];
+    let bits = |v: [f64; 3]| v.map(f64::to_bits);
+    assert_eq!(bits(state.model_metrics()), bits(want));
+
+    let mut reference = ReferenceState::restore(state.snapshot()).unwrap();
+    let classes = state.class_names();
+    let mut compare = |state: &mut ServeState, request: Request| {
+        let (live, _) = respond(state, &options, request.clone());
+        let oracle = reference.respond(request.clone());
+        assert_eq!(encode(&live), encode(&oracle), "diverged on {request:?}");
+    };
+    compare(&mut state, Request::Metrics);
+    for index in [0, 7, 19] {
+        compare(&mut state, Request::Device { index });
+    }
+    for (i, event) in transcript_schedule(&classes).into_iter().enumerate() {
+        compare(&mut state, Request::Churn(event));
+        if i % 4 == 1 {
+            compare(&mut state, Request::Metrics);
+            let index = (i * 13) % state.device_count();
+            compare(&mut state, Request::Device { index });
+        }
+    }
+    compare(&mut state, Request::Metrics);
+    assert_eq!(state.snapshot(), reference.snapshot());
 }

@@ -112,21 +112,29 @@ impl<'a> AllocationContext<'a> {
     /// [`AllocError::EmptyDeployment`] without devices,
     /// [`AllocError::NoGateways`] without gateways.
     pub fn check_nonempty(&self) -> Result<(), AllocError> {
-        if self.topology.device_count() == 0 {
-            return Err(AllocError::EmptyDeployment);
-        }
-        if self.topology.gateway_count() == 0 {
-            return Err(AllocError::NoGateways);
-        }
-        Ok(())
+        check_nonempty(self.model)
     }
+}
+
+/// [`AllocationContext::check_nonempty`] for the deployment `model`
+/// describes.
+pub(crate) fn check_nonempty(model: &NetworkModel) -> Result<(), AllocError> {
+    if model.device_count() == 0 {
+        return Err(AllocError::EmptyDeployment);
+    }
+    if model.gateway_count() == 0 {
+        return Err(AllocError::NoGateways);
+    }
+    Ok(())
 }
 
 /// The canonical candidate grid over `channels` channels and `tp_levels`:
 /// SF ascending, then channel, then TP in `tp_levels`' order. Chunk
 /// boundaries and tie-breaking are defined over this order; scans skip
-/// the device's current configuration themselves.
-pub(crate) fn candidate_grid(channels: usize, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
+/// the device's current configuration themselves. A caller that keeps a
+/// model state alive without a context (the serve daemon) builds its
+/// grid here once.
+pub fn candidate_grid(channels: usize, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
     let mut grid = Vec::with_capacity(SpreadingFactor::ALL.len() * channels * tp_levels.len());
     for sf in SpreadingFactor::ALL {
         for channel in 0..channels {

@@ -75,7 +75,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use lora_model::scan::{Candidate, Rule, Triage};
-use lora_model::ModelState;
+use lora_model::{ModelState, NetworkModel};
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
 
 use crate::allocation::Allocation;
@@ -259,7 +259,7 @@ impl EfLora {
         };
         let order = self.visiting_order(ctx);
         let initial = self.initial_allocation(ctx);
-        let mut state: ModelState<'_> = ctx.model().state(initial)?;
+        let mut state: ModelState<&NetworkModel> = ctx.model().state(initial)?;
         let initial_min_ee = state.min_ee();
 
         // Λ and θ follow every committed move, but until `refresh` the
@@ -452,7 +452,7 @@ impl Rule for DeviceScan {
 /// amortise the spawns. Every chunk walks one shared scan with a fresh
 /// copy of the starting rule.
 fn scan_device(
-    state: &ModelState<'_>,
+    state: &ModelState<&NetworkModel>,
     grid: &[TxConfig],
     device: usize,
     threads: usize,
@@ -663,7 +663,7 @@ pub(crate) mod tests {
     /// their grid position. Returns the winner and the number of
     /// candidates scored.
     fn oracle_scan(
-        state: &ModelState<'_>,
+        state: &ModelState<&NetworkModel>,
         channels: usize,
         device: usize,
         tp_levels: &[TxPowerDbm],

@@ -17,6 +17,19 @@
 //! verbatim, so the over-the-air reconfiguration cost is bounded by the
 //! group sizes rather than the network size.
 //!
+//! ## Repairs on a model state
+//!
+//! Every entry point repairs a [`ModelState`] in place and leaves it
+//! refreshed, bound to the repaired allocation. The state may borrow its
+//! model or own it: a caller that holds only an allocation builds one
+//! with [`NetworkModel::state`], while the serve daemon keeps one owned
+//! state alive across churn, applies each event to it
+//! ([`ModelState::join_rows`] and friends) and repairs it here, so a write
+//! builds no model and no state. The two give the same bits: a churn
+//! operation leaves the state equal to a fresh build. A newcomer starts
+//! at [`NetworkModel::seed_config`] at the maximum TP on both paths
+//! ([`seed_newcomers`] builds that allocation from scratch).
+//!
 //! ## The repair rule
 //!
 //! Each device's scan is one walk of [`lora_model::scan`]; this module
@@ -32,12 +45,14 @@
 //! failed the old bar may clear the new one: the walk forgets its column
 //! verdicts whenever the rule takes an offer.
 
+use std::borrow::Borrow;
+
 use lora_model::scan::{Candidate, Rule, Triage};
-use lora_model::ModelState;
+use lora_model::{ModelState, NetworkModel};
 use lora_phy::{SpreadingFactor, TxConfig};
 
 use crate::allocation::Allocation;
-use crate::context::AllocationContext;
+use crate::context::{check_nonempty, AllocationContext};
 use crate::error::AllocError;
 use crate::greedy::tie_slack;
 
@@ -85,128 +100,117 @@ impl IncrementalAllocator {
 
     /// Allocates the devices appended to a deployment.
     ///
-    /// `ctx` must describe the *new* topology, in which devices
-    /// `0..previous.len()` are the old ones (same order) and the tail is
-    /// new. The old devices keep `previous` unless the repair pass
-    /// improves the network minimum by moving one.
+    /// `state` binds the grown deployment: devices `0..first_new` are the
+    /// old ones with their configurations, and the devices from
+    /// `first_new` on are new, at their seed configurations. Each
+    /// newcomer is placed by a scan over `grid`, the canonical candidate
+    /// grid ([`AllocationContext::candidates`]); the old devices keep
+    /// their configurations unless the repair pass improves the network
+    /// minimum by moving one.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError`] if `previous` is longer than the new
-    /// topology, or on the usual empty-deployment conditions.
-    pub fn extend(
+    /// Returns [`AllocError::InvalidParameter`] if `first_new` lies past
+    /// the deployment, and the usual empty-deployment errors.
+    pub fn extend<M: Borrow<NetworkModel>>(
         &self,
-        ctx: &AllocationContext<'_>,
-        previous: &[TxConfig],
+        state: &mut ModelState<M>,
+        grid: &[TxConfig],
+        first_new: usize,
     ) -> Result<IncrementalOutcome, AllocError> {
-        ctx.check_nonempty()?;
-        let n = ctx.device_count();
-        if previous.len() > n {
+        check_nonempty(state.model())?;
+        let n = state.alloc().len();
+        if first_new > n {
             return Err(AllocError::InvalidParameter {
                 reason: "previous allocation is larger than the new topology",
             });
         }
 
-        // Seed: old devices keep their configuration; new devices start at
-        // their smallest feasible SF at maximum power (the full
-        // algorithm's starting point).
-        let max_tp = ctx.max_tp();
-        let mut alloc: Vec<TxConfig> = previous.to_vec();
-        for i in previous.len()..n {
-            let sf = ctx
-                .model()
-                .min_feasible_sf(i, max_tp)
-                .unwrap_or(SpreadingFactor::Sf12);
-            alloc.push(TxConfig::new(sf, max_tp, i % ctx.channel_count()));
-        }
-
-        let mut state = ctx.model().state(alloc)?;
-
         // Place each new device with the full lexicographic candidate scan;
         // placing a newcomer reconfigures nothing.
-        let (placed, _) = scan_each(ctx, &mut state, previous.len()..n);
+        let (placed, _) = scan_each(grid, state, first_new..n);
         let (candidates, reconfigured) = if self.repair {
-            let touched = affected_devices(&state.alloc()[previous.len()..], previous);
-            scan_each(ctx, &mut state, touched)
+            let (old, new) = state.alloc().split_at(first_new);
+            let touched = affected_devices(new, old);
+            scan_each(grid, state, touched)
         } else {
             (0, 0)
         };
-        Ok(refreshed_outcome(
-            &mut state,
-            placed + candidates,
-            reconfigured,
-        ))
+        Ok(refreshed_outcome(state, placed + candidates, reconfigured))
     }
 
     /// Repairs the configurations of an explicit set of devices in place.
     ///
-    /// Each listed device is re-scanned with the full lexicographic
-    /// candidate rule against `ctx`'s link budget; everyone else keeps
-    /// `current` verbatim. This is the resilience-recovery entry point:
-    /// after a gateway failure, the caller rebuilds `ctx` from the masked
-    /// topology and passes the devices whose link budget the failure
-    /// changed, bounding the over-the-air reconfiguration cost by the
-    /// blast radius instead of the network size. The cell-sharded planner
-    /// repairs its cells through it too, with the out-of-cell world priced
-    /// into the cell model's [`lora_model::Ambient`].
+    /// Each listed device is re-scanned over `grid` with the full
+    /// lexicographic candidate rule against `state`'s link budget;
+    /// everyone else keeps its configuration verbatim. This is the
+    /// resilience-recovery entry point: after a gateway failure, the
+    /// caller binds the allocation to the masked topology's model and
+    /// passes the devices whose link budget the failure changed, bounding
+    /// the over-the-air reconfiguration cost by the blast radius instead
+    /// of the network size. The cell-sharded planner repairs its cells
+    /// through it too, with the out-of-cell world priced into the cell
+    /// model's [`lora_model::Ambient`].
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::InvalidParameter`] when `current` does not
-    /// cover `ctx`'s topology exactly or a device index is out of range,
-    /// and the usual empty-deployment errors.
-    pub fn repair(
+    /// Returns [`AllocError::InvalidParameter`] when a device index is out
+    /// of range, and the usual empty-deployment errors.
+    pub fn repair<M: Borrow<NetworkModel>>(
         &self,
-        ctx: &AllocationContext<'_>,
-        current: &[TxConfig],
+        state: &mut ModelState<M>,
+        grid: &[TxConfig],
         devices: &[usize],
     ) -> Result<IncrementalOutcome, AllocError> {
-        ctx.check_nonempty()?;
-        if current.len() != ctx.device_count() {
-            return Err(AllocError::InvalidParameter {
-                reason: "current allocation must cover the topology exactly",
-            });
-        }
-        if devices.iter().any(|&d| d >= current.len()) {
+        check_nonempty(state.model())?;
+        if devices.iter().any(|&d| d >= state.alloc().len()) {
             return Err(AllocError::InvalidParameter {
                 reason: "repair device index out of range",
             });
         }
-        let mut state = ctx.model().state(current.to_vec())?;
-        let (candidates, reconfigured) = scan_each(ctx, &mut state, devices.iter().copied());
-        Ok(refreshed_outcome(&mut state, candidates, reconfigured))
+        let (candidates, reconfigured) = scan_each(grid, state, devices.iter().copied());
+        Ok(refreshed_outcome(state, candidates, reconfigured))
     }
 
     /// Repairs an allocation after devices left the deployment.
     ///
-    /// `ctx` describes the shrunk topology, `remaining` the surviving
-    /// devices' previous configurations (one per device of `ctx`, in
-    /// order) and `removed` the departed devices' old configurations
-    /// (which determine the groups worth repairing).
+    /// `state` binds the shrunk deployment to the surviving devices'
+    /// previous configurations, and `removed` holds the departed devices'
+    /// old configurations, which determine the groups worth repairing.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError`] on length mismatch or empty deployments.
-    pub fn after_removal(
+    /// Returns the usual empty-deployment errors.
+    pub fn after_removal<M: Borrow<NetworkModel>>(
         &self,
-        ctx: &AllocationContext<'_>,
-        remaining: &[TxConfig],
+        state: &mut ModelState<M>,
+        grid: &[TxConfig],
         removed: &[TxConfig],
     ) -> Result<IncrementalOutcome, AllocError> {
-        ctx.check_nonempty()?;
-        if remaining.len() != ctx.device_count() {
-            return Err(AllocError::InvalidParameter {
-                reason: "remaining allocation must cover the shrunk topology exactly",
-            });
-        }
-        let mut state = ctx.model().state(remaining.to_vec())?;
+        check_nonempty(state.model())?;
         let (candidates, reconfigured) = if self.repair {
-            scan_each(ctx, &mut state, affected_devices(removed, remaining))
+            let touched = affected_devices(removed, state.alloc());
+            scan_each(grid, state, touched)
         } else {
             (0, 0)
         };
-        Ok(refreshed_outcome(&mut state, candidates, reconfigured))
+        Ok(refreshed_outcome(state, candidates, reconfigured))
     }
+}
+
+/// The allocation [`IncrementalAllocator::extend`] starts from once the
+/// deployment `ctx` describes grew past the devices `previous` covers:
+/// `previous`, then each later device at its seed configuration at the
+/// maximum TP ([`NetworkModel::seed_config`], which
+/// [`ModelState::join_rows`] seeds a live state's newcomers with).
+pub fn seed_newcomers(ctx: &AllocationContext<'_>, previous: &[TxConfig]) -> Vec<TxConfig> {
+    let max_tp = ctx.max_tp();
+    let newcomers = previous.len()..ctx.device_count();
+    previous
+        .iter()
+        .copied()
+        .chain(newcomers.map(|i| ctx.model().seed_config(i, max_tp)))
+        .collect()
 }
 
 /// Indices of `existing` devices sharing a contention group with any of
@@ -222,18 +226,18 @@ fn affected_devices(changes: &[TxConfig], existing: &[TxConfig]) -> Vec<usize> {
         .collect()
 }
 
-/// Scans each of `devices` in turn and applies its best move. Returns the
-/// candidates examined and how many of the devices moved.
-fn scan_each(
-    ctx: &AllocationContext<'_>,
-    state: &mut ModelState<'_>,
+/// Scans each of `devices` in turn over `grid` and applies its best move.
+/// Returns the candidates examined and how many of the devices moved.
+fn scan_each<M: Borrow<NetworkModel>>(
+    grid: &[TxConfig],
+    state: &mut ModelState<M>,
     devices: impl IntoIterator<Item = usize>,
 ) -> (u64, usize) {
     let mut candidates = 0u64;
     let mut moved = 0usize;
     for device in devices {
         let before = state.alloc()[device];
-        candidates += scan_and_apply(ctx, state, device);
+        candidates += scan_and_apply(grid, state, device);
         moved += usize::from(state.alloc()[device] != before);
     }
     (candidates, moved)
@@ -241,8 +245,8 @@ fn scan_each(
 
 /// Refreshes `state` and reports it as the outcome of an adjustment that
 /// examined `candidates` and reconfigured `reconfigured` existing devices.
-fn refreshed_outcome(
-    state: &mut ModelState<'_>,
+fn refreshed_outcome<M: Borrow<NetworkModel>>(
+    state: &mut ModelState<M>,
     candidates: u64,
     reconfigured: usize,
 ) -> IncrementalOutcome {
@@ -313,11 +317,14 @@ impl Rule for Repair {
     }
 }
 
-/// One device's repair scan over the context's grid; applies the best
-/// move. Returns the number of candidates examined.
-fn scan_and_apply(ctx: &AllocationContext<'_>, state: &mut ModelState<'_>, device: usize) -> u64 {
+/// One device's repair scan over `grid`; applies the best move. Returns
+/// the number of candidates examined.
+fn scan_and_apply<M: Borrow<NetworkModel>>(
+    grid: &[TxConfig],
+    state: &mut ModelState<M>,
+    device: usize,
+) -> u64 {
     let mut rule = Repair::new(state.min_ee(), state.ee(device));
-    let grid = ctx.candidates();
     let examined = state
         .prepare_scan(device)
         .walk(grid, 0..grid.len(), &mut rule);
@@ -341,6 +348,21 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
+    /// [`IncrementalAllocator::extend`] from scratch: `previous` and the
+    /// seeded newcomers bound to `ctx`'s model.
+    fn extend_from_scratch(
+        allocator: &IncrementalAllocator,
+        ctx: &AllocationContext<'_>,
+        previous: &[TxConfig],
+    ) -> IncrementalOutcome {
+        let mut state = ctx.model().state(seed_newcomers(ctx, previous)).unwrap();
+        let outcome = allocator
+            .extend(&mut state, ctx.candidates(), previous.len())
+            .unwrap();
+        assert_eq!(state.alloc(), outcome.allocation.as_slice());
+        outcome
+    }
+
     fn grown_pair(n_old: usize, n_new: usize, seed: u64) -> (SimConfig, Topology, Topology) {
         let config = SimConfig::default();
         // The grown topology shares the first n_old device sites: generate
@@ -363,9 +385,11 @@ mod tests {
 
         let new_model = NetworkModel::new(&config, &new_topo);
         let new_ctx = AllocationContext::new(&config, &new_topo, &new_model);
-        let outcome = IncrementalAllocator::default()
-            .extend(&new_ctx, previous.as_slice())
-            .unwrap();
+        let outcome = extend_from_scratch(
+            &IncrementalAllocator::default(),
+            &new_ctx,
+            previous.as_slice(),
+        );
 
         assert_eq!(outcome.allocation.len(), 45);
         // Existing devices outside the affected groups are untouched.
@@ -397,9 +421,11 @@ mod tests {
 
         let new_model = NetworkModel::new(&config, &new_topo);
         let new_ctx = AllocationContext::new(&config, &new_topo, &new_model);
-        let incremental = IncrementalAllocator::default()
-            .extend(&new_ctx, previous.as_slice())
-            .unwrap();
+        let incremental = extend_from_scratch(
+            &IncrementalAllocator::default(),
+            &new_ctx,
+            previous.as_slice(),
+        );
         let full = EfLora::default().allocate_with_report(&new_ctx).unwrap();
 
         assert!(
@@ -421,10 +447,11 @@ mod tests {
 
         let new_model = NetworkModel::new(&config, &new_topo);
         let new_ctx = AllocationContext::new(&config, &new_topo, &new_model);
-        let outcome = IncrementalAllocator::default()
-            .with_repair(false)
-            .extend(&new_ctx, previous.as_slice())
-            .unwrap();
+        let outcome = extend_from_scratch(
+            &IncrementalAllocator::default().with_repair(false),
+            &new_ctx,
+            previous.as_slice(),
+        );
         assert_eq!(outcome.reconfigured, 0);
         assert_eq!(&outcome.allocation.as_slice()[..30], previous.as_slice());
     }
@@ -447,13 +474,12 @@ mod tests {
         let shrunk_model = NetworkModel::new(&config, &shrunk_topo);
         let shrunk_ctx = AllocationContext::new(&config, &shrunk_topo, &shrunk_model);
 
-        let untouched_min = {
-            let state = shrunk_model.state(remaining.clone()).unwrap();
-            state.min_ee()
-        };
+        let mut state = shrunk_model.state(remaining.clone()).unwrap();
+        let untouched_min = state.min_ee();
         let outcome = IncrementalAllocator::default()
-            .after_removal(&shrunk_ctx, &remaining, &removed)
+            .after_removal(&mut state, shrunk_ctx.candidates(), &removed)
             .unwrap();
+        assert_eq!(state.alloc(), outcome.allocation.as_slice());
         assert!(
             outcome.min_ee >= untouched_min - 1e-9,
             "repair must not hurt: {} vs {untouched_min}",
@@ -479,8 +505,8 @@ mod tests {
     /// applies the scan's sequential banded rule, including the running
     /// floor's strict `min > floor`.
     fn oracle_scan(
-        ctx: &AllocationContext<'_>,
-        state: &ModelState<'_>,
+        grid: &[TxConfig],
+        state: &ModelState<&NetworkModel>,
         device: usize,
     ) -> OracleScan {
         let m = state.min_ee();
@@ -493,7 +519,7 @@ mod tests {
         // The SF block and the old bar after a strict improver lowered it.
         let mut fallen: Option<(SpreadingFactor, f64)> = None;
         let mut reopened = false;
-        for &cfg in ctx.candidates() {
+        for &cfg in grid {
             if cfg == current {
                 continue;
             }
@@ -548,9 +574,9 @@ mod tests {
         let mut reopened = 0;
         for round in 0..3 {
             for device in 0..n {
-                let want = oracle_scan(&ctx, &state, device);
+                let want = oracle_scan(ctx.candidates(), &state, device);
                 let before = state.alloc()[device];
-                let examined = scan_and_apply(&ctx, &mut state, device);
+                let examined = scan_and_apply(ctx.candidates(), &mut state, device);
                 let at = format!("round {round} device {device}");
                 prop_assert_eq!(examined, want.scored, "{}", at);
                 prop_assert_eq!(
@@ -613,15 +639,41 @@ mod tests {
         let (config, _old, topo) = grown_pair(10, 0, 9);
         let model = NetworkModel::new(&config, &topo);
         let ctx = AllocationContext::new(&config, &topo, &model);
+        // An allocation longer than the grown deployment cannot be bound.
         let too_long = vec![TxConfig::default(); 11];
         assert!(matches!(
-            IncrementalAllocator::default().extend(&ctx, &too_long),
+            model.state(seed_newcomers(&ctx, &too_long)),
+            Err(lora_model::ModelError::AllocationLengthMismatch { .. })
+        ));
+        let mut state = model.state(vec![TxConfig::default(); 10]).unwrap();
+        assert!(matches!(
+            IncrementalAllocator::default().extend(&mut state, ctx.candidates(), 11),
             Err(AllocError::InvalidParameter { .. })
         ));
+        // Nor can one shorter than the shrunk deployment.
         let wrong = vec![TxConfig::default(); 9];
         assert!(matches!(
-            IncrementalAllocator::default().after_removal(&ctx, &wrong, &[]),
-            Err(AllocError::InvalidParameter { .. })
+            model.state(wrong),
+            Err(lora_model::ModelError::AllocationLengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn newcomers_start_at_the_seed_configuration() {
+        let (config, _old, topo) = grown_pair(6, 4, 13);
+        let model = NetworkModel::new(&config, &topo);
+        let ctx = AllocationContext::new(&config, &topo, &model);
+        let previous = vec![TxConfig::default(); 6];
+        let seeded = seed_newcomers(&ctx, &previous);
+        assert_eq!(&seeded[..6], previous.as_slice());
+        for (i, cfg) in seeded.iter().enumerate().skip(6) {
+            let sf = model
+                .min_feasible_sf(i, ctx.max_tp())
+                .unwrap_or(SpreadingFactor::Sf12);
+            assert_eq!(
+                *cfg,
+                TxConfig::new(sf, ctx.max_tp(), i % ctx.channel_count())
+            );
+        }
     }
 }

@@ -71,11 +71,11 @@ pub mod strategy;
 
 pub use allocation::Allocation;
 pub use baselines::{AdrLora, EfLoraFixedTp, LegacyLora, RsLora};
-pub use context::AllocationContext;
+pub use context::{candidate_grid, AllocationContext};
 pub use error::AllocError;
 pub use exhaustive::ExhaustiveSearch;
 pub use greedy::{DeviceOrdering, EfLora, GreedyReport};
-pub use incremental::{IncrementalAllocator, IncrementalOutcome};
+pub use incremental::{seed_newcomers, IncrementalAllocator, IncrementalOutcome};
 pub use spatial::{SpatialEfLora, SpatialReport};
 
 pub use resilience::{

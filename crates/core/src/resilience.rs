@@ -243,16 +243,16 @@ pub fn reallocate_masked(
     // up to float noise.
     let full_model = NetworkModel::new(config, topology);
     let before = full_model.evaluate(current);
-    let after = masked_model.evaluate(current);
+    let mut state = masked_model.state(current.to_vec())?;
     let affected: Vec<usize> = before
         .iter()
-        .zip(&after)
+        .zip(state.ee_all())
         .enumerate()
         .filter(|(_, (b, a))| (*b - *a).abs() > 1e-6 * b.abs().max(1e-12))
         .map(|(i, _)| i)
         .collect();
 
-    IncrementalAllocator::default().repair(&ctx, current, &affected)
+    IncrementalAllocator::default().repair(&mut state, ctx.candidates(), &affected)
 }
 
 /// Recovery policy compared by [`run_faulted`].
@@ -921,15 +921,18 @@ mod tests {
         let model = NetworkModel::new(&config, &topology);
         let ctx = AllocationContext::new(&config, &topology, &model);
         let repairer = IncrementalAllocator::default();
+        // A short allocation cannot be bound to the model at all.
         assert!(matches!(
-            repairer.repair(&ctx, &alloc[..alloc.len() - 1], &[0]),
+            model.state(alloc[..alloc.len() - 1].to_vec()),
+            Err(lora_model::ModelError::AllocationLengthMismatch { .. })
+        ));
+        let mut state = model.state(alloc.clone()).unwrap();
+        assert!(matches!(
+            repairer.repair(&mut state, ctx.candidates(), &[alloc.len()]),
             Err(AllocError::InvalidParameter { .. })
         ));
-        assert!(matches!(
-            repairer.repair(&ctx, &alloc, &[alloc.len()]),
-            Err(AllocError::InvalidParameter { .. })
-        ));
-        let noop = repairer.repair(&ctx, &alloc, &[]).unwrap();
+        let noop = repairer.repair(&mut state, ctx.candidates(), &[]).unwrap();
         assert_eq!(noop.allocation.as_slice(), alloc.as_slice());
+        assert_eq!(state.alloc(), alloc.as_slice());
     }
 }

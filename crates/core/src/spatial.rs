@@ -245,7 +245,12 @@ impl SpatialEfLora {
             let field = shards.field(&alloc, FarFieldMode::Pricing);
             let repairer = IncrementalAllocator::new();
             let repaired = shards.each_cell(&cells, &alloc, &field, |cell, ctx, local| {
-                let outcome = repairer.repair(ctx, &local, &shards.boundary_members(cell))?;
+                let mut state = ctx.model().state(local)?;
+                let outcome = repairer.repair(
+                    &mut state,
+                    ctx.candidates(),
+                    &shards.boundary_members(cell),
+                )?;
                 Ok((
                     outcome.allocation,
                     outcome.candidates_evaluated,
@@ -904,7 +909,7 @@ impl<'a> Shards<'a> {
                 let slot = self.grid.slot_of(dev);
                 let outcome =
                     self.in_cell(self.grid.cell_of(dev), &trial, &field, |ctx, local| {
-                        repairer.repair(ctx, &local, &[slot])
+                        repairer.repair(&mut ctx.model().state(local)?, ctx.candidates(), &[slot])
                     })?;
                 candidates += outcome.candidates_evaluated;
                 if outcome.reconfigured > 0 {

@@ -26,7 +26,20 @@
 //!   the approximation against it.
 //! * EE values cached for devices in *unaffected* groups are not
 //!   recomputed when `Λ` moves; `refresh` flushes these too.
+//!
+//! ## Borrowed and owned states
+//!
+//! A [`ModelState`] holds its model through a [`Borrow`] parameter. The
+//! allocators' passes borrow one model for many short-lived states
+//! ([`NetworkModel::state`]). A long-lived owner such as the serve daemon
+//! holds one state that owns its model ([`NetworkModel::into_state`]) and
+//! applies churn to the two together: [`ModelState::join_rows`],
+//! [`ModelState::retire_rows`] and [`ModelState::refresh_intervals`] each
+//! change the model's rows, patch the per-device terms they moved and end
+//! with [`ModelState::refresh`], which leaves the state bit for bit the
+//! one a fresh build over the changed population gives.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lora_phy::energy::RadioEnergyModel;
@@ -45,9 +58,9 @@ use crate::scan::Scan;
 /// Allocation-independent model of one deployment.
 ///
 /// `PartialEq` compares every derived quantity bitwise — it exists so
-/// equivalence tests can assert that an incrementally maintained model
-/// ([`NetworkModel::extend_rows`] and friends) is indistinguishable from
-/// a from-scratch [`NetworkModel::new`] over the same population.
+/// equivalence tests can assert that a model maintained through churn
+/// ([`ModelState::join_rows`] and friends) is indistinguishable from a
+/// from-scratch [`NetworkModel::new`] over the same population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkModel {
     /// Linear attenuation, flat row-major `[device][gateway]`.
@@ -420,6 +433,20 @@ impl NetworkModel {
             .find(|sf| p_mw * best_atten >= self.sens_mw[sf.index()])
     }
 
+    /// Where device `device` starts before an allocator scans it: its
+    /// smallest feasible SF at `tp` ([`NetworkModel::min_feasible_sf`];
+    /// SF12 when even that reaches no gateway), at `tp`, on channel
+    /// `device % channels` so no channel starts overloaded. Devices that
+    /// join a running deployment start here at the region's maximum power
+    /// ([`ModelState::join_rows`] and the incremental allocator's
+    /// from-scratch callers).
+    pub fn seed_config(&self, device: usize, tp: TxPowerDbm) -> TxConfig {
+        let sf = self
+            .min_feasible_sf(device, tp)
+            .unwrap_or(SpreadingFactor::Sf12);
+        TxConfig::new(sf, tp, device % self.n_channels)
+    }
+
     /// Occupancy probability `q_{i,k}`: the chance device `i` holds a
     /// demodulator path at gateway `k` at a random instant — transmitting
     /// (duty cycle) and detectable (Rayleigh survival of the sensitivity).
@@ -436,6 +463,21 @@ impl NetworkModel {
         }
         let detect = (-self.sens_mw[sf.index()] / mean_rx).exp();
         self.duty_of(device, sf) * detect
+    }
+
+    /// Device `i`'s own terms under `cfg` at power `p_mw` (which is
+    /// `cfg.tp` in mW): its cycle energy, and its occupancy probability at
+    /// each gateway. Every build derives them through here, and churn
+    /// re-derives them the same way.
+    fn own_terms<'a>(
+        &'a self,
+        i: usize,
+        cfg: &TxConfig,
+        p_mw: f64,
+    ) -> (f64, impl Iterator<Item = f64> + 'a) {
+        let sf = cfg.sf;
+        let q = (0..self.n_gateways).map(move |k| self.occupancy_at(i, sf, p_mw, k));
+        (self.cycle_energy_of(i, cfg), q)
     }
 
     /// Validates an allocation against this model.
@@ -515,12 +557,24 @@ impl NetworkModel {
             .collect()
     }
 
-    /// Binds an allocation, producing the incrementally updatable state.
+    /// Binds an allocation, producing the incrementally updatable state,
+    /// which borrows this model.
     ///
     /// # Errors
     ///
     /// Returns the validation errors of [`NetworkModel::validate`].
-    pub fn state(&self, alloc: Vec<TxConfig>) -> Result<ModelState<'_>, ModelError> {
+    pub fn state(&self, alloc: Vec<TxConfig>) -> Result<ModelState<&NetworkModel>, ModelError> {
+        self.validate(&alloc)?;
+        Ok(ModelState::build(self, alloc))
+    }
+
+    /// [`NetworkModel::state`] for a state that owns this model, so it can
+    /// live on its own and apply churn to the model and itself together.
+    ///
+    /// # Errors
+    ///
+    /// Returns the validation errors of [`NetworkModel::validate`].
+    pub fn into_state(self, alloc: Vec<TxConfig>) -> Result<ModelState<NetworkModel>, ModelError> {
         self.validate(&alloc)?;
         Ok(ModelState::build(self, alloc))
     }
@@ -530,7 +584,7 @@ impl NetworkModel {
     /// differ from the construction-time configuration only in its
     /// reporting-interval fields — everything else (payload, energy
     /// model, path loss, channel plan) is immutable under churn.
-    pub fn refresh_intervals(&mut self, config: &SimConfig) {
+    fn refresh_intervals(&mut self, config: &SimConfig) {
         self.interval_s = config.report_interval_s;
         self.intervals = (0..self.n_devices).map(|i| config.interval_of(i)).collect();
     }
@@ -540,7 +594,7 @@ impl NetworkModel {
     /// extended population: the attenuation rows come from the same
     /// shared kernel, and the intervals/density are re-derived with the
     /// construction-time expressions.
-    pub fn extend_rows(
+    fn extend_rows(
         &mut self,
         config: &SimConfig,
         new_sites: &[DeviceSite],
@@ -565,19 +619,11 @@ impl NetworkModel {
     /// # Panics
     ///
     /// Panics when the mask length disagrees with the device count.
-    pub fn retire_rows(&mut self, config: &SimConfig, leaving: &[bool], radius_m: f64) {
+    fn retire_rows(&mut self, config: &SimConfig, leaving: &[bool], radius_m: f64) {
         assert_eq!(leaving.len(), self.n_devices, "leave mask shape");
         self.attenuation.retire_rows(leaving);
-        let mut write = 0;
-        for (i, &leaves) in leaving.iter().enumerate() {
-            if leaves {
-                continue;
-            }
-            self.beta[write] = self.beta[i];
-            write += 1;
-        }
-        self.beta.truncate(write);
-        self.n_devices = write;
+        retain_rows(&mut self.beta, leaving, 1);
+        self.n_devices = self.beta.len();
         self.refresh_intervals(config);
         self.refresh_density(radius_m);
     }
@@ -594,11 +640,41 @@ impl NetworkModel {
     }
 }
 
+/// Drops the rows of `rows`, each `width` long, that `leaving` marks, and
+/// keeps the others in order: row `i` then describes the `i`-th survivor.
+fn retain_rows<T: Copy>(rows: &mut Vec<T>, leaving: &[bool], width: usize) {
+    let mut kept = 0;
+    for (i, &leaves) in leaving.iter().enumerate() {
+        if !leaves {
+            rows.copy_within(i * width..(i + 1) * width, kept * width);
+            kept += 1;
+        }
+    }
+    rows.truncate(kept * width);
+}
+
 /// An allocation bound to a [`NetworkModel`], with the aggregates needed to
 /// evaluate single-device moves incrementally.
+///
+/// `M` holds the model: `&NetworkModel` for a state that borrows it
+/// ([`NetworkModel::state`]), `NetworkModel` for one that owns it
+/// ([`NetworkModel::into_state`]) and can therefore apply churn to both
+/// (see the module docs).
 #[derive(Debug, Clone)]
-pub struct ModelState<'m> {
-    pub(crate) model: &'m NetworkModel,
+pub struct ModelState<M> {
+    model: M,
+    pub(crate) bound: Bound,
+}
+
+/// Everything a [`ModelState`] holds but its model: the allocation, the
+/// aggregates and the caches. Its methods are the evaluation kernel, and
+/// they read the model through a `&NetworkModel` argument, so the kernel
+/// is compiled once, in this crate, however a state holds its model. A
+/// kernel generic over the holder would be instantiated, and inlined
+/// differently, in every caller's crate, which measured about 10 % slower
+/// on the dense pass.
+#[derive(Debug, Clone)]
+pub(crate) struct Bound {
     alloc: Vec<TxConfig>,
     /// Device ids per (SF, channel) group.
     members: Vec<Vec<usize>>,
@@ -642,11 +718,12 @@ pub struct ModelState<'m> {
 
 // `ModelState` must stay `Sync` and `Clone`, and a `Scan` `Sync`, because
 // the parallel dense scan shares one `Scan`, and through it `&ModelState`,
-// across worker threads.
+// across worker threads. Both ways of holding the model keep that.
 const _: () = {
     const fn assert_sync_clone<T: Sync + Clone>() {}
     const fn assert_sync<T: Sync>() {}
-    assert_sync_clone::<ModelState<'static>>();
+    assert_sync_clone::<ModelState<&'static NetworkModel>>();
+    assert_sync_clone::<ModelState<NetworkModel>>();
     assert_sync::<Scan<'static>>();
 };
 
@@ -654,7 +731,7 @@ const _: () = {
 const UNFILLED: u64 = u64::MAX;
 
 /// `θ_{i,k}` of every device, as rows over the gateways filled on demand
-/// by [`ModelState::theta_row`].
+/// by [`Bound::theta_row`].
 ///
 /// The rows are atomics so that a shared `&ModelState` stays `Sync`: the
 /// parallel dense scan reads, and therefore fills, rows from several
@@ -687,6 +764,15 @@ impl ThetaRows {
     fn row(&self, i: usize) -> &[AtomicU64] {
         &self.bits[i * self.gateways..(i + 1) * self.gateways]
     }
+
+    /// Resizes to `devices` rows, appending unfilled rows or dropping the
+    /// last ones. Kept rows keep their stamps, so after churn moved rows
+    /// it takes a new generation to mark every row stale.
+    fn resize(&mut self, devices: usize) {
+        self.bits
+            .resize_with(devices * self.gateways, || AtomicU64::new(0));
+        self.stamp.resize_with(devices, || AtomicU64::new(UNFILLED));
+    }
 }
 
 impl Clone for ThetaRows {
@@ -712,14 +798,14 @@ impl Clone for ThetaRows {
     }
 }
 
-/// Reads one `θ` from a row returned by [`ModelState::theta_row`].
+/// Reads one `θ` from a row returned by [`Bound::theta_row`].
 #[inline]
 fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
     f64::from_bits(row[k].load(Ordering::Relaxed))
 }
 
 /// The candidate-independent parts of a candidate scan, computed by
-/// [`ModelState::scan_cache`] and held by a [`Scan`].
+/// [`Bound::scan_cache`] and held by a [`Scan`].
 ///
 /// During one scan of device `i` the allocation is fixed, so the parts
 /// of a candidate's evaluation that do not depend on the candidate can be
@@ -728,10 +814,10 @@ fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
 /// contention — the smallest overlap `h` and, per gateway, the smallest
 /// co-group interference `i` would meet on any of that SF's channels.
 /// Preparing costs `O(old-group members × gateways + SFs × channels ×
-/// gateways)`; [`ModelState::min_ee_if_scanned`] then evaluates a
+/// gateways)`; [`Bound::min_ee_if_scanned`] then evaluates a
 /// candidate in `O(new-group members × gateways)` with arithmetic
 /// expressions identical to [`ModelState::min_ee_if`] — same values,
-/// fewer recomputations — and [`ModelState::own_ee_clearing`] bounds a
+/// fewer recomputations — and [`Bound::own_ee_clearing`] bounds a
 /// candidate's own EE once per (SF, TP) from the easiest channel. The
 /// [`Scan`] holding the cache borrows the state, so the state cannot
 /// change while the cache is in use.
@@ -747,7 +833,7 @@ pub(crate) struct ScanCache {
     g_old: usize,
     /// Smallest cached `group_min` over groups other than `g_old`, and
     /// its group index; `other_min2` is the runner-up. Together they
-    /// answer [`ModelState::untouched_groups_min`] in O(1).
+    /// answer [`Bound::untouched_groups_min`] in O(1).
     other_min: f64,
     other_min_idx: usize,
     other_min2: f64,
@@ -760,7 +846,7 @@ pub(crate) struct ScanCache {
 }
 
 /// The per-scan (SF, TP) table of the scanned device's own EE, read by
-/// [`ModelState::own_ee_clearing`] and [`ModelState::own_ee`]: per TP
+/// [`Bound::own_ee_clearing`] and [`Bound::own_ee`]: per TP
 /// level the transmit power in mW, and per (SF, TP level) the cycle
 /// energy, the energy ceiling and the easiest-channel bound. Each is
 /// computed on first use; none depends on the channel or the contention,
@@ -808,9 +894,9 @@ impl<'s> OwnEeBounds<'s> {
         }
     }
 
-    /// `cfg`'s power in mW and its (SF, TP) entry, computed from `state`
+    /// `cfg`'s power in mW and its (SF, TP) entry, computed from `model`
     /// on the first ask.
-    fn entry(&mut self, state: &ModelState<'_>, cfg: TxConfig) -> (f64, &mut SfTpEntry) {
+    fn entry(&mut self, model: &NetworkModel, cfg: TxConfig) -> (f64, &mut SfTpEntry) {
         let level = match self.levels.iter().position(|level| level.tp == cfg.tp) {
             Some(level) => level,
             None => {
@@ -825,7 +911,6 @@ impl<'s> OwnEeBounds<'s> {
         let device = self.scan.device;
         let level = &mut self.levels[level];
         let entry = level.by_sf[cfg.sf.index()].get_or_insert_with(|| {
-            let model = state.model;
             let energy_j = model.cycle_energy_of(device, &cfg);
             SfTpEntry {
                 energy_j,
@@ -839,11 +924,11 @@ impl<'s> OwnEeBounds<'s> {
 
 /// Each gateway's delivery ratio in the own-EE bound is multiplied by
 /// this factor, `1 + 2⁻⁴⁸`, and capped at 1, before Eq. 13 combines
-/// them. It is what keeps [`ModelState::own_ee_clearing`]'s bound sound
+/// them. It is what keeps [`Bound::own_ee_clearing`]'s bound sound
 /// without assuming that libm's `exp` is monotone.
 ///
 /// The bound of an (SF, TP) and the exact own EE on one of its channels
-/// run the same arithmetic (`ModelState::prr_at`, then Eq. 17's
+/// run the same arithmetic (`Bound::prr_at`, then Eq. 17's
 /// division), with the same power, θ row and cycle energy. Only the
 /// contention differs, and the bound's is no larger: its `h` and each
 /// gateway's interference are minima of the channels' own values, so no
@@ -873,7 +958,7 @@ impl<'s> OwnEeBounds<'s> {
 const PDR_WIDEN: f64 = 1.0 + 16.0 * f64::EPSILON;
 
 /// A gateway whose Eq. 10 exponent `x` exceeds this changes nothing in
-/// Eq. 13, so `ModelState::prr_at` skips it without calling `exp`. An
+/// Eq. 13, so `Bound::prr_at` skips it without calling `exp`. An
 /// unreachable gateway's exponent is `+∞`.
 ///
 /// Its delivery ratio `e^{−x}` is below `e^{−40} ≈ 4.2·10⁻¹⁸`. libm's
@@ -902,50 +987,142 @@ fn overlap_at(load: f64) -> f64 {
     overlap_from_load(load.max(0.0))
 }
 
-impl<'m> ModelState<'m> {
-    /// Binds `alloc`: derives each device's own terms (power, cycle
-    /// energy, occupancy per gateway), then folds them into the group and
-    /// gateway sums and runs the EE pass.
-    fn build(model: &'m NetworkModel, alloc: Vec<TxConfig>) -> Self {
-        let n = model.device_count();
-        let g = model.gateway_count();
+impl<M: Borrow<NetworkModel>> ModelState<M> {
+    fn build(model: M, alloc: Vec<TxConfig>) -> Self {
+        let bound = Bound::build(model.borrow(), alloc);
+        ModelState { model, bound }
+    }
+
+    /// The model the state is bound to.
+    pub fn model(&self) -> &NetworkModel {
+        self.model.borrow()
+    }
+
+    /// Unbinds the state, giving back how it held its model.
+    pub fn into_model(self) -> M {
+        self.model
+    }
+
+    /// The bound allocation.
+    pub fn alloc(&self) -> &[TxConfig] {
+        self.bound.alloc()
+    }
+
+    /// Cached EE of device `i`, bits/mJ.
+    pub fn ee(&self, i: usize) -> f64 {
+        self.bound.ee[i]
+    }
+
+    /// Cached EE of every device.
+    pub fn ee_all(&self) -> &[f64] {
+        &self.bound.ee
+    }
+
+    /// The network minimum EE (the paper's fairness objective), folded
+    /// from the cached group minima: every device sits in exactly one
+    /// group, so this is the minimum over every cached EE.
+    pub fn min_ee(&self) -> f64 {
+        self.bound.min_ee()
+    }
+
+    /// The contention overlap probability `h_i` of device `i` under the
+    /// bound allocation — `1 − exp(−Σ_{j∈group, j≠i} α_j)`, which reduces
+    /// to the paper's Eq. (14) when all group members share one duty
+    /// cycle.
+    pub fn overlap_for(&self, i: usize) -> f64 {
+        self.bound.overlap_for(self.model(), i)
+    }
+
+    /// Mean co-group interference power on device `i` at gateway `k`, mW.
+    pub fn interference_on(&self, i: usize, k: usize) -> f64 {
+        self.bound.interference_on(self.model(), i, k)
+    }
+
+    /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
+    /// `Λ_k − q_{i,k}`. Device `i`'s row is computed on its first read
+    /// after the loads last changed and served from the state until they
+    /// change again.
+    pub fn theta(&self, i: usize, k: usize) -> f64 {
+        self.bound.theta(self.model(), i, k)
+    }
+
+    /// The EE device `i` itself would have after moving to `cfg`
+    /// (other devices unchanged). Cheap — `O(gateways)` — and used by the
+    /// greedy allocator to break ties between moves that leave the
+    /// network minimum unchanged.
+    pub fn ee_if(&self, i: usize, cfg: TxConfig) -> f64 {
+        self.bound.ee_if(self.model(), i, cfg)
+    }
+
+    /// The network minimum EE if device `i` moved to `cfg`, or `None` as
+    /// soon as it can be shown not to exceed `floor` (pruning for the
+    /// greedy scan). `floor = f64::NEG_INFINITY` disables pruning.
+    pub fn min_ee_if(&self, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
+        self.bound.min_ee_if(self.model(), i, cfg, floor)
+    }
+
+    /// Commits the move of device `i` to `cfg`, updating all aggregates and
+    /// the cached EE of every device in the two affected groups.
+    pub fn apply(&mut self, i: usize, cfg: TxConfig) {
+        self.bound.apply(self.model.borrow(), i, cfg)
+    }
+
+    /// Re-folds every aggregate and cached EE from the per-device terms
+    /// the state keeps, flushing the rounding of the incrementally
+    /// updated sums and `Λ` and the stale EE of devices outside the groups
+    /// committed moves touched. The result is bit for bit the state
+    /// [`NetworkModel::state`] builds for the same allocation. The greedy
+    /// allocator calls this between passes.
+    pub fn refresh(&mut self) {
+        self.bound.refresh(self.model.borrow())
+    }
+}
+
+impl Bound {
+    /// Binds `alloc` to `model`: derives each device's own terms (power,
+    /// cycle energy, occupancy per gateway), then folds them into the group
+    /// and gateway sums and runs the EE pass.
+    fn build(model: &NetworkModel, alloc: Vec<TxConfig>) -> Self {
+        let (n, g) = (model.device_count(), model.gateway_count());
         let n_groups = group_count(model.n_channels);
-        let mut power_mw = Vec::with_capacity(n);
-        let mut energy_j = Vec::with_capacity(n);
-        let mut q = Vec::with_capacity(n * g);
-        for (i, cfg) in alloc.iter().enumerate() {
-            let p_mw = cfg.tp.milliwatts();
-            power_mw.push(p_mw);
-            energy_j.push(model.cycle_energy_of(i, cfg));
-            q.extend((0..g).map(|k| model.occupancy_at(i, cfg.sf, p_mw, k)));
-        }
-        let mut state = ModelState {
-            model,
+        let mut bound = Bound {
             alloc,
             members: vec![Vec::new(); n_groups],
             power_sum: vec![0.0; n_groups * g],
             alpha_sum: vec![0.0; n_groups],
-            power_mw,
-            energy_j,
-            q,
+            power_mw: Vec::with_capacity(n),
+            energy_j: Vec::with_capacity(n),
+            q: Vec::with_capacity(n * g),
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
             theta: ThetaRows::unfilled(n, g),
             generation: 0,
         };
-        state.fold();
-        state
+        bound.push_own_terms(model, 0);
+        bound.fold(model);
+        bound
+    }
+
+    /// Derives the own terms of every device from `first` on and appends
+    /// them; the devices before `first` have theirs.
+    fn push_own_terms(&mut self, model: &NetworkModel, first: usize) {
+        for (i, cfg) in self.alloc.iter().enumerate().skip(first) {
+            let p_mw = cfg.tp.milliwatts();
+            let (energy_j, q) = model.own_terms(i, cfg, p_mw);
+            self.power_mw.push(p_mw);
+            self.energy_j.push(energy_j);
+            self.q.extend(q);
+        }
     }
 
     /// Rebuilds the members, `Σα`, the received-power sums and `Λ` from
     /// the per-device terms in device order, seeded from the model's
     /// [`Ambient`], then runs the EE pass, which fills every θ row at the
     /// current generation. [`ModelState::apply`] keeps the per-device
-    /// terms exactly as [`ModelState::build`] derives them, so folding
+    /// terms exactly as [`Bound::build`] derives them, so folding
     /// them gives the bits a fresh build would.
-    fn fold(&mut self) {
-        let model = self.model;
+    fn fold(&mut self, model: &NetworkModel) {
         let g = model.gateway_count();
         for members in &mut self.members {
             members.clear();
@@ -975,18 +1152,18 @@ impl<'m> ModelState<'m> {
                 self.lambda[k] += q;
             }
         }
-        self.recompute_all_ee();
+        self.recompute_all_ee(model);
     }
 
     /// Device `i`'s θ row over the gateways, computed from the live `Λ`
     /// and `q` first if it was not filled at the current generation.
     /// Read its values with [`theta_at`]; [`ThetaRows`] explains why the
     /// `Relaxed` loads there are enough.
-    fn theta_row(&self, i: usize) -> &[AtomicU64] {
+    fn theta_row(&self, model: &NetworkModel, i: usize) -> &[AtomicU64] {
         let row = self.theta.row(i);
         let stamp = &self.theta.stamp[i];
         if stamp.load(Ordering::Acquire) != self.generation {
-            let q = self.q_row(i);
+            let q = self.q_row(model, i);
             for (k, slot) in row.iter().enumerate() {
                 let theta = poisson_at_most((self.lambda[k] - q[k]).max(0.0), OTHERS_BUDGET);
                 slot.store(theta.to_bits(), Ordering::Relaxed);
@@ -997,43 +1174,29 @@ impl<'m> ModelState<'m> {
     }
 
     #[inline]
-    fn group_of(&self, cfg: &TxConfig) -> usize {
-        group_index(cfg.sf, cfg.channel, self.model.n_channels)
+    fn group_of(&self, model: &NetworkModel, cfg: &TxConfig) -> usize {
+        group_index(cfg.sf, cfg.channel, model.n_channels)
     }
 
     /// Group `grp`'s received-power sums over the gateways.
     #[inline]
-    fn power_sums(&self, grp: usize) -> &[f64] {
-        let g = self.model.gateway_count();
+    fn power_sums(&self, model: &NetworkModel, grp: usize) -> &[f64] {
+        let g = model.gateway_count();
         &self.power_sum[grp * g..(grp + 1) * g]
     }
 
     /// Device `i`'s occupancy probabilities over the gateways.
     #[inline]
-    fn q_row(&self, i: usize) -> &[f64] {
-        let g = self.model.gateway_count();
+    fn q_row(&self, model: &NetworkModel, i: usize) -> &[f64] {
+        let g = model.gateway_count();
         &self.q[i * g..(i + 1) * g]
     }
 
-    /// The bound allocation.
-    pub fn alloc(&self) -> &[TxConfig] {
+    pub(crate) fn alloc(&self) -> &[TxConfig] {
         &self.alloc
     }
 
-    /// Cached EE of device `i`, bits/mJ.
-    pub fn ee(&self, i: usize) -> f64 {
-        self.ee[i]
-    }
-
-    /// Cached EE of every device.
-    pub fn ee_all(&self) -> &[f64] {
-        &self.ee
-    }
-
-    /// The network minimum EE (the paper's fairness objective), folded
-    /// from the cached group minima: every device sits in exactly one
-    /// group, so this is the minimum over every cached EE.
-    pub fn min_ee(&self) -> f64 {
+    fn min_ee(&self) -> f64 {
         self.group_min
             .iter()
             .copied()
@@ -1041,75 +1204,66 @@ impl<'m> ModelState<'m> {
             .min(f64::MAX)
     }
 
-    /// The contention overlap probability `h_i` of device `i` under the
-    /// bound allocation — `1 − exp(−Σ_{j∈group, j≠i} α_j)`, which reduces
-    /// to the paper's Eq. (14) when all group members share one duty
-    /// cycle.
-    pub fn overlap_for(&self, i: usize) -> f64 {
+    fn overlap_for(&self, model: &NetworkModel, i: usize) -> f64 {
         let cfg = &self.alloc[i];
-        let grp = self.group_of(cfg);
-        let load = (self.alpha_sum[grp] - self.model.duty_of(i, cfg.sf)).max(0.0);
+        let grp = self.group_of(model, cfg);
+        let load = (self.alpha_sum[grp] - model.duty_of(i, cfg.sf)).max(0.0);
         overlap_from_load(load)
     }
 
-    /// Mean co-group interference power on device `i` at gateway `k`, mW.
-    pub fn interference_on(&self, i: usize, k: usize) -> f64 {
+    fn interference_on(&self, model: &NetworkModel, i: usize, k: usize) -> f64 {
         let cfg = &self.alloc[i];
-        let grp = self.group_of(cfg);
-        (self.power_sums(grp)[k] - self.power_mw[i] * self.model.attenuation.at(i, k)).max(0.0)
+        let grp = self.group_of(model, cfg);
+        (self.power_sums(model, grp)[k] - self.power_mw[i] * model.attenuation.at(i, k)).max(0.0)
     }
 
-    /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
-    /// `Λ_k − q_{i,k}`. Device `i`'s row is computed on its first read
-    /// after the loads last changed and served from the state until they
-    /// change again.
-    pub fn theta(&self, i: usize, k: usize) -> f64 {
-        theta_at(self.theta_row(i), k)
+    fn theta(&self, model: &NetworkModel, i: usize, k: usize) -> f64 {
+        theta_at(self.theta_row(model, i), k)
     }
 
     /// EE of device `i` under a hypothetical configuration and group shape:
     /// `sf`, `p_mw` and `energy_j` are the configuration's SF, transmit
-    /// power in mW and cycle energy in J, `load` the summed duty cycle of
-    /// its co-group contenders and `interference(k)` the mean co-group
+    /// power in mW and cycle energy in J, and `(load, interference)` the
+    /// contention it meets: the summed duty cycle of its co-group
+    /// contenders and, as `interference(k)`, the mean co-group
     /// interference at each gateway.
     fn ee_raw(
         &self,
+        model: &NetworkModel,
         i: usize,
         sf: SpreadingFactor,
         p_mw: f64,
         energy_j: f64,
-        load: f64,
-        interference: impl Fn(usize) -> f64,
+        (load, interference): (f64, impl Fn(usize) -> f64),
     ) -> f64 {
-        let prr = self.prr_at(i, sf, p_mw, overlap_at(load), interference, |pdr| pdr);
-        self.ee_from(prr, energy_j)
+        let prr = self.prr_at::<false>(model, i, sf, p_mw, overlap_at(load), interference);
+        self.ee_from(model, prr, energy_j)
     }
 
     /// Eq. 17: the EE at reception ratio `prr` and cycle energy
     /// `energy_j`.
-    fn ee_from(&self, prr: f64, energy_j: f64) -> f64 {
-        self.model.payload_bits * prr / (energy_j * 1_000.0)
+    fn ee_from(&self, model: &NetworkModel, prr: f64, energy_j: f64) -> f64 {
+        model.payload_bits * prr / (energy_j * 1_000.0)
     }
 
     /// Device `i`'s reception ratio (Eq. 10 per gateway, Eq. 13 over
-    /// them) at SF `sf`, power `p_mw` and overlap probability `h`, with
-    /// `widen` applied to each gateway's delivery ratio before Eq. 13: the
-    /// identity for exact values, [`widen_pdr`] for the own-EE bound.
-    /// Gateways past [`NEGLIGIBLE_EXPONENT`] are skipped, which changes no
-    /// bit of the result.
-    fn prr_at(
+    /// them) at SF `sf`, power `p_mw` and overlap probability `h`. With
+    /// `WIDEN`, each gateway's delivery ratio is widened by [`widen_pdr`]
+    /// before Eq. 13, for the own-EE bound; exact values leave it as it
+    /// is. Gateways past [`NEGLIGIBLE_EXPONENT`] are skipped, which
+    /// changes no bit of the result.
+    fn prr_at<const WIDEN: bool>(
         &self,
+        model: &NetworkModel,
         i: usize,
         sf: SpreadingFactor,
         p_mw: f64,
         h: f64,
         interference: impl Fn(usize) -> f64,
-        widen: impl Fn(f64) -> f64,
     ) -> f64 {
-        let model = self.model;
         let sfi = sf.index();
         let (threshold, sensitivity) = (model.th_lin[sfi], model.sens_mw[sfi]);
-        let thetas = self.theta_row(i);
+        let thetas = self.theta_row(model, i);
         let per_gw = model
             .attenuation
             .row(i)
@@ -1129,7 +1283,11 @@ impl<'m> ModelState<'m> {
                 if x > NEGLIGIBLE_EXPONENT {
                     return None;
                 }
-                Some((theta_at(thetas, k), widen((-x).exp())))
+                let pdr = (-x).exp();
+                Some((
+                    theta_at(thetas, k),
+                    if WIDEN { widen_pdr(pdr) } else { pdr },
+                ))
             });
         prr(per_gw)
     }
@@ -1138,18 +1296,18 @@ impl<'m> ModelState<'m> {
     /// group's summed duty and, per gateway, its received-power sum, both
     /// net of `i` when `grp` is `i`'s own group. These are the load and
     /// interference [`ModelState::ee_if`] evaluates a move into `grp` at.
-    fn contenders_in(
-        &self,
+    fn contenders_in<'a>(
+        &'a self,
+        model: &'a NetworkModel,
         i: usize,
         grp: usize,
         sf: SpreadingFactor,
-    ) -> (f64, impl Fn(usize) -> f64 + '_) {
-        let model = self.model;
+    ) -> (f64, impl Fn(usize) -> f64 + 'a) {
         // `grp` can be i's own group only at i's own SF, so `duty_of(i,
         // sf)` is then the duty i adds to it.
-        let own_group = grp == self.group_of(&self.alloc[i]);
+        let own_group = grp == self.group_of(model, &self.alloc[i]);
         let own_p = self.power_mw[i];
-        let sums = self.power_sums(grp);
+        let sums = self.power_sums(model, grp);
         let load = if own_group {
             self.alpha_sum[grp] - model.duty_of(i, sf)
         } else {
@@ -1165,20 +1323,25 @@ impl<'m> ModelState<'m> {
         (load, interference)
     }
 
-    fn current_ee(&self, i: usize) -> f64 {
+    fn current_ee(&self, model: &NetworkModel, i: usize) -> f64 {
         let cfg = self.alloc[i];
-        let grp = self.group_of(&cfg);
-        let load = self.alpha_sum[grp] - self.model.duty_of(i, cfg.sf);
+        let grp = self.group_of(model, &cfg);
+        let load = self.alpha_sum[grp] - model.duty_of(i, cfg.sf);
         let own = self.power_mw[i];
-        let sums = self.power_sums(grp);
-        self.ee_raw(i, cfg.sf, own, self.energy_j[i], load, |k| {
-            sums[k] - own * self.model.attenuation.at(i, k)
-        })
+        let sums = self.power_sums(model, grp);
+        self.ee_raw(
+            model,
+            i,
+            cfg.sf,
+            own,
+            self.energy_j[i],
+            (load, |k| sums[k] - own * model.attenuation.at(i, k)),
+        )
     }
 
-    fn recompute_all_ee(&mut self) {
+    fn recompute_all_ee(&mut self, model: &NetworkModel) {
         for i in 0..self.alloc.len() {
-            self.ee[i] = self.current_ee(i);
+            self.ee[i] = self.current_ee(model, i);
         }
         for g in 0..self.members.len() {
             self.recompute_group_min(g);
@@ -1210,27 +1373,30 @@ impl<'m> ModelState<'m> {
     /// bound and the exact value share.
     pub(crate) fn own_ee_clearing(
         &self,
+        model: &NetworkModel,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
         clears: impl Fn(f64) -> bool,
     ) -> Option<f64> {
-        let (p_mw, energy_j) = self.own_ee_bounds_clearing(bounds, cfg, &clears)?;
-        let ee = self.ee_if_at(bounds.scan.device, cfg, p_mw, energy_j);
+        let (p_mw, energy_j) = self.own_ee_bounds_clearing(model, bounds, cfg, &clears)?;
+        let ee = self.ee_if_at(model, bounds.scan.device, cfg, p_mw, energy_j);
         clears(ee).then_some(ee)
     }
 
-    /// Whether both upper bounds of [`ModelState::own_ee_clearing`] pass
+    /// Whether both upper bounds of [`Bound::own_ee_clearing`] pass
     /// `clears` at `cfg`'s SF and TP. When they do not,
     /// `own_ee_clearing` returns `None` on every channel, so a scan can
     /// decide a whole (SF, TP) column at once; `cfg`'s channel is not
     /// read.
     pub(crate) fn own_ee_may_clear(
         &self,
+        model: &NetworkModel,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
         clears: impl Fn(f64) -> bool,
     ) -> bool {
-        self.own_ee_bounds_clearing(bounds, cfg, &clears).is_some()
+        self.own_ee_bounds_clearing(model, bounds, cfg, &clears)
+            .is_some()
     }
 
     /// `cfg`'s power in mW and cycle energy in J when its energy ceiling
@@ -1238,75 +1404,89 @@ impl<'m> ModelState<'m> {
     /// one fails.
     fn own_ee_bounds_clearing(
         &self,
+        model: &NetworkModel,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
         clears: &impl Fn(f64) -> bool,
     ) -> Option<(f64, f64)> {
         let scan = bounds.scan;
-        let (p_mw, entry) = bounds.entry(self, cfg);
+        let (p_mw, entry) = bounds.entry(model, cfg);
         if !clears(entry.ceiling) {
             return None;
         }
         let energy_j = entry.energy_j;
         let bound = *entry
             .bound
-            .get_or_insert_with(|| self.own_ee_bound(scan, cfg.sf, p_mw, energy_j));
+            .get_or_insert_with(|| self.own_ee_bound(model, scan, cfg.sf, p_mw, energy_j));
         clears(bound).then_some((p_mw, energy_j))
     }
 
     /// The scanned device's [`ModelState::ee_if`] for `cfg`, bit for bit,
     /// with the power and cycle energy read from `bounds`.
-    pub(crate) fn own_ee(&self, bounds: &mut OwnEeBounds<'_>, cfg: TxConfig) -> f64 {
+    pub(crate) fn own_ee(
+        &self,
+        model: &NetworkModel,
+        bounds: &mut OwnEeBounds<'_>,
+        cfg: TxConfig,
+    ) -> f64 {
         let device = bounds.scan.device;
-        let (p_mw, entry) = bounds.entry(self, cfg);
+        let (p_mw, entry) = bounds.entry(model, cfg);
         let energy_j = entry.energy_j;
-        self.ee_if_at(device, cfg, p_mw, energy_j)
+        self.ee_if_at(model, device, cfg, p_mw, energy_j)
     }
 
     /// Upper bound on [`ModelState::ee_if`] for the scanned device over
     /// every channel of SF `sf` at power `p_mw` with cycle energy
     /// `energy_j`: the own EE at the SF's easiest contention, each
     /// gateway's delivery ratio widened by [`PDR_WIDEN`].
-    fn own_ee_bound(&self, scan: &ScanCache, sf: SpreadingFactor, p_mw: f64, energy_j: f64) -> f64 {
+    fn own_ee_bound(
+        &self,
+        model: &NetworkModel,
+        scan: &ScanCache,
+        sf: SpreadingFactor,
+        p_mw: f64,
+        energy_j: f64,
+    ) -> f64 {
         let sfi = sf.index();
-        let g = self.model.gateway_count();
+        let g = model.gateway_count();
         let interference = &scan.easiest_interference[sfi * g..(sfi + 1) * g];
-        let prr = self.prr_at(
+        let prr = self.prr_at::<true>(
+            model,
             scan.device,
             sf,
             p_mw,
             scan.easiest_overlap[sfi],
             |k| interference[k],
-            widen_pdr,
         );
-        self.ee_from(prr, energy_j)
+        self.ee_from(model, prr, energy_j)
     }
 
-    /// The EE device `i` itself would have after moving to `cfg`
-    /// (other devices unchanged). Cheap — `O(gateways)` — and used by the
-    /// greedy allocator to break ties between moves that leave the
-    /// network minimum unchanged.
-    pub fn ee_if(&self, i: usize, cfg: TxConfig) -> f64 {
+    fn ee_if(&self, model: &NetworkModel, i: usize, cfg: TxConfig) -> f64 {
         self.ee_if_at(
+            model,
             i,
             cfg,
             cfg.tp.milliwatts(),
-            self.model.cycle_energy_of(i, &cfg),
+            model.cycle_energy_of(i, &cfg),
         )
     }
 
     /// [`ModelState::ee_if`] with `cfg`'s power in mW and cycle energy in
     /// J given.
-    fn ee_if_at(&self, i: usize, cfg: TxConfig, p_mw: f64, energy_j: f64) -> f64 {
-        let (load, interference) = self.contenders_in(i, self.group_of(&cfg), cfg.sf);
-        self.ee_raw(i, cfg.sf, p_mw, energy_j, load, interference)
+    fn ee_if_at(
+        &self,
+        model: &NetworkModel,
+        i: usize,
+        cfg: TxConfig,
+        p_mw: f64,
+        energy_j: f64,
+    ) -> f64 {
+        let contention = self.contenders_in(model, i, self.group_of(model, &cfg), cfg.sf);
+        self.ee_raw(model, i, cfg.sf, p_mw, energy_j, contention)
     }
 
-    /// The network minimum EE if device `i` moved to `cfg`, or `None` as
-    /// soon as it can be shown not to exceed `floor` (pruning for the
-    /// greedy scan). `floor = f64::NEG_INFINITY` disables pruning.
-    pub fn min_ee_if(&self, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
-        self.min_ee_after(i, cfg, self.ee_if(i, cfg), floor, None)
+    fn min_ee_if(&self, model: &NetworkModel, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
+        self.min_ee_after(model, i, cfg, self.ee_if(model, i, cfg), floor, None)
     }
 
     /// [`ModelState::min_ee_if`], with `i`'s own EE after the move given
@@ -1316,15 +1496,15 @@ impl<'m> ModelState<'m> {
     /// Only a cross-group move reads `exit_min`.
     fn min_ee_after(
         &self,
+        model: &NetworkModel,
         i: usize,
         cfg: TxConfig,
         ee_i: f64,
         floor: f64,
         exit_min: Option<f64>,
     ) -> Option<f64> {
-        let model = self.model;
-        let g_old = self.group_of(&self.alloc[i]);
-        let g_new = self.group_of(&cfg);
+        let g_old = self.group_of(model, &self.alloc[i]);
+        let g_new = self.group_of(model, &cfg);
         let same_group = g_old == g_new;
         let new_p = cfg.tp.milliwatts();
         let alpha_new = model.duty_of(i, cfg.sf);
@@ -1348,7 +1528,7 @@ impl<'m> ModelState<'m> {
                     if j == i {
                         continue;
                     }
-                    let ee_j = self.old_member_ee(i, j, same_group.then_some(new_p));
+                    let ee_j = self.old_member_ee(model, i, j, same_group.then_some(new_p));
                     if ee_j <= floor {
                         return None;
                     }
@@ -1359,14 +1539,22 @@ impl<'m> ModelState<'m> {
 
         // 3. Devices in the new group (gaining i).
         if !same_group {
-            let sums = self.power_sums(g_new);
+            let sums = self.power_sums(model, g_new);
             for &j in &self.members[g_new] {
                 let jc = self.alloc[j];
                 let jp = self.power_mw[j];
                 let load_j = self.alpha_sum[g_new] - model.duty_of(j, jc.sf) + alpha_new;
-                let ee_j = self.ee_raw(j, jc.sf, jp, self.energy_j[j], load_j, |k| {
-                    sums[k] - jp * model.attenuation.at(j, k) + new_p * model.attenuation.at(i, k)
-                });
+                let ee_j = self.ee_raw(
+                    model,
+                    j,
+                    jc.sf,
+                    jp,
+                    self.energy_j[j],
+                    (load_j, |k| {
+                        sums[k] - jp * model.attenuation.at(j, k)
+                            + new_p * model.attenuation.at(i, k)
+                    }),
+                );
                 if ee_j <= floor {
                     return None;
                 }
@@ -1395,10 +1583,9 @@ impl<'m> ModelState<'m> {
     /// EE of device `j`, a co-member of device `i`'s group, once `i`
     /// moves: `stay_p` is `i`'s new power in mW when it stays in the
     /// group (only its power changes), `None` when it leaves.
-    fn old_member_ee(&self, i: usize, j: usize, stay_p: Option<f64>) -> f64 {
-        let model = self.model;
+    fn old_member_ee(&self, model: &NetworkModel, i: usize, j: usize, stay_p: Option<f64>) -> f64 {
         let old_cfg = self.alloc[i];
-        let grp = self.group_of(&old_cfg);
+        let grp = self.group_of(model, &old_cfg);
         let old_p = self.power_mw[i];
         let jc = self.alloc[j];
         let jp = self.power_mw[j];
@@ -1407,8 +1594,8 @@ impl<'m> ModelState<'m> {
             Some(_) => self.alpha_sum[grp] - model.duty_of(j, jc.sf),
             None => self.alpha_sum[grp] - model.duty_of(j, jc.sf) - model.duty_of(i, old_cfg.sf),
         };
-        let sums = self.power_sums(grp);
-        self.ee_raw(j, jc.sf, jp, self.energy_j[j], load_j, |k| {
+        let sums = self.power_sums(model, grp);
+        let interference = |k| {
             let base = sums[k] - jp * model.attenuation.at(j, k);
             match stay_p {
                 Some(new_p) => {
@@ -1416,15 +1603,20 @@ impl<'m> ModelState<'m> {
                 }
                 None => base - old_p * model.attenuation.at(i, k),
             }
-        })
+        };
+        self.ee_raw(
+            model,
+            j,
+            jc.sf,
+            jp,
+            self.energy_j[j],
+            (load_j, interference),
+        )
     }
 
-    /// Commits the move of device `i` to `cfg`, updating all aggregates and
-    /// the cached EE of every device in the two affected groups.
-    pub fn apply(&mut self, i: usize, cfg: TxConfig) {
-        let model = self.model;
-        let g_old = self.group_of(&self.alloc[i]);
-        let g_new = self.group_of(&cfg);
+    fn apply(&mut self, model: &NetworkModel, i: usize, cfg: TxConfig) {
+        let g_old = self.group_of(model, &self.alloc[i]);
+        let g_new = self.group_of(model, &cfg);
         let old_cfg = self.alloc[i];
         let old_p = self.power_mw[i];
         let new_p = cfg.tp.milliwatts();
@@ -1468,7 +1660,7 @@ impl<'m> ModelState<'m> {
                 .collect()
         };
         for j in affected {
-            self.ee[j] = self.current_ee(j);
+            self.ee[j] = self.current_ee(model, j);
         }
         self.recompute_group_min(g_old);
         if g_new != g_old {
@@ -1476,30 +1668,24 @@ impl<'m> ModelState<'m> {
         }
     }
 
-    /// Re-folds every aggregate and cached EE from the per-device terms
-    /// the state keeps, flushing the rounding of the incrementally
-    /// updated sums and `Λ` and the stale EE of devices outside the groups
-    /// committed moves touched. The result is bit for bit the state
-    /// [`NetworkModel::state`] builds for the same allocation. The greedy
-    /// allocator calls this between passes.
-    pub fn refresh(&mut self) {
+    fn refresh(&mut self, model: &NetworkModel) {
         // Fold at a new generation, so the EE pass fills each θ row once
         // and for good.
         self.generation += 1;
-        self.fold();
+        self.fold(model);
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
     /// scan of device `i` (see [`ScanCache`]).
-    pub(crate) fn scan_cache(&self, i: usize) -> ScanCache {
-        let g_old = self.group_of(&self.alloc[i]);
+    pub(crate) fn scan_cache(&self, model: &NetworkModel, i: usize) -> ScanCache {
+        let g_old = self.group_of(model, &self.alloc[i]);
 
         // Part 2 of `min_ee_if` for a cross-group move, computed once
         // instead of per candidate.
         let exit_min = self.members[g_old]
             .iter()
             .filter(|&&j| j != i)
-            .map(|&j| self.old_member_ee(i, j, None))
+            .map(|&j| self.old_member_ee(model, i, j, None))
             .fold(f64::INFINITY, f64::min);
 
         let mut other_min = f64::INFINITY;
@@ -1521,8 +1707,8 @@ impl<'m> ModelState<'m> {
         // The easiest channel per SF, from the very values `ee_if` would
         // pass for each channel: no libm call sits between them and the
         // minima.
-        let channels = self.model.n_channels;
-        let g = self.model.gateway_count();
+        let channels = model.n_channels;
+        let g = model.gateway_count();
         let mut easiest_overlap = [f64::INFINITY; 6];
         let mut easiest_interference = vec![f64::INFINITY; 6 * g];
         for sf in SpreadingFactor::ALL {
@@ -1530,7 +1716,7 @@ impl<'m> ModelState<'m> {
             let row = &mut easiest_interference[sfi * g..(sfi + 1) * g];
             for channel in 0..channels {
                 let (load, interference) =
-                    self.contenders_in(i, group_index(sf, channel, channels), sf);
+                    self.contenders_in(model, i, group_index(sf, channel, channels), sf);
                 easiest_overlap[sfi] = easiest_overlap[sfi].min(overlap_at(load));
                 for (k, slot) in row.iter_mut().enumerate() {
                     *slot = slot.min(interference(k).max(0.0));
@@ -1557,8 +1743,13 @@ impl<'m> ModelState<'m> {
     /// exact result can never exceed it — a caller whose acceptance test
     /// already fails at this bound can skip the exact evaluation without
     /// changing any decision.
-    pub(crate) fn untouched_groups_min(&self, scan: &ScanCache, cfg: TxConfig) -> f64 {
-        let g_new = self.group_of(&cfg);
+    pub(crate) fn untouched_groups_min(
+        &self,
+        model: &NetworkModel,
+        scan: &ScanCache,
+        cfg: TxConfig,
+    ) -> f64 {
+        let g_new = self.group_of(model, &cfg);
         if g_new != scan.g_old && g_new == scan.other_min_idx {
             scan.other_min2
         } else {
@@ -1571,12 +1762,13 @@ impl<'m> ModelState<'m> {
     /// hence the same pruning verdict and the same returned minimum.
     /// `own` is the scanned device's own EE at `cfg`, bit for bit its
     /// [`ModelState::ee_if`], which the scans already hold from
-    /// [`ModelState::own_ee`] or [`ModelState::own_ee_clearing`].
+    /// [`Bound::own_ee`] or [`Bound::own_ee_clearing`].
     /// A cross-group candidate reads its old group's part from the cache
     /// and costs `O(new-group members × gateways)`; a same-group
     /// candidate (only the transmit power changes) evaluates both parts.
     pub(crate) fn min_ee_if_scanned(
         &self,
+        model: &NetworkModel,
         scan: &ScanCache,
         cfg: TxConfig,
         own: f64,
@@ -1584,10 +1776,108 @@ impl<'m> ModelState<'m> {
     ) -> Option<f64> {
         debug_assert_eq!(
             own.to_bits(),
-            self.ee_if(scan.device, cfg).to_bits(),
+            self.ee_if(model, scan.device, cfg).to_bits(),
             "the own EE handed to min_ee_if_scanned is not ee_if's"
         );
-        self.min_ee_after(scan.device, cfg, own, floor, Some(scan.exit_min))
+        self.min_ee_after(model, scan.device, cfg, own, floor, Some(scan.exit_min))
+    }
+}
+
+/// Churn on a state that owns its model. Each operation changes the
+/// model's rows and the state's per-device terms together, re-derives the
+/// terms of every device whose reporting interval `config` changed, and
+/// ends with [`ModelState::refresh`]. The fold then runs over the same
+/// per-device terms, in the same device order, that a fresh build over the
+/// changed population derives, so the state is bit for bit
+/// `NetworkModel::state` of the changed model under the changed
+/// allocation, and the model is bit for bit [`NetworkModel::new`] over the
+/// changed population (with the same PDR form and ambient).
+impl ModelState<NetworkModel> {
+    /// Appends a batch of joining devices (a churn `Join`): their model
+    /// rows, from the same kernel a fresh build uses, and each newcomer at
+    /// its seed configuration at power `tp` ([`NetworkModel::seed_config`]).
+    /// The rows are appended, so the fold adds the newcomers last, as a
+    /// fresh build over the grown population does.
+    pub fn join_rows(
+        &mut self,
+        config: &SimConfig,
+        new_sites: &[DeviceSite],
+        gateways: &[Position],
+        radius_m: f64,
+        tp: TxPowerDbm,
+    ) {
+        let (model, bound) = (&mut self.model, &mut self.bound);
+        let before = model.intervals.clone();
+        let first = bound.alloc.len();
+        model.extend_rows(config, new_sites, gateways, radius_m);
+        let n = model.device_count();
+        bound
+            .alloc
+            .extend((first..n).map(|i| model.seed_config(i, tp)));
+        bound.push_own_terms(model, first);
+        bound.rederive_changed_intervals(model, &before);
+        bound.theta.resize(n);
+        bound.ee.resize(n, 0.0);
+        bound.refresh(model);
+    }
+
+    /// Drops the devices `leaving` marks (a churn `Leave`), compacting the
+    /// model's rows, the allocation and the per-device terms in one pass
+    /// each so row `i` keeps describing the `i`-th survivor. The θ rows and
+    /// cached EE are only cut to length: the closing refresh refills every
+    /// one of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the mask length disagrees with the device count.
+    pub fn retire_rows(&mut self, config: &SimConfig, leaving: &[bool], radius_m: f64) {
+        let (model, bound) = (&mut self.model, &mut self.bound);
+        let g = model.gateway_count();
+        let mut before = model.intervals.clone();
+        model.retire_rows(config, leaving, radius_m);
+        retain_rows(&mut before, leaving, 1);
+        retain_rows(&mut bound.alloc, leaving, 1);
+        retain_rows(&mut bound.power_mw, leaving, 1);
+        retain_rows(&mut bound.energy_j, leaving, 1);
+        retain_rows(&mut bound.q, leaving, g);
+        bound.rederive_changed_intervals(model, &before);
+        let n = bound.alloc.len();
+        bound.theta.resize(n);
+        bound.ee.truncate(n);
+        bound.refresh(model);
+    }
+
+    /// Re-derives the model's reporting intervals from `config` after a
+    /// churn event changed the population's class mix (a churn
+    /// `Migrate`), and with them the cycle energy and occupancy of every
+    /// device whose interval changed.
+    pub fn refresh_intervals(&mut self, config: &SimConfig) {
+        let (model, bound) = (&mut self.model, &mut self.bound);
+        let before = model.intervals.clone();
+        model.refresh_intervals(config);
+        bound.rederive_changed_intervals(model, &before);
+        bound.refresh(model);
+    }
+}
+
+impl Bound {
+    /// Re-derives the cycle energy and occupancy row of each device
+    /// `i < before.len()` whose reporting interval is no longer
+    /// `before[i]`, as a build derives them. Every other own term depends
+    /// only on the device's configuration and its attenuation row, which
+    /// churn keeps.
+    fn rederive_changed_intervals(&mut self, model: &NetworkModel, before: &[f64]) {
+        let g = model.gateway_count();
+        for (i, (cfg, old)) in self.alloc.iter().zip(before).enumerate() {
+            if model.intervals[i].to_bits() == old.to_bits() {
+                continue;
+            }
+            let (energy_j, q) = model.own_terms(i, cfg, self.power_mw[i]);
+            self.energy_j[i] = energy_j;
+            for (slot, q) in self.q[i * g..(i + 1) * g].iter_mut().zip(q) {
+                *slot = q;
+            }
+        }
     }
 }
 
@@ -1973,7 +2263,7 @@ mod tests {
             .collect();
         let state = model.state(alloc).unwrap();
         for device in [0usize, 7, 19, 29] {
-            let scan = state.scan_cache(device);
+            let scan = state.bound.scan_cache(state.model(), device);
             let mut floor = f64::NEG_INFINITY;
             for sf in SpreadingFactor::ALL {
                 for ch in 0..8 {
@@ -1981,7 +2271,10 @@ mod tests {
                         let cfg = TxConfig::new(sf, TxPowerDbm::new(2.0 + tp_i as f64 * 2.0), ch);
                         let plain = state.min_ee_if(device, cfg, floor);
                         let own = state.ee_if(device, cfg);
-                        let fast = state.min_ee_if_scanned(&scan, cfg, own, floor);
+                        let fast =
+                            state
+                                .bound
+                                .min_ee_if_scanned(state.model(), &scan, cfg, own, floor);
                         match (plain, fast) {
                             (Some(a), Some(b)) => assert_eq!(
                                 a.to_bits(),
@@ -2035,9 +2328,9 @@ mod tests {
 
     /// The θ the state's live `Λ` and `q` give for `(i, k)` right now,
     /// computed eagerly.
-    fn eager_theta(state: &ModelState<'_>, i: usize, k: usize) -> f64 {
+    fn eager_theta(state: &ModelState<&NetworkModel>, i: usize, k: usize) -> f64 {
         poisson_at_most(
-            (state.lambda[k] - state.q_row(i)[k]).max(0.0),
+            (state.bound.lambda[k] - state.bound.q_row(state.model(), i)[k]).max(0.0),
             OTHERS_BUDGET,
         )
     }
@@ -2045,11 +2338,11 @@ mod tests {
     /// Reads every `θ` of `state` in a shuffled order and checks each
     /// against the eager tail, bit for bit.
     fn check_theta_is_eager(
-        state: &ModelState<'_>,
+        state: &ModelState<&NetworkModel>,
         rng: &mut ChaCha12Rng,
     ) -> Result<(), TestCaseError> {
-        let g = state.model.gateway_count();
-        let mut reads: Vec<(usize, usize)> = (0..state.alloc.len())
+        let g = state.model().gateway_count();
+        let mut reads: Vec<(usize, usize)> = (0..state.bound.alloc.len())
             .flat_map(|i| (0..g).map(move |k| (i, k)))
             .collect();
         reads.shuffle(rng);
@@ -2060,7 +2353,7 @@ mod tests {
                 "theta({}, {}) at generation {}",
                 i,
                 k,
-                state.generation
+                state.bound.generation
             );
         }
         Ok(())
@@ -2096,8 +2389,8 @@ mod tests {
     /// Eq. 10 at every gateway, Eq. 13 over all of them and Eq. 17's
     /// division by the energy model's cycle energy, from the state's
     /// public terms. It skips no gateway and caches nothing.
-    fn literal_ee(state: &ModelState<'_>, i: usize) -> f64 {
-        let model = state.model;
+    fn literal_ee(state: &ModelState<&NetworkModel>, i: usize) -> f64 {
+        let model = state.model();
         let cfg = state.alloc()[i];
         let sfi = cfg.sf.index();
         let h = state.overlap_for(i);
@@ -2118,10 +2411,62 @@ mod tests {
         model.payload_bits() * prr(per_gw) / (model.cycle_energy_of(i, &cfg) * 1_000.0)
     }
 
+    /// Checks every aggregate, per-device term, cached EE and θ of `state`
+    /// against `fresh`, a fresh build of the same model and allocation,
+    /// bit for bit.
+    fn check_equals_fresh_build<M: Borrow<NetworkModel>>(
+        state: &ModelState<M>,
+        fresh: &ModelState<&NetworkModel>,
+        at: &str,
+    ) -> Result<(), TestCaseError> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(state.alloc(), fresh.alloc(), "alloc {}", at);
+        prop_assert_eq!(&state.bound.members, &fresh.bound.members, "members {}", at);
+        for (name, got, want) in [
+            ("alpha_sum", &state.bound.alpha_sum, &fresh.bound.alpha_sum),
+            ("power_sum", &state.bound.power_sum, &fresh.bound.power_sum),
+            ("lambda", &state.bound.lambda, &fresh.bound.lambda),
+            ("q", &state.bound.q, &fresh.bound.q),
+            ("power_mw", &state.bound.power_mw, &fresh.bound.power_mw),
+            ("energy_j", &state.bound.energy_j, &fresh.bound.energy_j),
+            ("ee", &state.bound.ee, &fresh.bound.ee),
+            ("group_min", &state.bound.group_min, &fresh.bound.group_min),
+        ] {
+            prop_assert_eq!(bits(got), bits(want), "{} {}", name, at);
+        }
+        for i in 0..fresh.alloc().len() {
+            for k in 0..fresh.model().gateway_count() {
+                prop_assert_eq!(
+                    state.theta(i, k).to_bits(),
+                    fresh.theta(i, k).to_bits(),
+                    "theta({}, {}) {}",
+                    i,
+                    k,
+                    at
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A site drawn uniformly from the disc of radius `radius_m`.
+    fn random_site(rng: &mut ChaCha12Rng, radius_m: f64) -> DeviceSite {
+        let r = radius_m * rng.gen::<f64>().sqrt();
+        let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+        DeviceSite {
+            position: Position::new(r * angle.cos(), r * angle.sin()),
+            environment: if rng.gen::<bool>() {
+                LinkEnvironment::LineOfSight
+            } else {
+                LinkEnvironment::NonLineOfSight
+            },
+        }
+    }
+
     /// Checks the cached EE of each of `devices` against [`literal_ee`],
     /// bit for bit.
     fn check_ee_is_literal(
-        state: &ModelState<'_>,
+        state: &ModelState<&NetworkModel>,
         devices: impl IntoIterator<Item = usize>,
         at: &str,
     ) -> Result<(), TestCaseError> {
@@ -2186,14 +2531,14 @@ mod tests {
                 // The scanned device's own EE through the per-scan table,
                 // on every candidate.
                 let device = rng.gen_range(0..devices);
-                let scan = state.scan_cache(device);
+                let scan = state.bound.scan_cache(state.model(), device);
                 let mut table = OwnEeBounds::new(&scan);
                 for sf in SpreadingFactor::ALL {
                     for tp in TxPowerDbm::eu_levels() {
                         for channel in 0..channels {
                             let cfg = TxConfig::new(sf, tp, channel);
                             let want = state.ee_if(device, cfg).to_bits();
-                            let cleared = state.own_ee_clearing(&mut table, cfg, |_| true);
+                            let cleared = state.bound.own_ee_clearing(state.model(), &mut table, cfg, |_| true);
                             prop_assert_eq!(
                                 cleared.map(f64::to_bits),
                                 Some(want),
@@ -2202,7 +2547,7 @@ mod tests {
                                 device,
                                 cfg
                             );
-                            prop_assert_eq!(state.own_ee(&mut table, cfg).to_bits(), want);
+                            prop_assert_eq!(state.bound.own_ee(state.model(), &mut table, cfg).to_bits(), want);
                         }
                     }
                 }
@@ -2213,13 +2558,13 @@ mod tests {
                 }
                 let device = rng.gen_range(0..devices);
                 let cfg = random_config(&mut rng, channels);
-                let g_old = state.group_of(&state.alloc[device]);
+                let g_old = state.bound.group_of(state.model(), &state.bound.alloc[device]);
                 state.apply(device, cfg);
                 // Only the two touched groups are re-evaluated; the rest
                 // keep their EE until the next refresh.
-                let touched: Vec<usize> = state.members[g_old]
+                let touched: Vec<usize> = state.bound.members[g_old]
                     .iter()
-                    .chain(&state.members[state.group_of(&cfg)])
+                    .chain(&state.bound.members[state.bound.group_of(state.model(), &cfg)])
                     .copied()
                     .collect();
                 check_ee_is_literal(&state, touched, &format!("after move {step}"))?;
@@ -2271,11 +2616,11 @@ mod tests {
             // incremental rounding, as they do mid-pass.
             for step in 0..=steps {
                 for device in 0..devices {
-                    let scan = state.scan_cache(device);
+                    let scan = state.bound.scan_cache(state.model(), device);
                     for sf in SpreadingFactor::ALL {
                         for tp in TxPowerDbm::eu_levels() {
                             let energy_j = model.cycle_energy_of(device, &TxConfig::new(sf, tp, 0));
-                            let bound = state.own_ee_bound(&scan, sf, tp.milliwatts(), energy_j);
+                            let bound = state.bound.own_ee_bound(state.model(), &scan, sf, tp.milliwatts(), energy_j);
                             for channel in 0..channels {
                                 let cfg = TxConfig::new(sf, tp, channel);
                                 let ee = state.ee_if(device, cfg);
@@ -2345,22 +2690,106 @@ mod tests {
                     continue;
                 }
                 state.refresh();
-                let fresh = model.state(state.alloc.clone()).unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(&state.members, &fresh.members, "members at step {}", step);
-                for (name, got, want) in [
-                    ("alpha_sum", &state.alpha_sum, &fresh.alpha_sum),
-                    ("power_sum", &state.power_sum, &fresh.power_sum),
-                    ("lambda", &state.lambda, &fresh.lambda),
-                    ("q", &state.q, &fresh.q),
-                    ("power_mw", &state.power_mw, &fresh.power_mw),
-                    ("energy_j", &state.energy_j, &fresh.energy_j),
-                    ("ee", &state.ee, &fresh.ee),
-                    ("group_min", &state.group_min, &fresh.group_min),
-                ] {
-                    prop_assert_eq!(bits(got), bits(want), "{} at step {}", name, step);
+                let fresh = model.state(state.bound.alloc.clone()).unwrap();
+                check_equals_fresh_build(&state, &fresh, &format!("at step {step}"))?;
+            }
+        }
+
+        #[test]
+        fn churn_equals_a_fresh_build(
+            devices in 1usize..30,
+            gateways in 1usize..=4,
+            ambient in any::<bool>(),
+            traffic in 0usize..3,
+            seed in any::<u64>(),
+            steps in 1usize..16,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let radius = 3_000.0;
+            let interval = |rng: &mut ChaCha12Rng| rng.gen_range(60.0..1_800.0);
+            let mut config = SimConfig::default();
+            match traffic {
+                0 => {}
+                1 => {
+                    config.per_device_intervals_s =
+                        Some((0..devices).map(|_| interval(&mut rng)).collect());
+                }
+                _ => {
+                    config.traffic = Traffic::DutyCycleTarget {
+                        duty: rng.gen_range(0.001..0.05),
+                    };
                 }
             }
+            let topo = Topology::disc(devices, gateways, radius, &config, seed);
+            let (mut sites, gws) = (topo.devices().to_vec(), topo.gateways().to_vec());
+            let mut model = NetworkModel::new(&config, &topo);
+            if ambient {
+                model = with_random_ambient(model, &mut rng);
+            }
+            let offsets = model.ambient.clone();
+            let channels = model.channel_count();
+            let tp = TxPowerDbm::new(14.0);
+            let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
+            let mut state = model.into_state(alloc).unwrap();
+            for step in 0..steps {
+                // Moves leave the sums carrying incremental rounding and
+                // the EE of untouched groups stale, which the operation's
+                // closing refresh must flush.
+                for _ in 0..rng.gen_range(0..3) {
+                    let device = rng.gen_range(0..sites.len());
+                    state.apply(device, random_config(&mut rng, channels));
+                }
+                let n = sites.len();
+                let at = match rng.gen_range(0..3) {
+                    0 => {
+                        let joining: Vec<DeviceSite> =
+                            (0..rng.gen_range(1..=4)).map(|_| random_site(&mut rng, radius)).collect();
+                        sites.extend(&joining);
+                        if let Some(intervals) = &mut config.per_device_intervals_s {
+                            intervals.extend(joining.iter().map(|_| interval(&mut rng)));
+                        }
+                        state.join_rows(&config, &joining, &gws, radius, tp);
+                        for i in n..sites.len() {
+                            prop_assert_eq!(state.alloc()[i], state.model().seed_config(i, tp));
+                        }
+                        format!("after joining {} at step {}", joining.len(), step)
+                    }
+                    1 => {
+                        let mut leaving: Vec<bool> = (0..n).map(|_| rng.gen_range(0..3) == 0).collect();
+                        leaving[rng.gen_range(0..n)] = false;
+                        retain_rows(&mut sites, &leaving, 1);
+                        if let Some(intervals) = &mut config.per_device_intervals_s {
+                            retain_rows(intervals, &leaving, 1);
+                        }
+                        state.retire_rows(&config, &leaving, radius);
+                        format!("after retiring {} at step {}", n - sites.len(), step)
+                    }
+                    _ => {
+                        match &mut config.per_device_intervals_s {
+                            Some(intervals) => {
+                                for slot in intervals.iter_mut() {
+                                    if rng.gen::<bool>() {
+                                        *slot = interval(&mut rng);
+                                    }
+                                }
+                            }
+                            None => config.report_interval_s = interval(&mut rng),
+                        }
+                        state.refresh_intervals(&config);
+                        format!("after refreshing intervals at step {step}")
+                    }
+                };
+                let survivors = Topology::from_sites(sites.clone(), gws.clone(), radius);
+                let mut fresh_model = NetworkModel::new(&config, &survivors);
+                if let Some(offsets) = &offsets {
+                    fresh_model = fresh_model.with_ambient(offsets.clone());
+                }
+                prop_assert_eq!(state.model(), &fresh_model, "model {}", at);
+                let fresh = fresh_model.state(state.alloc().to_vec()).unwrap();
+                check_equals_fresh_build(&state, &fresh, &at)?;
+            }
+            let model = state.into_model();
+            prop_assert_eq!(model.device_count(), sites.len());
         }
 
         #[test]
@@ -2394,15 +2823,15 @@ mod tests {
                     _ => {
                         let device = rng.gen_range(0..devices);
                         let cfg = random_config(&mut rng, channels);
-                        let g_old = state.group_of(&state.alloc[device]);
+                        let g_old = state.bound.group_of(state.model(), &state.bound.alloc[device]);
                         state.apply(device, cfg);
                         // The move's EE refresh read rows of the new
                         // generation, not the ones the move made stale.
-                        let g_new = state.group_of(&cfg);
-                        for &j in state.members[g_old].iter().chain(&state.members[g_new]) {
+                        let g_new = state.bound.group_of(state.model(), &cfg);
+                        for &j in state.bound.members[g_old].iter().chain(&state.bound.members[g_new]) {
                             prop_assert_eq!(
                                 state.ee(j).to_bits(),
-                                state.current_ee(j).to_bits(),
+                                state.bound.current_ee(state.model(), j).to_bits(),
                                 "cached EE of device {} after moving {}",
                                 j,
                                 device
@@ -2445,7 +2874,7 @@ mod tests {
                     order.shuffle(&mut ChaCha12Rng::seed_from_u64(worker));
                     barrier.wait();
                     for i in order {
-                        let row = state.theta_row(i);
+                        let row = state.bound.theta_row(state.model(), i);
                         for k in 0..g {
                             assert_eq!(
                                 theta_at(row, k).to_bits(),

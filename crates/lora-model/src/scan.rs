@@ -68,11 +68,12 @@
 //! of the share too, and where a range's boundaries fall changes no rule's
 //! result.
 
+use std::borrow::Borrow;
 use std::ops::Range;
 
 use lora_phy::{SpreadingFactor, TxConfig};
 
-use crate::model::{ModelState, OwnEeBounds, ScanCache};
+use crate::model::{Bound, ModelState, NetworkModel, OwnEeBounds, ScanCache};
 
 /// What a [`Rule`] needs of a candidate whose untouched-groups cap it has
 /// seen, in increasing order of the work the walk then does.
@@ -153,19 +154,22 @@ pub trait Rule {
 /// A scan is `Sync`: workers may walk disjoint ranges of one grid at once.
 #[derive(Debug)]
 pub struct Scan<'s> {
-    state: &'s ModelState<'s>,
+    model: &'s NetworkModel,
+    state: &'s Bound,
     cache: ScanCache,
 }
 
-impl ModelState<'_> {
+impl<M: Borrow<NetworkModel>> ModelState<M> {
     /// Prepares the candidate scan of device `i` against the current
     /// allocation: the minimum EE of `i`'s old group after it leaves, the
     /// two smallest cached group minima, and per SF the easiest contention
     /// any channel offers.
     pub fn prepare_scan(&self, i: usize) -> Scan<'_> {
+        let model = self.model();
         Scan {
-            state: self,
-            cache: self.scan_cache(i),
+            model,
+            state: &self.bound,
+            cache: self.bound.scan_cache(model, i),
         }
     }
 }
@@ -178,22 +182,22 @@ impl Scan<'_> {
     /// channel, then TP level) over the model's channels, with the same
     /// TP levels on every channel.
     pub fn walk<R: Rule>(&self, grid: &[TxConfig], range: Range<usize>, rule: &mut R) -> u64 {
-        let state = self.state;
+        let (model, state) = (self.model, self.state);
         let cache = &self.cache;
         let current = state.alloc()[cache.device];
         let mut own_bounds = OwnEeBounds::new(cache);
-        let mut blocks = SfBlocks::new(grid, state.model.channel_count(), current);
+        let mut blocks = SfBlocks::new(grid, model.channel_count(), current);
         let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
         let mut examined = 0;
         let mut next = range.start;
         while next < range.end {
-            let (block, max_cap) = blocks.enter(state, cache, next, range.end);
+            let (block, max_cap) = blocks.enter(model, state, cache, next, range.end);
             next = block.end;
             verdicts.forget();
             let skip_block = match rule.triage(max_cap) {
                 Triage::Skip => true,
                 Triage::OwnBar => verdicts.all_fail(|column| {
-                    state.own_ee_may_clear(&mut own_bounds, blocks.column(column), |own| {
+                    state.own_ee_may_clear(model, &mut own_bounds, blocks.column(column), |own| {
                         rule.clears(own)
                     })
                 }),
@@ -211,18 +215,20 @@ impl Scan<'_> {
                     Triage::OwnBar => {
                         let clears = |own| rule.clears(own);
                         if !verdicts.clears(column, || {
-                            state.own_ee_may_clear(&mut own_bounds, cfg, clears)
+                            state.own_ee_may_clear(model, &mut own_bounds, cfg, clears)
                         }) {
                             continue;
                         }
-                        let Some(own) = state.own_ee_clearing(&mut own_bounds, cfg, clears) else {
+                        let Some(own) = state.own_ee_clearing(model, &mut own_bounds, cfg, clears)
+                        else {
                             continue;
                         };
                         own
                     }
-                    Triage::Exact => state.own_ee(&mut own_bounds, cfg),
+                    Triage::Exact => state.own_ee(model, &mut own_bounds, cfg),
                 };
-                let Some(min) = state.min_ee_if_scanned(cache, cfg, own, rule.floor()) else {
+                let Some(min) = state.min_ee_if_scanned(model, cache, cfg, own, rule.floor())
+                else {
                     continue;
                 };
                 if rule.offer(Candidate { min, own, idx, cfg }) {
@@ -290,7 +296,8 @@ impl<'g> SfBlocks<'g> {
     /// over the whole block.
     fn enter(
         &mut self,
-        state: &ModelState<'_>,
+        model: &NetworkModel,
+        state: &Bound,
         cache: &ScanCache,
         idx: usize,
         end: usize,
@@ -299,7 +306,11 @@ impl<'g> SfBlocks<'g> {
         self.start = idx - idx % block_len;
         let mut max_cap = f64::NEG_INFINITY;
         for (channel, cap) in self.caps.iter_mut().enumerate() {
-            *cap = state.untouched_groups_min(cache, self.grid[self.start + channel * self.n_tp]);
+            *cap = state.untouched_groups_min(
+                model,
+                cache,
+                self.grid[self.start + channel * self.n_tp],
+            );
             max_cap = max_cap.max(*cap);
         }
         (idx..end.min(self.start + block_len), max_cap)

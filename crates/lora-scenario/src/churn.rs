@@ -7,6 +7,17 @@
 //! [`ef_lora::IncrementalAllocator`] entry point, so pre-existing devices
 //! are reconfigured only when the change touches their contention groups.
 //!
+//! An event runs in two halves. [`stage_event`] mutates the population
+//! and makes every random draw; [`finish_event`] repairs a
+//! [`ModelState`] bound to the changed population. [`apply_event`], the
+//! from-scratch path the scenario runner takes, builds a fresh model and
+//! state for the second half. The daemon keeps one live state that owns
+//! its model, applies the staged change to it as a state operation
+//! ([`ModelState::join_rows`], [`ModelState::retire_rows`],
+//! [`ModelState::refresh_intervals`]) and hands it to the same
+//! [`finish_event`]; a churn operation leaves the state equal to a fresh
+//! build, so both paths repair the same bits.
+//!
 //! Determinism contract: environment draws, leave shuffles and migration
 //! shuffles all come from the caller-supplied churn stream; join
 //! positions come from a spatial stream whose seed the caller derives
@@ -15,14 +26,16 @@
 //! event-sequence consumers). The extraction preserves the epoch runner's
 //! draw order exactly — reports stay byte-identical.
 
+use std::borrow::Borrow;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use ef_lora::{AllocationContext, IncrementalAllocator};
-use lora_model::NetworkModel;
+use ef_lora::{seed_newcomers, AllocationContext, IncrementalAllocator};
+use lora_model::{ModelState, NetworkModel};
 use lora_phy::path_loss::LinkEnvironment;
 use lora_phy::TxConfig;
 use lora_sim::{DeviceSite, Position, SimConfig, Topology};
@@ -321,30 +334,36 @@ pub fn stage_event(
     })
 }
 
-/// Runs the incremental allocator for a staged event against a caller-
-/// supplied context and assembles the outcome: the second half of
-/// [`apply_event`]. The context's model may be rebuilt from scratch (as
-/// [`apply_event`] does) or maintained incrementally — the equivalence
-/// suite in the conformance crate proves both produce byte-identical
-/// outcomes.
+/// Runs the incremental allocator for a staged event and assembles the
+/// outcome: the second half of [`apply_event`].
+///
+/// `state` binds the population after [`stage_event`]'s mutation: for an
+/// `Extend`, the devices of `pop.alloc` followed by the joined devices at
+/// their seed configurations; otherwise `pop.alloc`. It may be a fresh
+/// build (as [`apply_event`] makes) or a live state the staged change was
+/// applied to; the equivalence suite in the conformance crate proves both
+/// produce byte-identical outcomes. The repair scans `grid`, the
+/// canonical candidate grid, and leaves `state` refreshed and bound to
+/// the repaired allocation, which it also writes to `pop.alloc`.
 ///
 /// # Errors
 ///
 /// [`ScenarioError::Alloc`] if the incremental allocator rejects the
 /// adjusted deployment.
-pub fn finish_event(
-    alloc_ctx: &AllocationContext<'_>,
+pub fn finish_event<M: Borrow<NetworkModel>>(
+    state: &mut ModelState<M>,
+    grid: &[TxConfig],
     pop: &mut Population,
     incremental: &IncrementalAllocator,
     staged: StagedEvent,
 ) -> Result<EventOutcome, ScenarioError> {
     let outcome = match &staged.adjust {
         StagedAdjust::Noop => return Ok(EventOutcome::noop(staged.warning)),
-        StagedAdjust::Extend { .. } => incremental.extend(alloc_ctx, &pop.alloc)?,
+        StagedAdjust::Extend { .. } => incremental.extend(state, grid, pop.alloc.len())?,
         StagedAdjust::AfterRemoval { removed, .. } => {
-            incremental.after_removal(alloc_ctx, &pop.alloc, removed)?
+            incremental.after_removal(state, grid, removed)?
         }
-        StagedAdjust::Repair { members } => incremental.repair(alloc_ctx, &pop.alloc, members)?,
+        StagedAdjust::Repair { members } => incremental.repair(state, grid, members)?,
     };
     let min_ee = outcome.min_ee;
     let reconfigured = outcome.reconfigured;
@@ -363,9 +382,9 @@ pub fn finish_event(
 
 /// Applies one churn event to the population through the matching
 /// incremental-allocator entry point and refreshes the per-device
-/// reporting intervals: [`stage_event`] followed by [`finish_event`]
-/// against a freshly rebuilt `Topology`/`NetworkModel`/
-/// [`AllocationContext`] — the from-scratch reference semantics.
+/// reporting intervals: [`stage_event`] followed by [`finish_event`] on a
+/// freshly built `Topology`/`NetworkModel`/[`AllocationContext`] and
+/// model state — the from-scratch reference semantics.
 ///
 /// `rng` is the churn stream shared across a batch of events (one per
 /// epoch in the runner, one per event in the daemon); `join_seed` seeds
@@ -398,7 +417,10 @@ pub fn apply_event(
     let topology = Topology::from_sites(pop.sites.clone(), ctx.gateways.to_vec(), ctx.radius_m);
     let model = NetworkModel::new(config, &topology);
     let alloc_ctx = AllocationContext::new(config, &topology, &model);
-    finish_event(&alloc_ctx, pop, incremental, staged)
+    let mut state = model
+        .state(seed_newcomers(&alloc_ctx, &pop.alloc))
+        .map_err(ef_lora::AllocError::from)?;
+    finish_event(&mut state, alloc_ctx.candidates(), pop, incremental, staged)
 }
 
 /// Drops every index marked in `leaving` with a single compaction pass.

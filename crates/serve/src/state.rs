@@ -1,13 +1,25 @@
-//! The daemon's in-memory state: live population, allocation, resilience
-//! controller and counters, plus snapshot/restore for crash recovery.
+//! The daemon's in-memory state: live population, allocation, model
+//! state, resilience controller and counters, plus snapshot/restore for
+//! crash recovery.
+//!
+//! The daemon keeps one live [`ModelState`] that owns its
+//! [`NetworkModel`] and survives from request to request. It is built once,
+//! at load or restore. A churn write applies the staged population change
+//! to it as a state operation ([`ModelState::join_rows`],
+//! [`ModelState::retire_rows`], [`ModelState::refresh_intervals`]), which
+//! patches the model's rows and the state's per-device terms together and
+//! leaves the state equal to a fresh build, then repairs it in place
+//! ([`lora_scenario::churn::finish_event`]). A `Metrics` query reads the
+//! state's cached EE. So neither builds a model, a topology, an allocation
+//! context or a state.
 
 use serde::{Deserialize, Serialize};
 
 use ef_lora::fairness::{jain_index, mean, min_ee};
 use ef_lora::resilience::{reallocate_masked, Decision, ResilienceConfig, ResilienceController};
-use ef_lora::{AllocationContext, Strategy};
-use lora_model::NetworkModel;
-use lora_phy::TxConfig;
+use ef_lora::{candidate_grid, AllocationContext, IncrementalAllocator, Strategy};
+use lora_model::{ModelState, NetworkModel};
+use lora_phy::{TxConfig, TxPowerDbm};
 use lora_scenario::churn::{
     self, finish_event, refresh_intervals, stage_event, ChurnContext, EventOutcome, StagedAdjust,
 };
@@ -104,20 +116,27 @@ pub struct ServeState {
     gateways: Vec<Position>,
     radius_m: f64,
     config: SimConfig,
+    /// The population; `pop.alloc` is the allocation snapshots record,
+    /// and `live` is always bound to it.
     pop: Population,
-    /// Persistent analytical model of the live population. Maintained
-    /// incrementally across churn — joins extend rows, leaves retire
-    /// them, migrations refresh intervals — instead of being rebuilt
-    /// from scratch per event; the conformance differential suite proves
-    /// it stays bitwise equal to a fresh `NetworkModel::new`.
-    model: NetworkModel,
+    /// The live model state of the population, owning its model. Churn
+    /// applies to it as state operations — joins extend rows, leaves
+    /// retire them, migrations refresh intervals — and the repairs run
+    /// on it in place, so it is never rebuilt; the conformance
+    /// differential suite proves its model stays bitwise equal to a
+    /// fresh `NetworkModel::new` and its answers to a from-scratch
+    /// daemon's.
+    live: ModelState<NetworkModel>,
+    /// The canonical candidate grid every repair scans.
+    grid: Vec<TxConfig>,
     controller: ResilienceController,
     events_applied: u64,
     windows_observed: u64,
     last_decision: String,
-    /// From-scratch `NetworkModel` constructions performed on behalf of
-    /// this state. Load and restore cost one each; the steady state
-    /// (churn, queries, measurement windows) must never add more.
+    /// From-scratch model and state builds performed on behalf of this
+    /// state. Load and restore cost one each, the live state's; the
+    /// steady state (churn, queries, measurement windows) must never add
+    /// more.
     model_rebuilds: u64,
     /// How this state came back from disk, when it did (set only by
     /// journal recovery — [`crate::journal::recover`]).
@@ -187,9 +206,11 @@ impl ServeState {
         refresh_intervals(&mut config, &pop.class_of, &classes);
         let topology = Topology::from_sites(pop.sites.clone(), gateways.clone(), radius_m);
         let model = NetworkModel::new(&config, &topology);
-        let ctx = AllocationContext::new(&config, &topology, &model);
-        pop.alloc = strategy.allocate(&ctx)?.into_inner();
-        let baseline = min_ee(&model.evaluate(&pop.alloc));
+        pop.alloc = strategy
+            .allocate(&AllocationContext::new(&config, &topology, &model))?
+            .into_inner();
+        let (live, grid) = bind(&config, model, &pop.alloc).map_err(ef_lora::AllocError::from)?;
+        let baseline = min_ee(live.ee_all());
         Ok(ServeState {
             spec,
             classes,
@@ -197,7 +218,8 @@ impl ServeState {
             radius_m,
             config,
             pop,
-            model,
+            live,
+            grid,
             controller: ResilienceController::with_baseline(ResilienceConfig::default(), baseline),
             events_applied: 0,
             windows_observed: 0,
@@ -247,26 +269,17 @@ impl ServeState {
         &self.controller
     }
 
-    /// The persistent, incrementally maintained analytical model.
+    /// The live state's model, maintained through churn.
     pub fn cached_model(&self) -> &NetworkModel {
-        &self.model
+        self.live.model()
     }
 
-    /// From-scratch `NetworkModel` constructions this state has paid
-    /// for: 1 after [`ServeState::new`] or [`ServeState::restore`],
-    /// never incremented afterwards. Regression guard for the
-    /// incremental serve path.
+    /// From-scratch model and state builds this state has paid for: 1
+    /// after [`ServeState::new`] or [`ServeState::restore`] (the live
+    /// state's build), never incremented afterwards. Regression guard for
+    /// the incremental serve path.
     pub fn model_rebuilds(&self) -> u64 {
         self.model_rebuilds
-    }
-
-    /// Builds a from-scratch model of the live population — the ground
-    /// truth the cached model is compared against in equivalence tests.
-    /// Does not count towards [`ServeState::model_rebuilds`].
-    pub fn fresh_model(&self) -> NetworkModel {
-        let topology =
-            Topology::from_sites(self.pop.sites.clone(), self.gateways.clone(), self.radius_m);
-        NetworkModel::new(&self.config, &topology)
     }
 
     /// The live allocation.
@@ -289,11 +302,13 @@ impl ServeState {
     }
 
     /// Analytical-model `[min_ee, mean_ee, jain]` of the live
-    /// allocation, bits/mJ. Served from the cached model — a metrics
-    /// query no longer rebuilds anything, churn or no churn.
+    /// allocation, bits/mJ, read from the live state's cached EE: every
+    /// mutation leaves the state refreshed, so that is bit for bit
+    /// [`NetworkModel::evaluate`] of the allocation, and a query builds
+    /// nothing.
     pub fn model_metrics(&self) -> [f64; 3] {
-        let ee = self.model.evaluate(&self.pop.alloc);
-        [min_ee(&ee), mean(&ee), jain_index(&ee)]
+        let ee = self.live.ee_all();
+        [min_ee(ee), mean(ee), jain_index(ee)]
     }
 
     /// Applies one churn event through the incremental allocator.
@@ -326,39 +341,42 @@ impl ServeState {
             &mut rng,
             join_seed,
         )?;
-        // Fold the staged mutation into the persistent model instead of
-        // rebuilding it: the O(devices × gateways) `powf` attenuation
-        // work shrinks to the rows the event actually touched.
+        // Apply the staged mutation to the live state instead of building
+        // a new one: the O(devices × gateways) `powf` attenuation work
+        // shrinks to the rows the event actually touched, and the
+        // per-device terms to the devices it moved.
         match &staged.adjust {
-            StagedAdjust::Noop => {
-                self.events_applied += 1;
-                return Ok(EventOutcome::noop(staged.warning));
-            }
+            StagedAdjust::Noop => {}
             StagedAdjust::Extend { added } => {
                 let start = self.pop.sites.len() - added;
-                self.model.extend_rows(
+                self.live.join_rows(
                     &self.config,
                     &self.pop.sites[start..],
                     &self.gateways,
                     self.radius_m,
+                    max_tp(&self.config),
                 );
             }
             StagedAdjust::AfterRemoval { leaving, .. } => {
-                self.model.retire_rows(&self.config, leaving, self.radius_m);
+                self.live.retire_rows(&self.config, leaving, self.radius_m);
             }
             StagedAdjust::Repair { .. } => {
                 // Migration moves devices between traffic classes: the
                 // attenuation rows are untouched, only the reporting
                 // intervals (and with them the energy budgets) change.
-                self.model.refresh_intervals(&self.config);
+                self.live.refresh_intervals(&self.config);
             }
         }
-        let topology =
-            Topology::from_sites(self.pop.sites.clone(), self.gateways.clone(), self.radius_m);
-        let alloc_ctx = AllocationContext::new(&self.config, &topology, &self.model);
-        let incremental = ef_lora::IncrementalAllocator::new();
-        let outcome = finish_event(&alloc_ctx, &mut self.pop, &incremental, staged)?;
+        let incremental = IncrementalAllocator::new();
+        let outcome = finish_event(
+            &mut self.live,
+            &self.grid,
+            &mut self.pop,
+            &incremental,
+            staged,
+        )?;
         self.events_applied += 1;
+        self.debug_assert_live_in_sync();
         Ok(outcome)
     }
 
@@ -384,7 +402,7 @@ impl ServeState {
             cfg,
             topology.clone(),
             self.pop.alloc.clone(),
-            self.model.shared_attenuation().clone(),
+            self.cached_model().shared_attenuation().clone(),
         )
         .map_err(|e| e.to_string())?;
         let report = sim.run();
@@ -396,16 +414,22 @@ impl ServeState {
     /// [`Decision::Reallocate`]. Split from [`ServeState::measure`] so
     /// tests (and future external-telemetry endpoints) can inject
     /// hand-built windows.
+    ///
+    /// A `Reallocate` without suspect gateways masks nothing, so the
+    /// masked repair would return the allocation unchanged; it is skipped
+    /// and answers `reconfigured: 0`, as the repair would.
     pub fn ingest_window(&mut self, report: &SimReport, topology: &Topology) -> WindowOutcome {
         let decision = self.controller.observe(report);
         self.last_decision = decision_label(&decision);
         let mut reconfigured = 0;
         if let Decision::Reallocate { suspects } = &decision {
-            if let Ok(outcome) =
-                reallocate_masked(&self.config, topology, &self.pop.alloc, suspects)
-            {
-                reconfigured = outcome.reconfigured;
-                self.pop.alloc = outcome.allocation.into_inner();
+            if !suspects.is_empty() {
+                if let Ok(outcome) =
+                    reallocate_masked(&self.config, topology, &self.pop.alloc, suspects)
+                {
+                    reconfigured = outcome.reconfigured;
+                    self.adopt(outcome.allocation.into_inner());
+                }
             }
         }
         WindowOutcome {
@@ -418,6 +442,30 @@ impl ServeState {
             decision,
             reconfigured,
         }
+    }
+
+    /// Moves every device whose configuration `alloc` changes on the live
+    /// state, then refreshes it, which leaves it bit for bit a fresh build
+    /// of `alloc`; `alloc` becomes the population's allocation.
+    fn adopt(&mut self, alloc: Vec<TxConfig>) {
+        for (i, (&cfg, old)) in alloc.iter().zip(&self.pop.alloc).enumerate() {
+            if cfg != *old {
+                self.live.apply(i, cfg);
+            }
+        }
+        self.live.refresh();
+        self.pop.alloc = alloc;
+        self.debug_assert_live_in_sync();
+    }
+
+    /// Checks, in debug builds, that the live state is bound to the
+    /// allocation snapshots record.
+    fn debug_assert_live_in_sync(&self) {
+        debug_assert_eq!(
+            self.live.alloc(),
+            self.pop.alloc.as_slice(),
+            "the live model state lost the population's allocation"
+        );
     }
 
     /// Builds the crash-recovery image of the current state.
@@ -466,15 +514,17 @@ impl ServeState {
             ));
         }
         let classes = snapshot.spec.effective_classes();
-        // The model is never serialized: a restored daemon rebuilds it
-        // from the snapshotted sites, so stale rows of devices that left
-        // before the crash cannot be resurrected.
+        // The model state is never serialized: a restored daemon rebuilds
+        // it from the snapshotted sites, so stale rows of devices that
+        // left before the crash cannot be resurrected.
         let topology = Topology::from_sites(
             snapshot.sites.clone(),
             snapshot.gateways.clone(),
             snapshot.radius_m,
         );
         let model = NetworkModel::new(&snapshot.config, &topology);
+        let (live, grid) =
+            bind(&snapshot.config, model, &snapshot.alloc).map_err(|e| e.to_string())?;
         Ok(ServeState {
             classes,
             gateways: snapshot.gateways,
@@ -485,7 +535,8 @@ impl ServeState {
                 class_of: snapshot.class_of,
                 alloc: snapshot.alloc,
             },
-            model,
+            live,
+            grid,
             controller: ResilienceController::restore(
                 ResilienceConfig::default(),
                 snapshot.baseline_min_ee,
@@ -550,6 +601,27 @@ impl ServeState {
     pub(crate) fn set_recovery(&mut self, info: RecoveryInfo) {
         self.recovery = Some(info);
     }
+}
+
+/// Binds `alloc` to `model` as the daemon's live state (its one build,
+/// counted by [`ServeState::model_rebuilds`]), with the candidate grid of
+/// `config`'s region that every repair scans.
+fn bind(
+    config: &SimConfig,
+    model: NetworkModel,
+    alloc: &[TxConfig],
+) -> Result<(ModelState<NetworkModel>, Vec<TxConfig>), lora_model::ModelError> {
+    let grid = candidate_grid(model.channel_count(), &config.region.tx_power_levels());
+    Ok((model.into_state(alloc.to_vec())?, grid))
+}
+
+/// The region's highest transmit power, which joining devices start at.
+fn max_tp(config: &SimConfig) -> TxPowerDbm {
+    *config
+        .region
+        .tx_power_levels()
+        .last()
+        .expect("regions define at least one TP level")
 }
 
 /// Header line of a checksummed snapshot file: schema tag, CRC32 of the
@@ -815,6 +887,14 @@ mod tests {
 
     #[test]
     fn cached_model_tracks_churn_bitwise() {
+        let fresh_model = |state: &ServeState| {
+            let topology = Topology::from_sites(
+                state.pop.sites.clone(),
+                state.gateways.clone(),
+                state.radius_m,
+            );
+            NetworkModel::new(&state.config, &topology)
+        };
         let mut state = smoke_state();
         let events = [
             ChurnKind::Join {
@@ -840,10 +920,17 @@ mod tests {
                     event: kind,
                 })
                 .unwrap();
+            let fresh = fresh_model(&state);
             assert_eq!(
                 *state.cached_model(),
-                state.fresh_model(),
+                fresh,
                 "cached model diverged from a from-scratch rebuild after event {i}"
+            );
+            let bits = |ee: &[f64]| ee.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(state.live.ee_all()),
+                bits(&fresh.evaluate(state.alloc())),
+                "live EE diverged from a from-scratch evaluation after event {i}"
             );
         }
         assert_eq!(state.model_rebuilds(), 1);

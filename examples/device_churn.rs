@@ -14,7 +14,7 @@
 //! cargo run --release --example device_churn
 //! ```
 
-use ef_lora::IncrementalAllocator;
+use ef_lora::{seed_newcomers, IncrementalAllocator};
 use ef_lora_repro::prelude::*;
 use lora_sim::Topology as SimTopology;
 
@@ -44,8 +44,15 @@ fn main() {
     // Mid-season: 60 more probes on the new field.
     let summer_model = NetworkModel::new(&config, &full);
     let summer_ctx = AllocationContext::new(&config, &full, &summer_model);
+    let mut summer_state = summer_model
+        .state(seed_newcomers(&summer_ctx, report.allocation.as_slice()))
+        .expect("valid allocation");
     let grown = IncrementalAllocator::default()
-        .extend(&summer_ctx, report.allocation.as_slice())
+        .extend(
+            &mut summer_state,
+            summer_ctx.candidates(),
+            report.allocation.len(),
+        )
         .expect("incremental extension");
     println!(
         "summer: +60 devices — {} existing probes reconfigured over the air, min EE {:.3}",
@@ -76,8 +83,9 @@ fn main() {
     let autumn_ctx = AllocationContext::new(&config, &autumn, &autumn_model);
     let remaining: Vec<TxConfig> = grown.allocation.as_slice()[..260].to_vec();
     let removed: Vec<TxConfig> = grown.allocation.as_slice()[260..].to_vec();
+    let mut autumn_state = autumn_model.state(remaining).expect("valid allocation");
     let repaired = IncrementalAllocator::default()
-        .after_removal(&autumn_ctx, &remaining, &removed)
+        .after_removal(&mut autumn_state, autumn_ctx.candidates(), &removed)
         .expect("removal repair");
     println!(
         "autumn: −100 devices — {} probes re-tuned into the freed spectrum, min EE {:.3}",

@@ -46,8 +46,11 @@ fn incremental_growth_pipeline() {
 
     let new_model = NetworkModel::new(&config, &grown);
     let new_ctx = AllocationContext::new(&config, &grown, &new_model);
+    let mut state = new_model
+        .state(ef_lora::seed_newcomers(&new_ctx, previous.as_slice()))
+        .unwrap();
     let outcome = ef_lora::IncrementalAllocator::default()
-        .extend(&new_ctx, previous.as_slice())
+        .extend(&mut state, new_ctx.candidates(), previous.len())
         .unwrap();
 
     // The incremental allocation must run through the simulator cleanly
