@@ -5,15 +5,25 @@
 //! pre-fault-engine simulator. The golden snapshot below was taken from
 //! the simulator *before* the fault engine existed and pins that
 //! behaviour permanently.
+//!
+//! A second snapshot pins a run that reaches every reception fate
+//! (capture and SINR failures, capacity refusals, outages, half-duplex
+//! deafness, jamming, backhaul loss and duplicate copies), so a change to
+//! the event order or to a threshold test cannot hide behind a run that
+//! never exercises it.
 
 use conformance::golden::check_or_update;
 use ef_lora::EfLora;
 use ef_lora_bench::harness::{run_strategy, Scale};
+use lora_mac::collision::InterSfPolicy;
 use lora_model::NetworkModel;
 use lora_phy::{SpreadingFactor, TxConfig, TxPowerDbm};
+use lora_sim::trace::CountingSink;
 use lora_sim::{
-    BackhaulLink, FaultConfig, GatewayChurn, JamBurst, SimConfig, Simulation, Topology,
+    BackhaulLink, ConfirmedTraffic, FaultConfig, GatewayChurn, GatewayOutage, GatewayStats,
+    JamBurst, SimConfig, SimReport, Simulation, Topology,
 };
+use serde::Serialize;
 
 /// A deterministic mixed-SF allocation (no `rand` needed).
 fn spread_alloc(n: usize) -> Vec<TxConfig> {
@@ -47,6 +57,84 @@ fn disabled_faults_match_pre_fault_engine_output() {
     let report = no_fault_report();
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     check_or_update("no_fault_sim_report", &json).unwrap();
+}
+
+/// The every-fate run's trace counts and report, as pinned.
+#[derive(Serialize)]
+struct EveryFate {
+    counts: CountingSink,
+    report: SimReport,
+}
+
+/// A crowded deployment that reaches every reception fate: two demodulator
+/// paths per gateway, confirmed traffic with three attempts, imperfect SF
+/// orthogonality, one outage window, one jam burst and one lossy, delayed
+/// backhaul link.
+fn every_fate_run() -> (SimReport, CountingSink) {
+    let mut builder = SimConfig::builder();
+    builder
+        .seed(53)
+        .duration_s(1_800.0)
+        .report_interval_s(60.0)
+        .demod_capacity(2)
+        .inter_sf(InterSfPolicy::ImperfectOrthogonality)
+        .confirmed(ConfirmedTraffic {
+            max_attempts: 3,
+            ..ConfirmedTraffic::default()
+        })
+        .outage(GatewayOutage {
+            gateway: 0,
+            from_s: 300.0,
+            to_s: 600.0,
+        })
+        .faults(FaultConfig {
+            jam_bursts: vec![JamBurst {
+                channel: 2,
+                from_s: 400.0,
+                to_s: 1_000.0,
+                power_mw: 1e-10,
+            }],
+            backhaul: vec![BackhaulLink {
+                gateway: 1,
+                drop_prob: 0.3,
+                latency_s: 0.05,
+            }],
+            ..FaultConfig::default()
+        });
+    let config = builder.try_build().unwrap();
+    let topo = Topology::disc(150, 3, 3_000.0, &config, 53);
+    let sim = Simulation::new(config, topo, spread_alloc(150)).unwrap();
+    let mut counts = CountingSink::default();
+    let report = sim.run_with_trace(&mut counts);
+    (report, counts)
+}
+
+#[test]
+fn every_reception_fate_matches_golden() {
+    let (report, counts) = every_fate_run();
+    // Each fate must occur, so the snapshot keeps covering every branch
+    // of the reception decision if the configuration is ever edited.
+    let total = |field: fn(&GatewayStats) -> u64| report.gateways.iter().map(field).sum();
+    let reached: [(&str, u64); 9] = [
+        ("decoded", total(|g| g.decoded)),
+        ("demod_refused", total(|g| g.demod_refused)),
+        ("sinr_failures", total(|g| g.sinr_failures)),
+        ("below_sensitivity", total(|g| g.below_sensitivity)),
+        ("outage_drops", total(|g| g.outage_drops)),
+        ("half_duplex_drops", total(|g| g.half_duplex_drops)),
+        ("jammed_drops", total(|g| g.jammed_drops)),
+        ("backhaul_drops", total(|g| g.backhaul_drops)),
+        ("duplicate_copies", report.duplicate_copies),
+    ];
+    for (fate, n) in reached {
+        assert!(n > 0, "the every-fate run no longer reaches {fate}");
+    }
+    // 1 800 s of 60 s reports is 30 cycles: more attempts are retries.
+    let retried = report.devices.iter().any(|d| d.attempts > 30);
+    assert!(retried, "confirmed traffic must retransmit");
+    let json =
+        serde_json::to_string_pretty(&EveryFate { counts, report }).expect("report serialises");
+    check_or_update("sim_every_fate", &json).unwrap();
 }
 
 #[test]

@@ -30,7 +30,8 @@ use crate::GATEWAY_MAX_CONCURRENT;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DemodulatorBank {
     capacity: usize,
-    /// End times of receptions currently holding a path.
+    /// End times of receptions holding a path, and of expired ones not
+    /// yet released; never more entries than paths.
     busy_until: Vec<f64>,
     /// Total number of acquisitions granted.
     granted: u64,
@@ -78,8 +79,12 @@ impl DemodulatorBank {
     /// is what a discrete-event simulator naturally does.
     pub fn try_acquire(&mut self, start_s: f64, end_s: f64) -> bool {
         debug_assert!(end_s >= start_s);
-        // Release expired paths.
-        self.busy_until.retain(|&end| end > start_s);
+        // Release expired paths only when every path looks taken: with
+        // fewer entries than paths one is free whatever has expired, so
+        // the verdict is that of pruning on every call.
+        if self.busy_until.len() >= self.capacity {
+            self.busy_until.retain(|&end| end > start_s);
+        }
         if self.busy_until.len() < self.capacity {
             self.busy_until.push(end_s);
             self.granted += 1;

@@ -13,7 +13,7 @@ use crate::config::{GatewayOutage, SimConfig};
 use crate::error::SimError;
 use crate::event::{Event, EventQueue};
 use crate::faults::{self, JamBurst};
-use crate::medium::{ActiveTx, Medium};
+use crate::medium::{ActiveTx, DbThreshold, Medium};
 use crate::report::{DeviceStats, GatewayStats, SimReport};
 use crate::topology::{AttenuationMatrix, Topology};
 use crate::trace::{NullSink, ReceptionOutcome, TraceEvent, TraceSink};
@@ -38,8 +38,15 @@ pub struct Simulation {
     attenuation: AttenuationMatrix,
     /// Sensitivity per device in mW (depends on its SF).
     sensitivity_mw: Vec<f64>,
-    /// SNR demodulation threshold per device, dB.
-    snr_threshold_db: Vec<f64>,
+    /// Transmit power per device, mW.
+    tp_mw: Vec<f64>,
+    /// Active energy of one attempt per device (fixed overhead plus the TX
+    /// burst at its power and time-on-air), joules.
+    attempt_energy_j: Vec<f64>,
+    /// SNR demodulation threshold by SF index.
+    snr_threshold: [DbThreshold; 6],
+    /// Co-SF capture margin.
+    capture_threshold: DbThreshold,
     /// Receiver noise floor, mW.
     noise_mw: f64,
     /// Time-on-air of a downlink acknowledgement at each device's SF
@@ -66,7 +73,9 @@ impl Simulation {
     /// * [`SimError::ChannelOutOfRange`] if an entry names a channel outside
     ///   the regional plan;
     /// * [`SimError::InvalidConfig`] for non-positive durations/intervals, a
-    ///   gateway without demodulator paths or an over-size payload.
+    ///   gateway without demodulator paths, an over-size payload, or
+    ///   confirmed traffic whose backoffs are not finite with
+    ///   `0 ≤ backoff_min_s ≤ backoff_max_s`.
     pub fn new(
         config: SimConfig,
         topology: Topology,
@@ -161,6 +170,15 @@ impl Simulation {
                     reason: "confirmed-traffic parameters are invalid",
                 });
             }
+            // A retry is scheduled `backoff` after the attempt ends, so a
+            // negative backoff would run time backwards and a NaN one
+            // would silently drop every retry.
+            let (lo, hi) = (conf.backoff_min_s, conf.backoff_max_s);
+            if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+                return Err(SimError::InvalidConfig {
+                    reason: "confirmed-traffic backoffs must be finite with 0 <= min <= max",
+                });
+            }
         }
 
         // Fault injection: validate against the actual deployment shape
@@ -232,7 +250,19 @@ impl Simulation {
             .iter()
             .map(|cfg| dbm_to_mw(cfg.sf.sensitivity_dbm(bw, config.noise_figure_db)))
             .collect();
-        let snr_threshold_db = alloc.iter().map(|cfg| cfg.sf.snr_threshold_db()).collect();
+        // Per-attempt constants, with the expressions the event loop would
+        // otherwise evaluate on every `TxStart`.
+        let tp_mw = alloc.iter().map(|cfg| cfg.tp.milliwatts()).collect();
+        let attempt_energy_j = alloc
+            .iter()
+            .zip(&toa_s)
+            .map(|(cfg, &toa)| {
+                config.energy.overhead_energy_j() + config.energy.tx_energy_j(cfg.tp, toa)
+            })
+            .collect();
+        let snr_threshold =
+            lora_phy::SpreadingFactor::ALL.map(|sf| DbThreshold::new(sf.snr_threshold_db()));
+        let capture_threshold = DbThreshold::new(config.capture_threshold_db);
         let noise_mw = dbm_to_mw(noise_floor_dbm(bw, config.noise_figure_db));
 
         Ok(Simulation {
@@ -243,7 +273,10 @@ impl Simulation {
             intervals_s,
             attenuation,
             sensitivity_mw,
-            snr_threshold_db,
+            tp_mw,
+            attempt_energy_j,
+            snr_threshold,
+            capture_threshold,
             noise_mw,
             ack_toa_s,
             outage_windows,
@@ -301,6 +334,9 @@ impl Simulation {
         let n_dev = self.topology.device_count();
         let n_gw = self.topology.gateway_count();
         let duration = self.config.duration_s;
+        let confirmed = self.config.confirmed;
+        // Class-A devices open RX1/RX2 after every uplink.
+        let listening_j = confirmed.map(|conf| conf.class_a.listening_energy_j());
 
         let mut rng = ChaCha12Rng::seed_from_u64(self.config.seed);
         let mut queue = EventQueue::new();
@@ -360,11 +396,9 @@ impl Simulation {
                     airtime_s[device] += toa;
                     // Active energy only; sleep is charged once at the end
                     // of the run over the device's total idle time.
-                    energy_j[device] += self.config.energy.overhead_energy_j()
-                        + self.config.energy.tx_energy_j(cfg.tp, toa);
-                    if let Some(conf) = self.config.confirmed {
-                        // Class-A devices open RX1/RX2 after every uplink.
-                        energy_j[device] += conf.class_a.listening_energy_j();
+                    energy_j[device] += self.attempt_energy_j[device];
+                    if let Some(listening_j) = listening_j {
+                        energy_j[device] += listening_j;
                     }
 
                     sink.record(TraceEvent::TxStart {
@@ -374,7 +408,7 @@ impl Simulation {
                         sf: cfg.sf,
                         channel: cfg.channel,
                     });
-                    let tp_mw = cfg.tp.milliwatts();
+                    let tp_mw = self.tp_mw[device];
                     let (mut rx_power_mw, mut interference_mw, mut demod_locked) =
                         buffer_pool.pop().unwrap_or_default();
                     rx_power_mw.clear();
@@ -388,14 +422,16 @@ impl Simulation {
                         let rx_mw = tp_mw * self.attenuation.at(device, gw) * gain;
                         rx_power_mw.push(rx_mw);
 
-                        let in_outage = self.outage_windows.iter().any(|o| o.covers(gw, now));
-                        // Prune expired ack windows, then check overlap
-                        // with this reception interval.
-                        ack_windows[gw].retain(|&(_, end)| end > now);
-                        let transmitting = self.config.confirmed.is_some()
-                            && ack_windows[gw]
+                        // Only confirmed traffic schedules acks: prune the
+                        // expired windows, then check overlap with this
+                        // reception interval.
+                        let transmitting = confirmed.is_some() && {
+                            let windows = &mut ack_windows[gw];
+                            windows.retain(|&(_, end)| end > now);
+                            windows
                                 .iter()
-                                .any(|&(start, end)| start < now + toa && now < end);
+                                .any(|&(start, end)| start < now + toa && now < end)
+                        };
                         let locked = if transmitting {
                             gw_stats[gw].half_duplex_drops += 1;
                             sink.record(TraceEvent::Reception {
@@ -406,7 +442,7 @@ impl Simulation {
                                 outcome: ReceptionOutcome::GatewayTransmitting,
                             });
                             false
-                        } else if in_outage {
+                        } else if self.outage_windows.iter().any(|o| o.covers(gw, now)) {
                             gw_stats[gw].outage_drops += 1;
                             sink.record(TraceEvent::Reception {
                                 t: now,
@@ -478,6 +514,7 @@ impl Simulation {
                     // noise on the transmission's channel); 0.0 when no
                     // burst overlaps, leaving the SINR bit-identical.
                     let jam_mw = tx.jam_noise_mw(&self.jam_bursts);
+                    let snr_threshold = &self.snr_threshold[tx.sf.index()];
                     #[allow(clippy::needless_range_loop)] // parallel arrays indexed by gateway
                     for gw in 0..n_gw {
                         if !tx.demod_locked[gw] {
@@ -488,14 +525,16 @@ impl Simulation {
                         // interference clears the SF demodulation
                         // threshold, and — when interferers overlapped —
                         // the signal captures over them by the co-SF
-                        // capture margin.
+                        // capture margin. Both are decided on linear
+                        // ratios, with the dB comparisons' verdicts (see
+                        // `DbThreshold`).
                         let interference = tx.interference_mw[gw];
                         let captured = interference == 0.0
-                            || 10.0 * (tx.rx_power_mw[gw] / interference).log10()
-                                >= self.config.capture_threshold_db;
-                        let sinr_ok = captured
-                            && tx.sinr_db(gw, self.noise_mw + jam_mw)
-                                >= self.snr_threshold_db[device];
+                            || self
+                                .capture_threshold
+                                .passes(tx.rx_power_mw[gw] / interference);
+                        let sinr_ok =
+                            captured && snr_threshold.passes(tx.sinr(gw, self.noise_mw + jam_mw));
                         if sinr_ok {
                             // PHY-decoded; the lossy backhaul may still
                             // drop the copy before de-duplication. The
@@ -547,7 +586,7 @@ impl Simulation {
                             }
                         } else if jam_mw > 0.0
                             && captured
-                            && tx.sinr_db(gw, self.noise_mw) >= self.snr_threshold_db[device]
+                            && snr_threshold.passes(tx.sinr(gw, self.noise_mw))
                         {
                             // The copy fails only with the jam power in
                             // the denominator: the loss is the jammer's.
@@ -577,7 +616,7 @@ impl Simulation {
                             device,
                             seq,
                         });
-                        if let Some(conf) = self.config.confirmed {
+                        if let Some(conf) = confirmed {
                             // The gateway whose copy reaches the network
                             // server first (lowest backhaul latency, ties
                             // by index) serves the acknowledgement in RX1
@@ -600,7 +639,7 @@ impl Simulation {
                                     .push((ack_start, ack_start + self.ack_toa_s[device]));
                             }
                         }
-                    } else if let Some(conf) = self.config.confirmed {
+                    } else if let Some(conf) = confirmed {
                         // Retransmit the lost frame unless the budget is
                         // spent or the retry would spill into the next
                         // reporting cycle (a late retry re-entering as a
@@ -752,6 +791,44 @@ mod tests {
                 reason: "a gateway needs at least one demodulator path"
             }
         );
+    }
+
+    #[test]
+    fn confirmed_backoffs_are_validated() {
+        use crate::config::ConfirmedTraffic;
+        let with_backoff = |backoff_min_s: f64, backoff_max_s: f64| {
+            let mut c = quiet_config();
+            c.confirmed = Some(ConfirmedTraffic {
+                backoff_min_s,
+                backoff_max_s,
+                ..ConfirmedTraffic::default()
+            });
+            Simulation::new(c, near_topology(1), sf7_alloc(1))
+        };
+        let refused = SimError::InvalidConfig {
+            reason: "confirmed-traffic backoffs must be finite with 0 <= min <= max",
+        };
+        for (lo, hi) in [
+            (-1.0, 2.0),
+            (-3.0, -1.0),
+            (f64::NAN, 2.0),
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 2.0),
+            (4.0, 2.0),
+        ] {
+            assert_eq!(with_backoff(lo, hi).unwrap_err(), refused, "{lo}..{hi}");
+        }
+        // The default 2–4 s, a zero backoff and the integration tests'
+        // 1–2 s all build.
+        let default = ConfirmedTraffic::default();
+        for (lo, hi) in [
+            (default.backoff_min_s, default.backoff_max_s),
+            (0.0, 0.0),
+            (1.0, 2.0),
+        ] {
+            assert!(with_backoff(lo, hi).is_ok(), "{lo}..{hi}");
+        }
     }
 
     #[test]

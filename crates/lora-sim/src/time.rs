@@ -1,15 +1,14 @@
 //! Simulation time as a totally ordered key.
 //!
 //! Event times are `f64` seconds; `f64` is not `Ord`, so the event queue
-//! keys on [`TimeKey`], which wraps `f64::total_cmp`. Event times produced
-//! by the simulator are always finite; the wrapper asserts that in debug
-//! builds.
-
-use std::cmp::Ordering;
+//! keys on [`TimeKey`], which orders exactly as `f64::total_cmp`. The key
+//! stores the total-order bit transform of the timestamp, so comparing
+//! two keys is one integer comparison. Event times produced by the
+//! simulator are always finite; the wrapper asserts that in debug builds.
 
 /// A totally ordered, finite simulation timestamp in seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeKey(f64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TimeKey(i64);
 
 impl TimeKey {
     /// Wraps a timestamp.
@@ -20,28 +19,23 @@ impl TimeKey {
     #[inline]
     pub fn new(seconds: f64) -> Self {
         debug_assert!(seconds.is_finite(), "simulation time must be finite");
-        TimeKey(seconds)
+        TimeKey(total_order_bits(seconds.to_bits() as i64))
     }
 
     /// The timestamp in seconds.
     #[inline]
     pub fn seconds(self) -> f64 {
-        self.0
+        f64::from_bits(total_order_bits(self.0) as u64)
     }
 }
 
-impl Eq for TimeKey {}
-
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// The bit transform `f64::total_cmp` applies before comparing as signed
+/// integers: negative values have their magnitude bits flipped, so larger
+/// magnitudes sort lower. It is its own inverse (the sign bit selects the
+/// flip and is left unchanged).
+#[inline]
+fn total_order_bits(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 impl From<f64> for TimeKey {
@@ -67,5 +61,28 @@ mod tests {
         let mut v = [TimeKey::new(0.0), TimeKey::new(-0.0), TimeKey::new(1.0)];
         v.sort();
         assert_eq!(v[2], TimeKey::new(1.0));
+    }
+
+    #[test]
+    fn keys_order_as_total_cmp_and_round_trip() {
+        let times = [
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.1,
+            1.0,
+            600.0,
+            f64::MAX,
+        ];
+        for a in times {
+            assert_eq!(TimeKey::new(a).seconds().to_bits(), a.to_bits());
+            for b in times {
+                assert_eq!(TimeKey::new(a).cmp(&TimeKey::new(b)), a.total_cmp(&b));
+            }
+        }
     }
 }

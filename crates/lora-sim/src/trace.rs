@@ -106,7 +106,7 @@ impl TraceSink for VecSink {
 }
 
 /// Counts events by kind without storing them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CountingSink {
     /// `TxStart` events seen.
     pub tx_starts: u64,
