@@ -394,8 +394,9 @@ pub struct SpatialReport {
 }
 
 /// Everything the sharded phases share: the grid, the per-cell gateway
-/// subsets and attenuation tiles, the far-field pricer, and the handful
-/// of PHY-derived tables the ambient assembly needs.
+/// subsets and attenuation tiles, the far-field pricer of the annulus
+/// beyond the exclusion radius with its interference kernel, and the
+/// handful of PHY-derived tables the ambient assembly needs.
 struct Shards<'a> {
     config: &'a SimConfig,
     topology: &'a Topology,
@@ -403,8 +404,10 @@ struct Shards<'a> {
     occupied: Vec<usize>,
     tiles: TiledAttenuation,
     pricer: FarFieldPricer,
+    /// [`FarFieldPricer::interference_kernel`] of the planner's annulus:
+    /// it depends on no allocation, so every cell pass reads this one.
+    interference_kernel: f64,
     horizon_m: f64,
-    r_exclusion_m: f64,
     threads: usize,
     /// Time-on-air per SF, seconds.
     toa_by_sf: [f64; 6],
@@ -516,7 +519,8 @@ impl<'a> Shards<'a> {
         let tiles = TiledAttenuation::build(config, topology, &grid, &gateway_sets, params.threads);
         let r_exclusion_m = EXCLUSION_CELLS * edge;
         let r_max = (2.0 * topology.radius_m()).max(2.0 * r_exclusion_m);
-        let pricer = FarFieldPricer::new(config, r_max);
+        let pricer = FarFieldPricer::new(config, r_exclusion_m, r_max);
+        let interference_kernel = pricer.interference_kernel();
 
         let tp_levels = config.region.tx_power_levels();
         Ok(Shards {
@@ -526,8 +530,8 @@ impl<'a> Shards<'a> {
             occupied,
             tiles,
             pricer,
+            interference_kernel,
             horizon_m,
-            r_exclusion_m,
             threads: params.threads,
             toa_by_sf,
             sens_mw,
@@ -693,8 +697,8 @@ impl<'a> Shards<'a> {
         // driven by the ring-exact sums, which genuinely differ per cell.
         // `Exact` mode keeps the empirical per-group counts for faithful
         // evaluation of a fixed allocation.
-        let ring_area = self.pricer.ring_area_m2(self.r_exclusion_m);
-        let q_i = self.pricer.interference_kernel(self.r_exclusion_m);
+        let ring_area = self.pricer.ring_area_m2();
+        let q_i = self.interference_kernel;
         let nc = self.n_channels as f64;
         for sf in SpreadingFactor::ALL {
             let base = sf.index() * self.n_channels;
@@ -739,8 +743,8 @@ impl<'a> Shards<'a> {
     /// Per-group far-field occupancy kernels `Q_q` (see
     /// [`FarFieldPricer::occupancy_kernel`]), computed once per phase
     /// from the global group mean powers — the kernels depend only on
-    /// the exclusion radius, the SF sensitivity and the mean power, not
-    /// on the cell. In `Pricing` mode the mean power is per SF (matching
+    /// the annulus, the SF sensitivity and the mean power, not on the
+    /// cell. In `Pricing` mode the mean power is per SF (matching
     /// the channel-symmetrised far counts).
     fn occupancy_kernels(&self, tally: &GroupTally, mode: FarFieldMode) -> Vec<f64> {
         let mut kernels = vec![0.0; self.n_groups];
@@ -755,11 +759,9 @@ impl<'a> Shards<'a> {
                     if sf_count <= 0.0 {
                         continue;
                     }
-                    let q = self.pricer.occupancy_kernel(
-                        self.sens_mw[sf.index()],
-                        sf_power / sf_count,
-                        self.r_exclusion_m,
-                    );
+                    let q = self
+                        .pricer
+                        .occupancy_kernel(self.sens_mw[sf.index()], sf_power / sf_count);
                     kernels[base..base + self.n_channels].fill(q);
                 }
                 FarFieldMode::Exact => {
@@ -774,7 +776,6 @@ impl<'a> Shards<'a> {
                         *kernel = self.pricer.occupancy_kernel(
                             self.sens_mw[sf.index()],
                             tally.power[grp] / tally.count[grp],
-                            self.r_exclusion_m,
                         );
                     }
                 }

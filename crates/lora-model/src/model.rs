@@ -16,10 +16,11 @@
 //!   `Λ_k − q_{i,k}` where `Λ_k` is the total expected demodulator
 //!   occupancy at gateway `k`. `Λ` is updated incrementally on committed
 //!   moves but *not* during a hypothetical candidate scan (one device among
-//!   thousands perturbs it negligibly). θ is held as one row per device,
-//!   computed on the row's first read after a committed move or a refresh
-//!   changed `Λ`, so every read sees the live `Λ` and `q` while rows that
-//!   are never read are never computed. [`ModelState::refresh`] re-sums
+//!   thousands perturbs it negligibly). θ is memoised per device and
+//!   gateway together with the argument `Λ_k − q_{i,k}` it was computed
+//!   at, so every read sees the live `Λ` and `q`, entries that are never
+//!   read are never computed, and a move that leaves an entry's argument
+//!   as it was does not recompute it. [`ModelState::refresh`] re-sums
 //!   `Λ` in full, dropping the rounding its incremental updates
 //!   accumulate; the allocator calls it between passes. The exact
 //!   Poisson–binomial is available in [`crate::capacity`]; a test checks
@@ -701,19 +702,15 @@ pub(crate) struct Bound {
     ee: Vec<f64>,
     /// Cached minimum EE per group (`∞` for empty groups).
     group_min: Vec<f64>,
-    /// The capacity factor `θ_{i,k}`, one lazily filled row per device.
+    /// The capacity factor `θ_{i,k}`, memoised per device and gateway.
     ///
-    /// `θ` depends only on `Λ` and `q` — not on the candidate being
-    /// scanned — so a row is computed on its first read at the current
-    /// generation and then read until the next [`ModelState::apply`] or
-    /// [`ModelState::refresh`]. This keeps the Poisson tail out of the
-    /// per-candidate inner loop, and out of every row nobody reads,
-    /// while producing bit-identical values.
-    theta: ThetaRows,
-    /// Advanced by every [`ModelState::apply`] and [`ModelState::refresh`],
-    /// so a θ row can tell whether it was computed against the current `Λ`
-    /// and `q`.
-    generation: u64,
+    /// `θ` is a pure function of its argument `(Λ_k − q_{i,k}).max(0)` —
+    /// not of the candidate being scanned — so an entry is computed on
+    /// its first read at an argument and then served until the argument
+    /// moves. This keeps the Poisson tail out of the per-candidate inner
+    /// loop, out of every entry nobody reads, and out of every entry a
+    /// move left unchanged, while producing bit-identical values.
+    theta: ThetaMemo,
 }
 
 // `ModelState` must stay `Sync` and `Clone`, and a `Scan` `Sync`, because
@@ -727,81 +724,68 @@ const _: () = {
     assert_sync::<Scan<'static>>();
 };
 
-/// Stamp of a θ row that has never been filled.
-const UNFILLED: u64 = u64::MAX;
-
-/// `θ_{i,k}` of every device, as rows over the gateways filled on demand
-/// by [`Bound::theta_row`].
+/// `θ_{i,k}` of every device and gateway, each entry computed on demand
+/// by [`Bound::theta`] and kept with the bits of the argument it was
+/// computed at.
 ///
-/// The rows are atomics so that a shared `&ModelState` stays `Sync`: the
-/// parallel dense scan reads, and therefore fills, rows from several
-/// workers at once. A filler stores the row's values `Relaxed` and then
-/// the row's stamp `Release`; a reader loads the stamp `Acquire`, so a
-/// reader that finds the current generation there also sees the values
-/// stored before it. Workers that race to fill one row compute the same
-/// bits from the same `Λ` and `q`, so the order in which their stores
-/// land does not matter. The generation itself only moves through
-/// `&mut ModelState`, when no reader can hold the state.
+/// An entry needs no invalidation, churn included: `θ` is a pure function
+/// of its argument, so an entry whose stored argument equals the live one
+/// holds exactly the `θ` a fresh computation gives, whichever device and
+/// state it was computed for, and any other entry is recomputed. A new
+/// entry stores NaN bits as its argument, which no live argument has
+/// (`max` drops NaN).
+///
+/// The entries are atomics so that a shared `&ModelState` stays `Sync`:
+/// the parallel dense scan reads, and therefore fills, entries from
+/// several workers at once. A filler stores `θ` `Relaxed` and then the
+/// argument `Release`; a reader loads the argument `Acquire` and then
+/// `θ`, so a reader that finds its argument there also sees the `θ`
+/// stored before it. `Λ` and `q` only move through `&mut ModelState`, so
+/// workers that race on one entry store identical bits.
 #[derive(Debug)]
-struct ThetaRows {
-    /// Number of gateways (the row length).
-    gateways: usize,
-    /// `θ` as `f64` bits, flat `[device][gateway]`.
-    bits: Vec<AtomicU64>,
-    /// Generation each device's row was last filled at, or [`UNFILLED`].
-    stamp: Vec<AtomicU64>,
+struct ThetaMemo {
+    /// Flat `[device][gateway]`.
+    entries: Vec<ThetaEntry>,
 }
 
-impl ThetaRows {
-    fn unfilled(devices: usize, gateways: usize) -> Self {
-        ThetaRows {
-            gateways,
-            bits: (0..devices * gateways).map(|_| AtomicU64::new(0)).collect(),
-            stamp: (0..devices).map(|_| AtomicU64::new(UNFILLED)).collect(),
+/// One memoised `θ`: its argument's bits, then its own.
+#[derive(Debug)]
+struct ThetaEntry {
+    arg: AtomicU64,
+    theta: AtomicU64,
+}
+
+impl ThetaEntry {
+    fn empty() -> Self {
+        ThetaEntry {
+            arg: AtomicU64::new(f64::NAN.to_bits()),
+            theta: AtomicU64::new(0),
+        }
+    }
+}
+
+impl ThetaMemo {
+    fn empty(entries: usize) -> Self {
+        ThetaMemo {
+            entries: (0..entries).map(|_| ThetaEntry::empty()).collect(),
         }
     }
 
-    fn row(&self, i: usize) -> &[AtomicU64] {
-        &self.bits[i * self.gateways..(i + 1) * self.gateways]
-    }
-
-    /// Resizes to `devices` rows, appending unfilled rows or dropping the
-    /// last ones. Kept rows keep their stamps, so after churn moved rows
-    /// it takes a new generation to mark every row stale.
-    fn resize(&mut self, devices: usize) {
-        self.bits
-            .resize_with(devices * self.gateways, || AtomicU64::new(0));
-        self.stamp.resize_with(devices, || AtomicU64::new(UNFILLED));
+    /// Resizes to `entries` entries, appending empty ones or dropping the
+    /// last ones.
+    fn resize(&mut self, entries: usize) {
+        self.entries.resize_with(entries, ThetaEntry::empty);
     }
 }
 
-impl Clone for ThetaRows {
+/// A clone starts with an empty memo. Copying an entry while another
+/// thread fills it could pair the entry's old argument with the `θ` of
+/// the argument being stored, so the clone recomputes what it reads
+/// instead.
+impl Clone for ThetaMemo {
     fn clone(&self) -> Self {
-        let mut bits = Vec::with_capacity(self.bits.len());
-        let mut stamp = Vec::with_capacity(self.stamp.len());
-        for (i, s) in self.stamp.iter().enumerate() {
-            // Stamp before values, with the reader's pairing: a stamp
-            // copied as current comes with the values published before
-            // it, and the values of a stale row are never read.
-            stamp.push(AtomicU64::new(s.load(Ordering::Acquire)));
-            bits.extend(
-                self.row(i)
-                    .iter()
-                    .map(|v| AtomicU64::new(v.load(Ordering::Relaxed))),
-            );
-        }
-        ThetaRows {
-            gateways: self.gateways,
-            bits,
-            stamp,
-        }
+        ThetaMemo::empty(self.entries.len())
     }
-}
-
-/// Reads one `θ` from a row returned by [`Bound::theta_row`].
-#[inline]
-fn theta_at(row: &[AtomicU64], k: usize) -> f64 {
-    f64::from_bits(row[k].load(Ordering::Relaxed))
 }
 
 /// The candidate-independent parts of a candidate scan, computed by
@@ -922,6 +906,15 @@ impl<'s> OwnEeBounds<'s> {
     }
 }
 
+/// The scanned device's own EE at a candidate, bit for bit its
+/// [`ModelState::ee_if`], with the candidate's transmit power in mW, which
+/// the exact evaluation of the same candidate reuses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OwnEe {
+    pub(crate) ee: f64,
+    p_mw: f64,
+}
+
 /// Each gateway's delivery ratio in the own-EE bound is multiplied by
 /// this factor, `1 + 2⁻⁴⁸`, and capped at 1, before Eq. 13 combines
 /// them. It is what keeps [`Bound::own_ee_clearing`]'s bound sound
@@ -929,7 +922,7 @@ impl<'s> OwnEeBounds<'s> {
 ///
 /// The bound of an (SF, TP) and the exact own EE on one of its channels
 /// run the same arithmetic (`Bound::prr_at`, then Eq. 17's
-/// division), with the same power, θ row and cycle energy. Only the
+/// division), with the same power, θ and cycle energy. Only the
 /// contention differs, and the bound's is no larger: its `h` and each
 /// gateway's interference are minima of the channels' own values, so no
 /// libm call sits between them. Every step from there to the PDR exponent
@@ -1039,9 +1032,8 @@ impl<M: Borrow<NetworkModel>> ModelState<M> {
     }
 
     /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
-    /// `Λ_k − q_{i,k}`. Device `i`'s row is computed on its first read
-    /// after the loads last changed and served from the state until they
-    /// change again.
+    /// `Λ_k − q_{i,k}`. It is computed on its first read at that load and
+    /// served from the state until the load changes.
     pub fn theta(&self, i: usize, k: usize) -> f64 {
         self.bound.theta(self.model(), i, k)
     }
@@ -1074,7 +1066,7 @@ impl<M: Borrow<NetworkModel>> ModelState<M> {
     /// [`NetworkModel::state`] builds for the same allocation. The greedy
     /// allocator calls this between passes.
     pub fn refresh(&mut self) {
-        self.bound.refresh(self.model.borrow())
+        self.bound.fold(self.model.borrow())
     }
 }
 
@@ -1096,8 +1088,7 @@ impl Bound {
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
-            theta: ThetaRows::unfilled(n, g),
-            generation: 0,
+            theta: ThetaMemo::empty(n * g),
         };
         bound.push_own_terms(model, 0);
         bound.fold(model);
@@ -1118,10 +1109,9 @@ impl Bound {
 
     /// Rebuilds the members, `Σα`, the received-power sums and `Λ` from
     /// the per-device terms in device order, seeded from the model's
-    /// [`Ambient`], then runs the EE pass, which fills every θ row at the
-    /// current generation. [`ModelState::apply`] keeps the per-device
-    /// terms exactly as [`Bound::build`] derives them, so folding
-    /// them gives the bits a fresh build would.
+    /// [`Ambient`], then runs the EE pass. [`ModelState::apply`] keeps the
+    /// per-device terms exactly as [`Bound::build`] derives them, so
+    /// folding them gives the bits a fresh build would.
     fn fold(&mut self, model: &NetworkModel) {
         let g = model.gateway_count();
         for members in &mut self.members {
@@ -1155,24 +1145,6 @@ impl Bound {
         self.recompute_all_ee(model);
     }
 
-    /// Device `i`'s θ row over the gateways, computed from the live `Λ`
-    /// and `q` first if it was not filled at the current generation.
-    /// Read its values with [`theta_at`]; [`ThetaRows`] explains why the
-    /// `Relaxed` loads there are enough.
-    fn theta_row(&self, model: &NetworkModel, i: usize) -> &[AtomicU64] {
-        let row = self.theta.row(i);
-        let stamp = &self.theta.stamp[i];
-        if stamp.load(Ordering::Acquire) != self.generation {
-            let q = self.q_row(model, i);
-            for (k, slot) in row.iter().enumerate() {
-                let theta = poisson_at_most((self.lambda[k] - q[k]).max(0.0), OTHERS_BUDGET);
-                slot.store(theta.to_bits(), Ordering::Relaxed);
-            }
-            stamp.store(self.generation, Ordering::Release);
-        }
-        row
-    }
-
     #[inline]
     fn group_of(&self, model: &NetworkModel, cfg: &TxConfig) -> usize {
         group_index(cfg.sf, cfg.channel, model.n_channels)
@@ -1183,13 +1155,6 @@ impl Bound {
     fn power_sums(&self, model: &NetworkModel, grp: usize) -> &[f64] {
         let g = model.gateway_count();
         &self.power_sum[grp * g..(grp + 1) * g]
-    }
-
-    /// Device `i`'s occupancy probabilities over the gateways.
-    #[inline]
-    fn q_row(&self, model: &NetworkModel, i: usize) -> &[f64] {
-        let g = model.gateway_count();
-        &self.q[i * g..(i + 1) * g]
     }
 
     pub(crate) fn alloc(&self) -> &[TxConfig] {
@@ -1217,8 +1182,20 @@ impl Bound {
         (self.power_sums(model, grp)[k] - self.power_mw[i] * model.attenuation.at(i, k)).max(0.0)
     }
 
+    /// `θ_{i,k}` at the live `Λ` and `q`, from the memo when its entry
+    /// was computed at the same argument; [`ThetaMemo`] explains the
+    /// orderings.
     fn theta(&self, model: &NetworkModel, i: usize, k: usize) -> f64 {
-        theta_at(self.theta_row(model, i), k)
+        let entry = i * model.gateway_count() + k;
+        let arg = (self.lambda[k] - self.q[entry]).max(0.0);
+        let memo = &self.theta.entries[entry];
+        if memo.arg.load(Ordering::Acquire) == arg.to_bits() {
+            return f64::from_bits(memo.theta.load(Ordering::Relaxed));
+        }
+        let theta = poisson_at_most(arg, OTHERS_BUDGET);
+        memo.theta.store(theta.to_bits(), Ordering::Relaxed);
+        memo.arg.store(arg.to_bits(), Ordering::Release);
+        theta
     }
 
     /// EE of device `i` under a hypothetical configuration and group shape:
@@ -1263,7 +1240,6 @@ impl Bound {
     ) -> f64 {
         let sfi = sf.index();
         let (threshold, sensitivity) = (model.th_lin[sfi], model.sens_mw[sfi]);
-        let thetas = self.theta_row(model, i);
         let per_gw = model
             .attenuation
             .row(i)
@@ -1285,7 +1261,7 @@ impl Bound {
                 }
                 let pdr = (-x).exp();
                 Some((
-                    theta_at(thetas, k),
+                    self.theta(model, i, k),
                     if WIDEN { widen_pdr(pdr) } else { pdr },
                 ))
             });
@@ -1377,10 +1353,10 @@ impl Bound {
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
         clears: impl Fn(f64) -> bool,
-    ) -> Option<f64> {
+    ) -> Option<OwnEe> {
         let (p_mw, energy_j) = self.own_ee_bounds_clearing(model, bounds, cfg, &clears)?;
         let ee = self.ee_if_at(model, bounds.scan.device, cfg, p_mw, energy_j);
-        clears(ee).then_some(ee)
+        clears(ee).then_some(OwnEe { ee, p_mw })
     }
 
     /// Whether both upper bounds of [`Bound::own_ee_clearing`] pass
@@ -1428,11 +1404,14 @@ impl Bound {
         model: &NetworkModel,
         bounds: &mut OwnEeBounds<'_>,
         cfg: TxConfig,
-    ) -> f64 {
+    ) -> OwnEe {
         let device = bounds.scan.device;
         let (p_mw, entry) = bounds.entry(model, cfg);
         let energy_j = entry.energy_j;
-        self.ee_if_at(model, device, cfg, p_mw, energy_j)
+        OwnEe {
+            ee: self.ee_if_at(model, device, cfg, p_mw, energy_j),
+            p_mw,
+        }
     }
 
     /// Upper bound on [`ModelState::ee_if`] for the scanned device over
@@ -1462,13 +1441,16 @@ impl Bound {
     }
 
     fn ee_if(&self, model: &NetworkModel, i: usize, cfg: TxConfig) -> f64 {
-        self.ee_if_at(
-            model,
-            i,
-            cfg,
-            cfg.tp.milliwatts(),
-            model.cycle_energy_of(i, &cfg),
-        )
+        self.own_ee_at(model, i, cfg).ee
+    }
+
+    /// [`ModelState::ee_if`] with the power it converted `cfg`'s TP to.
+    fn own_ee_at(&self, model: &NetworkModel, i: usize, cfg: TxConfig) -> OwnEe {
+        let p_mw = cfg.tp.milliwatts();
+        OwnEe {
+            ee: self.ee_if_at(model, i, cfg, p_mw, model.cycle_energy_of(i, &cfg)),
+            p_mw,
+        }
     }
 
     /// [`ModelState::ee_if`] with `cfg`'s power in mW and cycle energy in
@@ -1486,27 +1468,27 @@ impl Bound {
     }
 
     fn min_ee_if(&self, model: &NetworkModel, i: usize, cfg: TxConfig, floor: f64) -> Option<f64> {
-        self.min_ee_after(model, i, cfg, self.ee_if(model, i, cfg), floor, None)
+        self.min_ee_after(model, i, cfg, self.own_ee_at(model, i, cfg), floor, None)
     }
 
-    /// [`ModelState::min_ee_if`], with `i`'s own EE after the move given
-    /// as `ee_i` (its [`ModelState::ee_if`]), and the minimum EE of `i`'s
-    /// old group after `i` leaves it passed in as `exit_min` when the
-    /// caller has it precomputed (it does not depend on the candidate).
-    /// Only a cross-group move reads `exit_min`.
+    /// [`ModelState::min_ee_if`], with `i`'s own EE after the move and
+    /// `cfg`'s power given as `own`, and the minimum EE of `i`'s old group
+    /// after `i` leaves it passed in as `exit_min` when the caller has it
+    /// precomputed (it does not depend on the candidate). Only a
+    /// cross-group move reads `exit_min`.
     fn min_ee_after(
         &self,
         model: &NetworkModel,
         i: usize,
         cfg: TxConfig,
-        ee_i: f64,
+        own: OwnEe,
         floor: f64,
         exit_min: Option<f64>,
     ) -> Option<f64> {
         let g_old = self.group_of(model, &self.alloc[i]);
         let g_new = self.group_of(model, &cfg);
         let same_group = g_old == g_new;
-        let new_p = cfg.tp.milliwatts();
+        let (ee_i, new_p) = (own.ee, own.p_mw);
         let alpha_new = model.duty_of(i, cfg.sf);
 
         // 1. The moved device itself.
@@ -1644,10 +1626,6 @@ impl Bound {
         self.alloc[i] = cfg;
         self.power_mw[i] = new_p;
         self.energy_j[i] = model.cycle_energy_of(i, &cfg);
-        // Λ and q just moved, which shifts θ for every device. Advancing
-        // the generation marks every row stale, and must come before the
-        // EE refresh below, whose reads refill the rows they need.
-        self.generation += 1;
 
         // Refresh cached EEs in the affected groups.
         let affected: Vec<usize> = if g_new == g_old {
@@ -1666,13 +1644,6 @@ impl Bound {
         if g_new != g_old {
             self.recompute_group_min(g_new);
         }
-    }
-
-    fn refresh(&mut self, model: &NetworkModel) {
-        // Fold at a new generation, so the EE pass fills each θ row once
-        // and for good.
-        self.generation += 1;
-        self.fold(model);
     }
 
     /// Precomputes the candidate-independent parts of a full candidate
@@ -1761,8 +1732,8 @@ impl Bound {
     /// component EEs (bitwise — every arithmetic expression matches),
     /// hence the same pruning verdict and the same returned minimum.
     /// `own` is the scanned device's own EE at `cfg`, bit for bit its
-    /// [`ModelState::ee_if`], which the scans already hold from
-    /// [`Bound::own_ee`] or [`Bound::own_ee_clearing`].
+    /// [`ModelState::ee_if`], with `cfg`'s power, which the scans already
+    /// hold from [`Bound::own_ee`] or [`Bound::own_ee_clearing`].
     /// A cross-group candidate reads its old group's part from the cache
     /// and costs `O(new-group members × gateways)`; a same-group
     /// candidate (only the transmit power changes) evaluates both parts.
@@ -1771,12 +1742,15 @@ impl Bound {
         model: &NetworkModel,
         scan: &ScanCache,
         cfg: TxConfig,
-        own: f64,
+        own: OwnEe,
         floor: f64,
     ) -> Option<f64> {
         debug_assert_eq!(
-            own.to_bits(),
-            self.ee_if(model, scan.device, cfg).to_bits(),
+            (own.ee.to_bits(), own.p_mw.to_bits()),
+            {
+                let want = self.own_ee_at(model, scan.device, cfg);
+                (want.ee.to_bits(), want.p_mw.to_bits())
+            },
             "the own EE handed to min_ee_if_scanned is not ee_if's"
         );
         self.min_ee_after(model, scan.device, cfg, own, floor, Some(scan.exit_min))
@@ -1816,16 +1790,17 @@ impl ModelState<NetworkModel> {
             .extend((first..n).map(|i| model.seed_config(i, tp)));
         bound.push_own_terms(model, first);
         bound.rederive_changed_intervals(model, &before);
-        bound.theta.resize(n);
+        bound.theta.resize(n * model.gateway_count());
         bound.ee.resize(n, 0.0);
-        bound.refresh(model);
+        bound.fold(model);
     }
 
     /// Drops the devices `leaving` marks (a churn `Leave`), compacting the
     /// model's rows, the allocation and the per-device terms in one pass
-    /// each so row `i` keeps describing the `i`-th survivor. The θ rows and
-    /// cached EE are only cut to length: the closing refresh refills every
-    /// one of them.
+    /// each so row `i` keeps describing the `i`-th survivor. The θ memo and
+    /// cached EE are only cut to length: the closing refresh recomputes
+    /// every EE, and a memo entry left by another device either holds its
+    /// new argument's `θ` or is recomputed.
     ///
     /// # Panics
     ///
@@ -1842,9 +1817,9 @@ impl ModelState<NetworkModel> {
         retain_rows(&mut bound.q, leaving, g);
         bound.rederive_changed_intervals(model, &before);
         let n = bound.alloc.len();
-        bound.theta.resize(n);
+        bound.theta.resize(n * g);
         bound.ee.truncate(n);
-        bound.refresh(model);
+        bound.fold(model);
     }
 
     /// Re-derives the model's reporting intervals from `config` after a
@@ -1856,7 +1831,7 @@ impl ModelState<NetworkModel> {
         let before = model.intervals.clone();
         model.refresh_intervals(config);
         bound.rederive_changed_intervals(model, &before);
-        bound.refresh(model);
+        bound.fold(model);
     }
 }
 
@@ -2270,7 +2245,7 @@ mod tests {
                     for tp_i in 0..7 {
                         let cfg = TxConfig::new(sf, TxPowerDbm::new(2.0 + tp_i as f64 * 2.0), ch);
                         let plain = state.min_ee_if(device, cfg, floor);
-                        let own = state.ee_if(device, cfg);
+                        let own = state.bound.own_ee_at(state.model(), device, cfg);
                         let fast =
                             state
                                 .bound
@@ -2327,36 +2302,57 @@ mod tests {
     }
 
     /// The θ the state's live `Λ` and `q` give for `(i, k)` right now,
-    /// computed eagerly.
-    fn eager_theta(state: &ModelState<&NetworkModel>, i: usize, k: usize) -> f64 {
-        poisson_at_most(
-            (state.bound.lambda[k] - state.bound.q_row(state.model(), i)[k]).max(0.0),
-            OTHERS_BUDGET,
-        )
+    /// computed without the memo.
+    fn live_theta<M: Borrow<NetworkModel>>(state: &ModelState<M>, i: usize, k: usize) -> f64 {
+        poisson_at_most(live_theta_arg(state, i, k), OTHERS_BUDGET)
     }
 
-    /// Reads every `θ` of `state` in a shuffled order and checks each
-    /// against the eager tail, bit for bit.
-    fn check_theta_is_eager(
-        state: &ModelState<&NetworkModel>,
-        rng: &mut ChaCha12Rng,
-    ) -> Result<(), TestCaseError> {
+    /// The argument of `θ_{i,k}` under the state's live `Λ` and `q`.
+    fn live_theta_arg<M: Borrow<NetworkModel>>(state: &ModelState<M>, i: usize, k: usize) -> f64 {
         let g = state.model().gateway_count();
-        let mut reads: Vec<(usize, usize)> = (0..state.bound.alloc.len())
+        (state.bound.lambda[k] - state.bound.q[i * g + k]).max(0.0)
+    }
+
+    /// Whether a read of `θ_{i,k}` now would be served by the memo: its
+    /// entry holds the live argument.
+    fn memo_holds<M: Borrow<NetworkModel>>(state: &ModelState<M>, i: usize, k: usize) -> bool {
+        let entry = &state.bound.theta.entries[i * state.model().gateway_count() + k];
+        entry.arg.load(Ordering::Relaxed) == live_theta_arg(state, i, k).to_bits()
+    }
+
+    /// Reads every `θ` of `state` in a shuffled order, checks each against
+    /// the tail of the live `Λ` and `q`, bit for bit, and that the memo
+    /// then holds it. Returns how many of the reads the memo served.
+    fn check_theta_is_live<M: Borrow<NetworkModel>>(
+        state: &ModelState<M>,
+        rng: &mut ChaCha12Rng,
+        at: &str,
+    ) -> Result<usize, TestCaseError> {
+        let g = state.model().gateway_count();
+        let mut reads: Vec<(usize, usize)> = (0..state.alloc().len())
             .flat_map(|i| (0..g).map(move |k| (i, k)))
             .collect();
         reads.shuffle(rng);
+        let mut hits = 0;
         for (i, k) in reads {
+            hits += usize::from(memo_holds(state, i, k));
             prop_assert_eq!(
                 state.theta(i, k).to_bits(),
-                eager_theta(state, i, k).to_bits(),
-                "theta({}, {}) at generation {}",
+                live_theta(state, i, k).to_bits(),
+                "theta({}, {}) {}",
                 i,
                 k,
-                state.bound.generation
+                at
+            );
+            prop_assert!(
+                memo_holds(state, i, k),
+                "theta({}, {}) not kept {}",
+                i,
+                k,
+                at
             );
         }
-        Ok(())
+        Ok(hits)
     }
 
     fn random_config(rng: &mut ChaCha12Rng, channels: usize) -> TxConfig {
@@ -2540,14 +2536,14 @@ mod tests {
                             let want = state.ee_if(device, cfg).to_bits();
                             let cleared = state.bound.own_ee_clearing(state.model(), &mut table, cfg, |_| true);
                             prop_assert_eq!(
-                                cleared.map(f64::to_bits),
+                                cleared.map(|own| own.ee.to_bits()),
                                 Some(want),
                                 "step {}, device {}, {:?}",
                                 step,
                                 device,
                                 cfg
                             );
-                            prop_assert_eq!(state.bound.own_ee(state.model(), &mut table, cfg).to_bits(), want);
+                            prop_assert_eq!(state.bound.own_ee(state.model(), &mut table, cfg).ee.to_bits(), want);
                         }
                     }
                 }
@@ -2793,7 +2789,7 @@ mod tests {
         }
 
         #[test]
-        fn lazy_theta_rows_equal_the_eager_tail(
+        fn memoised_theta_equals_the_live_tail(
             devices in 1usize..40,
             gateways in 1usize..=4,
             ambient in any::<bool>(),
@@ -2801,32 +2797,97 @@ mod tests {
             steps in 1usize..16,
         ) {
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let config = SimConfig::default();
-            let topo = Topology::disc(devices, gateways, 3_000.0, &config, seed);
-            let mut model = NetworkModel::new(&config, &topo);
+            let radius = 3_000.0;
+            let mut config = SimConfig::default();
+            let topo = Topology::disc(devices, gateways, radius, &config, seed);
+            let (mut sites, gws) = (topo.devices().to_vec(), topo.gateways().to_vec());
+            // One more device, ahead of at least one other, out of every
+            // gateway's reach: its q is exactly 0 at every gateway.
+            let far = rng.gen_range(0..devices);
+            sites.insert(far, DeviceSite {
+                position: Position::new(1.0e6, 0.0),
+                environment: LinkEnvironment::NonLineOfSight,
+            });
+            let n = devices + 1;
+            let mut model =
+                NetworkModel::new(&config, &Topology::from_sites(sites.clone(), gws.clone(), radius));
             if ambient {
                 model = with_random_ambient(model, &mut rng);
             }
             let channels = model.channel_count();
-            let alloc = (0..devices).map(|_| random_config(&mut rng, channels)).collect();
-            let mut state = model.state(alloc).unwrap();
-            check_theta_is_eager(&state, &mut rng)?;
-            for _ in 0..steps {
-                // A few rows read between steps go stale on the next one.
+            let alloc = (0..n).map(|_| random_config(&mut rng, channels)).collect();
+            let mut state = model.into_state(alloc).unwrap();
+            prop_assert!((0..gateways).all(|k| state.bound.q[far * gateways + k] == 0.0));
+            check_theta_is_live(&state, &mut rng, "after the build")?;
+
+            // A move to another channel at the same SF and TP leaves every
+            // q and Λ bit as it was, so the memo serves every read.
+            let device = rng.gen_range(0..n);
+            let mut cfg = state.alloc()[device];
+            cfg.channel = (cfg.channel + 1 + rng.gen_range(0..channels - 1)) % channels;
+            state.apply(device, cfg);
+            let hits = check_theta_is_live(&state, &mut rng, "after a channel move")?;
+            prop_assert_eq!(hits, n * gateways);
+
+            // The far device adds exactly 0 to every Λ, so retiring it
+            // keeps every Λ bit, while the rows behind it move onto entries
+            // computed for the rows before them: only the q in an entry's
+            // argument tells their θ apart.
+            let leaving: Vec<bool> = (0..n).map(|i| i == far).collect();
+            retain_rows(&mut sites, &leaving, 1);
+            let lambda_bits = |state: &ModelState<NetworkModel>| {
+                state.bound.lambda.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let before = lambda_bits(&state);
+            state.retire_rows(&config, &leaving, radius);
+            prop_assert_eq!(lambda_bits(&state), before);
+            check_theta_is_live(&state, &mut rng, "after the far device left")?;
+
+            for step in 0..steps {
+                // A few entries read between steps, which the next step
+                // may or may not leave at their argument.
                 for _ in 0..3 {
-                    let _ = state.theta(rng.gen_range(0..devices), rng.gen_range(0..gateways));
+                    let _ = state.theta(rng.gen_range(0..sites.len()), rng.gen_range(0..gateways));
                 }
-                match rng.gen_range(0..8) {
-                    0 => state.refresh(),
-                    // Walk on from a clone whose rows are part filled.
-                    1 => state = state.clone(),
+                let at = match rng.gen_range(0..10) {
+                    0 => {
+                        state.refresh();
+                        format!("after a refresh at step {step}")
+                    }
+                    // Walk on from a clone, which starts with an empty memo.
+                    1 => {
+                        state = state.clone();
+                        format!("after a clone at step {step}")
+                    }
+                    2 => {
+                        let joining: Vec<DeviceSite> =
+                            (0..rng.gen_range(1..=4)).map(|_| random_site(&mut rng, radius)).collect();
+                        sites.extend(&joining);
+                        state.join_rows(&config, &joining, &gws, radius, TxPowerDbm::new(14.0));
+                        format!("after joining {} at step {}", joining.len(), step)
+                    }
+                    // Leaving moves later devices' rows onto entries
+                    // computed for others.
+                    3 if sites.len() > 1 => {
+                        let n = sites.len();
+                        let mut leaving: Vec<bool> = (0..n).map(|_| rng.gen_range(0..3) == 0).collect();
+                        leaving[rng.gen_range(0..n)] = false;
+                        retain_rows(&mut sites, &leaving, 1);
+                        state.retire_rows(&config, &leaving, radius);
+                        format!("after retiring {} at step {}", n - sites.len(), step)
+                    }
+                    4 => {
+                        config.report_interval_s = rng.gen_range(60.0..1_800.0);
+                        state.refresh_intervals(&config);
+                        format!("after refreshing intervals at step {step}")
+                    }
                     _ => {
-                        let device = rng.gen_range(0..devices);
+                        let device = rng.gen_range(0..sites.len());
                         let cfg = random_config(&mut rng, channels);
                         let g_old = state.bound.group_of(state.model(), &state.bound.alloc[device]);
                         state.apply(device, cfg);
-                        // The move's EE refresh read rows of the new
-                        // generation, not the ones the move made stale.
+                        // The move's EE refresh read θ at the live
+                        // arguments, not at the ones the move replaced.
                         let g_new = state.bound.group_of(state.model(), &cfg);
                         for &j in state.bound.members[g_old].iter().chain(&state.bound.members[g_new]) {
                             prop_assert_eq!(
@@ -2837,10 +2898,11 @@ mod tests {
                                 device
                             );
                         }
+                        format!("after moving {device} at step {step}")
                     }
-                }
-                check_theta_is_eager(&state.clone(), &mut rng)?;
-                check_theta_is_eager(&state, &mut rng)?;
+                };
+                check_theta_is_live(&state.clone(), &mut rng, &at)?;
+                check_theta_is_live(&state, &mut rng, &at)?;
             }
         }
     }
@@ -2855,7 +2917,8 @@ mod tests {
             .map(|_| random_config(&mut rng, model.channel_count()))
             .collect();
         let mut state = model.state(alloc).unwrap();
-        // Every row goes stale; only the two touched groups' are refilled.
+        // The move shifts Λ: the memo holds stale arguments for every
+        // entry but those of the two touched groups, which it refilled.
         state.apply(
             17,
             TxConfig::new(SpreadingFactor::Sf10, TxPowerDbm::new(8.0), 3),
@@ -2863,29 +2926,37 @@ mod tests {
         let g = model.gateway_count();
         let reference: Vec<u64> = (0..150)
             .flat_map(|i| (0..g).map(move |k| (i, k)))
-            .map(|(i, k)| eager_theta(&state, i, k).to_bits())
+            .map(|(i, k)| live_theta(&state, i, k).to_bits())
             .collect();
+        let stale = (0..150)
+            .flat_map(|i| (0..g).map(move |k| (i, k)))
+            .filter(|&(i, k)| !memo_holds(&state, i, k))
+            .count();
+        assert!(stale > 0, "the move left no entry to fill");
         let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for worker in 0..4u64 {
                 let (state, barrier, reference) = (&state, &barrier, &reference);
                 scope.spawn(move || {
-                    let mut order: Vec<usize> = (0..150).collect();
+                    let mut order: Vec<(usize, usize)> =
+                        (0..150).flat_map(|i| (0..g).map(move |k| (i, k))).collect();
                     order.shuffle(&mut ChaCha12Rng::seed_from_u64(worker));
                     barrier.wait();
-                    for i in order {
-                        let row = state.bound.theta_row(state.model(), i);
-                        for k in 0..g {
-                            assert_eq!(
-                                theta_at(row, k).to_bits(),
-                                reference[i * g + k],
-                                "worker {worker}: theta({i}, {k})"
-                            );
-                        }
+                    for (i, k) in order {
+                        assert_eq!(
+                            state.theta(i, k).to_bits(),
+                            reference[i * g + k],
+                            "worker {worker}: theta({i}, {k})"
+                        );
                     }
                 });
             }
         });
+        for i in 0..150 {
+            for k in 0..g {
+                assert!(memo_holds(&state, i, k), "theta({i}, {k}) not kept");
+            }
+        }
     }
 
     #[test]

@@ -231,7 +231,12 @@ impl Scan<'_> {
                 else {
                     continue;
                 };
-                if rule.offer(Candidate { min, own, idx, cfg }) {
+                if rule.offer(Candidate {
+                    min,
+                    own: own.ee,
+                    idx,
+                    cfg,
+                }) {
                     verdicts.forget();
                 }
             }

@@ -20,7 +20,10 @@
 //! * [`farfield::FarFieldPricer`] — the paper's Eq. 17–20 PPP machinery
 //!   in truncated form, pricing everything beyond a cell's boundary ring
 //!   as an analytic annulus integral (mean interference, occupancy, and
-//!   the literal truncated Laplace transform).
+//!   the literal truncated Laplace transform). A pricer is built for one
+//!   annulus and evaluates the path loss at its integration nodes once,
+//!   so the planner prices its annulus once and each kernel runs only
+//!   its own integrand.
 //!
 //! Consumers: `ef-lora` (`ef_lora::spatial`) shards the allocation over
 //! cells, `lora-model` accepts the priced far field as ambient offsets,
