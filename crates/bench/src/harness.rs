@@ -477,10 +477,10 @@ mod tests {
 
     #[test]
     fn replication_fanout_is_thread_invariant() {
-        // Satellite (d): the same deployment and master seed must produce
-        // identical StrategyOutcome aggregates — and identical EF-LoRa
-        // allocations — whether the repetitions run on 1 worker or 4.
-        use ef_lora::{AllocationContext, EfLora};
+        // The same deployment and master seed must produce identical
+        // StrategyOutcome aggregates whether the repetitions run on 1
+        // worker or more.
+        use ef_lora::EfLora;
         use lora_model::NetworkModel;
 
         let config = paper_config();
@@ -495,21 +495,6 @@ mod tests {
             deployment.seed,
         );
         let model = NetworkModel::new(&config, &topology);
-        let ctx = AllocationContext::new(&config, &topology, &model);
-
-        let alloc_serial = EfLora::default()
-            .with_threads(1)
-            .allocate(&ctx)
-            .expect("allocates");
-        let alloc_parallel = EfLora::default()
-            .with_threads(4)
-            .allocate(&ctx)
-            .expect("allocates");
-        assert_eq!(
-            alloc_serial.as_slice(),
-            alloc_parallel.as_slice(),
-            "EF-LoRa allocation must not depend on the scan worker count"
-        );
 
         let ef = EfLora::default();
         let serial = run_strategy(&config, &topology, &model, &ef, &scale);

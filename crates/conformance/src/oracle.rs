@@ -337,7 +337,7 @@ pub fn run_scenario(scenario: &Scenario, threads: usize) -> ScenarioRecord {
     let model = NetworkModel::new(&config, &topology);
     let ctx = AllocationContext::new(&config, &topology, &model);
 
-    let ef = EfLora::default().with_threads(threads);
+    let ef = EfLora::default();
     let legacy = LegacyLora::default();
     let strategies: [&dyn Strategy; 2] = [&ef, &legacy];
 

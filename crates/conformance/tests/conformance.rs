@@ -147,7 +147,7 @@ fn simulator_oracle_agrees_with_bench_harness() {
     );
     let model = NetworkModel::new(&config, &topology);
 
-    let ef = EfLora::default().with_threads(1);
+    let ef = EfLora::default();
     let outcome = ef_lora_bench::harness::run_strategy(&config, &topology, &model, &ef, &scale);
 
     let ctx = ef_lora::AllocationContext::new(&config, &topology, &model);

@@ -3,9 +3,7 @@
 //! Pins two small dense runs byte for byte: every device's configuration,
 //! the `GreedyReport` counters and the bits of the initial and final
 //! minimum EE, for `EfLora` (full TP allocation) and `EfLoraFixedTp` (one
-//! TP level, so each SF block holds one candidate per channel). The
-//! `EfLora` run is repeated on 2 scan workers and must report the same
-//! bits.
+//! TP level, so each SF block holds one candidate per channel).
 //!
 //! Refresh with
 //! `EF_LORA_UPDATE_GOLDEN=1 cargo test -p conformance --test dense_golden`.
@@ -65,14 +63,9 @@ fn dense_run_matches_golden() {
     let model = NetworkModel::new(&config, &topology);
     let ctx = AllocationContext::new(&config, &topology, &model);
 
-    let serial = EfLora::default()
+    let free = EfLora::default()
         .allocate_with_report(&ctx)
         .expect("the dense run allocates");
-    let parallel = EfLora::default()
-        .with_threads(2)
-        .allocate_with_report(&ctx)
-        .expect("the 2-worker dense run allocates");
-    assert_eq!(serial, parallel, "the 2-worker scan must repeat 1 worker");
     let fixed = EfLoraFixedTp::default()
         .inner()
         .allocate_with_report(&ctx)
@@ -81,7 +74,7 @@ fn dense_run_matches_golden() {
     let snapshot = DenseSmoke {
         devices: DEVICES,
         gateways: GATEWAYS,
-        runs: vec![pin("EF-LoRa", &serial), pin("EF-LoRa-14dBm", &fixed)],
+        runs: vec![pin("EF-LoRa", &free), pin("EF-LoRa-14dBm", &fixed)],
     };
     let mut json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     json.push('\n');

@@ -139,11 +139,10 @@ fn every_reception_fate_matches_golden() {
 
 #[test]
 fn faulted_runs_are_thread_invariant() {
-    // Same guarantee `candidate_scan_is_thread_invariant` gives the
-    // allocator, extended to the figure pipeline under active faults:
-    // the fault processes are compiled from the config seed before any
-    // repetition is scheduled, and backhaul verdicts are stateless
-    // hashes, so worker count must not move a single byte.
+    // The figure pipeline under active faults is a pure function of its
+    // inputs: the fault processes are compiled from the config seed
+    // before any repetition is scheduled, and backhaul verdicts are
+    // stateless hashes, so worker count must not move a single byte.
     let mut builder = SimConfig::builder();
     builder
         .seed(29)

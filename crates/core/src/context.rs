@@ -129,11 +129,10 @@ pub(crate) fn check_nonempty(model: &NetworkModel) -> Result<(), AllocError> {
 }
 
 /// The canonical candidate grid over `channels` channels and `tp_levels`:
-/// SF ascending, then channel, then TP in `tp_levels`' order. Chunk
-/// boundaries and tie-breaking are defined over this order; scans skip
-/// the device's current configuration themselves. A caller that keeps a
-/// model state alive without a context (the serve daemon) builds its
-/// grid here once.
+/// SF ascending, then channel, then TP in `tp_levels`' order.
+/// Tie-breaking is defined over this order; scans skip the device's
+/// current configuration themselves. A caller that keeps a model state
+/// alive without a context (the serve daemon) builds its grid here once.
 pub fn candidate_grid(channels: usize, tp_levels: &[TxPowerDbm]) -> Vec<TxConfig> {
     let mut grid = Vec::with_capacity(SpreadingFactor::ALL.len() * channels * tp_levels.len());
     for sf in SpreadingFactor::ALL {

@@ -41,32 +41,9 @@
 //! is possible) and as `Exact` above; and the bar clears an `own` above
 //! `O + s` and not below `P.own`. Since `I.min > M + s`, the triage never
 //! returns `OwnBar` once `I` exists. All three change only when an offer
-//! is taken.
-//!
-//! ## Parallel candidate scan
-//!
-//! The step-3 scan is read-only against [`ModelState`], so
-//! [`EfLora::with_threads`] partitions the (SF, channel, TP) grid into
-//! contiguous chunks that scoped worker threads walk over one shared
-//! [`lora_model::scan::Scan`], each chunk with its own copy of the rule.
-//! The grid is the same for every device of an allocation; it includes
-//! the device's current configuration, which the chunk holding it skips.
-//! Determinism is preserved by selecting winners with the exact total
-//! order above instead of scan-order-dependent banded comparisons.
-//!
-//! Each chunk's rule keeps its own floor, raised only on strict-improver
-//! finds, and its own `I` and `P`. A candidate the floor or a skip drops
-//! could never have become the chunk's improver, so every chunk's improver
-//! is the exact best improver of its range. The floor and the skips that
-//! consult `I` can change a chunk's plateau move only once that chunk
-//! holds an improver — and the merge then commits an improver. When no
-//! chunk finds an improver, no floor ever rose and no triage consulted
-//! `I`, so every chunk's plateau move is the exact best plateau move of
-//! its range. The walk's block skips are exact for any range, including
-//! one that splits an SF block, so none of this depends on where the
-//! chunk boundaries fall: the merged move is a pure function of the model
-//! state, byte-identical for every thread count and partition, and
-//! committed moves stay sequential so the pass semantics are unchanged.
+//! is taken. The walk visits the grid in canonical order and the rule
+//! takes only a strictly better offer, so the earliest of tied candidates
+//! wins.
 
 use std::borrow::Cow;
 
@@ -118,23 +95,23 @@ pub enum DeviceOrdering {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EfLora {
+    /// The convergence threshold `δ`, bits/mJ.
     delta: f64,
+    /// The cap on improvement passes.
     max_passes: usize,
     ordering: DeviceOrdering,
     fixed_tp: Option<TxPowerDbm>,
-    threads: usize,
 }
 
 impl Default for EfLora {
     /// δ = 0.01 (the paper's trigger parameter), density-first ordering,
-    /// full TP allocation, at most 16 passes, single-threaded scan.
+    /// full TP allocation, at most 16 passes.
     fn default() -> Self {
         EfLora {
             delta: 0.01,
             max_passes: 16,
             ordering: DeviceOrdering::DensityFirst,
             fixed_tp: None,
-            threads: 1,
         }
     }
 }
@@ -143,20 +120,6 @@ impl EfLora {
     /// Creates the allocator with defaults (see [`EfLora::default`]).
     pub fn new() -> Self {
         EfLora::default()
-    }
-
-    /// Sets the convergence threshold `δ` in bits/mJ.
-    #[must_use]
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Caps the number of improvement passes.
-    #[must_use]
-    pub fn with_max_passes(mut self, passes: usize) -> Self {
-        self.max_passes = passes;
-        self
     }
 
     /// Sets the device visiting order.
@@ -174,23 +137,11 @@ impl EfLora {
         self
     }
 
-    /// Sets the worker-thread count for the candidate scan. `0` means
-    /// "the host's available parallelism". The allocation is byte-
-    /// identical for every thread count (see the module docs); this knob
-    /// trades spawn overhead for scan throughput only.
+    /// Has no effect: the candidate scan runs on the calling thread.
+    #[deprecated(note = "has no effect: the candidate scan runs on the calling thread")]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            lora_parallel::available_threads()
-        } else {
-            threads
-        };
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The configured candidate-scan thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configured device visiting order.
@@ -247,11 +198,6 @@ impl EfLora {
         ctx: &AllocationContext<'_>,
     ) -> Result<GreedyReport, AllocError> {
         ctx.check_nonempty()?;
-        if self.delta < 0.0 || !self.delta.is_finite() {
-            return Err(AllocError::InvalidParameter {
-                reason: "delta must be non-negative",
-            });
-        }
 
         let grid = match self.fixed_tp {
             Some(tp) => Cow::Owned(candidate_grid(ctx.channel_count(), &[tp])),
@@ -292,9 +238,9 @@ impl EfLora {
             passes += 1;
             let mut moves_this_pass = 0usize;
             for &device in &order {
-                let scan = scan_device(&state, &grid, device, self.threads);
-                candidates_evaluated += scan.evaluated;
-                if let Some(choice) = scan.winner() {
+                let (winner, examined) = scan_device(&state, &grid, device);
+                candidates_evaluated += examined;
+                if let Some(choice) = winner {
                     state.apply(device, choice.cfg);
                     moves_applied += 1;
                     moves_this_pass += 1;
@@ -332,9 +278,9 @@ pub(crate) fn tie_slack(min: f64) -> f64 {
     (min.abs() * 1e-9).max(1e-15)
 }
 
-/// The dense acceptance rule of one chunk (or the whole grid), and what it
-/// found: the module docs' rule and total order.
-#[derive(Debug, Clone, Copy)]
+/// The dense acceptance rule of one device's scan, and what it found: the
+/// module docs' rule and total order.
+#[derive(Debug)]
 struct DeviceScan {
     /// The network minimum `M` before the scan.
     min: f64,
@@ -342,14 +288,12 @@ struct DeviceScan {
     own: f64,
     /// The tie slack `s`.
     tie_slack: f64,
-    /// The chunk's pruning floor, raised only when an improver is taken.
+    /// The pruning floor, raised only when an improver is taken.
     floor: f64,
-    /// Best strict improver — exact max of `(min, own)`, earliest idx.
+    /// Best strict improver — exact max of `(min, own)`, earliest first.
     improver: Option<Candidate>,
-    /// Best plateau move — exact max of `(own, min)`, earliest idx.
+    /// Best plateau move — exact max of `(own, min)`, earliest first.
     plateau: Option<Candidate>,
-    /// Candidates examined (identity configuration excluded).
-    evaluated: u64,
 }
 
 impl DeviceScan {
@@ -364,43 +308,12 @@ impl DeviceScan {
             floor: min - tie_slack,
             improver: None,
             plateau: None,
-            evaluated: 0,
         }
     }
 
     /// The move to commit: any strict improver beats every plateau move.
     fn winner(&self) -> Option<Candidate> {
         self.improver.or(self.plateau)
-    }
-
-    /// Folds another chunk's result in. The explicit lowest-`idx`
-    /// tie-break makes the merge independent of chunk arrival order.
-    fn merge(&mut self, other: DeviceScan) {
-        self.evaluated += other.evaluated;
-        if let Some(c) = other.improver {
-            let better = match self.improver {
-                None => true,
-                Some(b) => {
-                    c.min > b.min
-                        || (c.min == b.min && (c.own > b.own || (c.own == b.own && c.idx < b.idx)))
-                }
-            };
-            if better {
-                self.improver = Some(c);
-            }
-        }
-        if let Some(c) = other.plateau {
-            let better = match self.plateau {
-                None => true,
-                Some(b) => {
-                    c.own > b.own
-                        || (c.own == b.own && (c.min > b.min || (c.min == b.min && c.idx < b.idx)))
-                }
-            };
-            if better {
-                self.plateau = Some(c);
-            }
-        }
     }
 }
 
@@ -447,37 +360,16 @@ impl Rule for DeviceScan {
     }
 }
 
-/// Full candidate scan of `grid`, in canonical order, for one device,
-/// fanned out over `threads` workers when the grid is large enough to
-/// amortise the spawns. Every chunk walks one shared scan with a fresh
-/// copy of the starting rule.
+/// One device's candidate scan of `grid`, in canonical order: the move to
+/// commit, if any, and the number of candidates examined.
 fn scan_device(
     state: &ModelState<&NetworkModel>,
     grid: &[TxConfig],
     device: usize,
-    threads: usize,
-) -> DeviceScan {
-    let start = DeviceScan::new(state.min_ee(), state.ee(device));
-    let scan = state.prepare_scan(device);
-    let chunk = |range| {
-        let mut rule = start;
-        rule.evaluated = scan.walk(grid, range, &mut rule);
-        rule
-    };
-
-    // Below ~8 candidates per worker, spawn overhead dwarfs the scan.
-    let threads = threads.clamp(1, (grid.len() / 8).max(1));
-    if threads <= 1 {
-        return chunk(0..grid.len());
-    }
-    let ranges = lora_parallel::chunk_ranges(grid.len(), threads);
-    let chunks =
-        lora_parallel::par_map_indexed(ranges.len(), threads, |c| chunk(ranges[c].clone()));
-    let mut merged = start;
-    for chunk in chunks {
-        merged.merge(chunk);
-    }
-    merged
+) -> (Option<Candidate>, u64) {
+    let mut rule = DeviceScan::new(state.min_ee(), state.ee(device));
+    let examined = state.scan(device, grid, &mut rule);
+    (rule.winner(), examined)
 }
 
 impl Strategy for EfLora {
@@ -611,57 +503,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bad_delta_is_rejected() {
-        let (config, topo) = setup(3, 1, 0);
-        let model = NetworkModel::new(&config, &topo);
-        let ctx = AllocationContext::new(&config, &topo, &model);
-        let err = EfLora::default()
-            .with_delta(f64::NAN)
-            .allocate(&ctx)
-            .unwrap_err();
-        assert!(matches!(err, AllocError::InvalidParameter { .. }));
-    }
-
-    #[test]
     fn max_passes_bounds_work() {
         let (config, topo) = setup(30, 2, 11);
         let model = NetworkModel::new(&config, &topo);
         let ctx = AllocationContext::new(&config, &topo, &model);
-        let report = EfLora::default()
-            .with_delta(0.0)
-            .with_max_passes(2)
-            .allocate_with_report(&ctx)
-            .unwrap();
+        let capped = EfLora {
+            delta: 0.0,
+            max_passes: 2,
+            ..EfLora::default()
+        };
+        let report = capped.allocate_with_report(&ctx).unwrap();
         assert!(report.passes <= 2);
     }
 
-    #[test]
-    fn candidate_scan_is_thread_invariant() {
-        // The tentpole determinism guarantee: the allocator is a pure
-        // function of the deployment, byte-identical for every worker
-        // count — full reports (allocation, passes, move and candidate
-        // counts, exact f64 objectives) must match.
-        let (config, topo) = setup(40, 2, 3);
-        let model = NetworkModel::new(&config, &topo);
-        let ctx = AllocationContext::new(&config, &topo, &model);
-        let serial = EfLora::default()
-            .with_threads(1)
-            .allocate_with_report(&ctx)
-            .unwrap();
-        for threads in [2usize, 4, 7] {
-            let parallel = EfLora::default()
-                .with_threads(threads)
-                .allocate_with_report(&ctx)
-                .unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
     /// Brute-force reference for [`scan_device`]: scores every candidate
-    /// of the canonical grid with the unpruned evaluation and picks the
-    /// winner by the module docs' total order, numbering candidates by
-    /// their grid position. Returns the winner and the number of
-    /// candidates scored.
+    /// of the canonical grid, in grid order, with the unpruned evaluation
+    /// and picks the winner by the module docs' total order. Returns the
+    /// winner and the number of candidates scored.
     fn oracle_scan(
         state: &ModelState<&NetworkModel>,
         channels: usize,
@@ -674,13 +532,11 @@ pub(crate) mod tests {
         let current = state.alloc()[device];
         let mut improver: Option<Candidate> = None;
         let mut plateau: Option<Candidate> = None;
-        let mut idx = 0;
         let mut scored = 0;
         for sf in SpreadingFactor::ALL {
             for channel in 0..channels {
                 for &tp in tp_levels {
                     let cfg = TxConfig::new(sf, tp, channel);
-                    idx += 1;
                     if cfg == current {
                         continue;
                     }
@@ -689,12 +545,7 @@ pub(crate) mod tests {
                         .min_ee_if(device, cfg, f64::NEG_INFINITY)
                         .expect("no floor prunes nothing");
                     let own = state.ee_if(device, cfg);
-                    let c = Candidate {
-                        min,
-                        own,
-                        idx: idx - 1,
-                        cfg,
-                    };
+                    let c = Candidate { min, own, cfg };
                     if min > m + s {
                         if improver.is_none_or(|b| (min, own) > (b.min, b.own)) {
                             improver = Some(c);
@@ -736,8 +587,8 @@ pub(crate) mod tests {
     }
 
     /// The bits that make two winners the same move.
-    fn key(c: Option<Candidate>) -> Option<(usize, TxConfig, u64, u64)> {
-        c.map(|c| (c.idx, c.cfg, c.min.to_bits(), c.own.to_bits()))
+    fn key(c: Option<Candidate>) -> Option<(TxConfig, u64, u64)> {
+        c.map(|c| (c.cfg, c.min.to_bits(), c.own.to_bits()))
     }
 
     /// `base` moved by `k` quarters of the tie slack `s`.
@@ -753,15 +604,13 @@ pub(crate) mod tests {
     }
 
     /// Candidates whose network minimum and own EE sit the given numbers
-    /// of quarter slacks from `m` and `o`, numbered in order.
+    /// of quarter slacks from `m` and `o`.
     pub(crate) fn offers_around(m: f64, o: f64, s: f64, offsets: &[(i32, i32)]) -> Vec<Candidate> {
         offsets
             .iter()
-            .enumerate()
-            .map(|(idx, &(k, j))| Candidate {
+            .map(|&(k, j)| Candidate {
                 min: quarters(m, s, k),
                 own: quarters(o, s, j),
-                idx,
                 cfg: TxConfig::default(),
             })
             .collect()
@@ -851,13 +700,9 @@ pub(crate) mod tests {
                 for device in 0..n {
                     let (want, scored) =
                         oracle_scan(&state, ctx.channel_count(), device, &tp_levels);
-                    // 4 and 7 workers cut chunks that end inside SF blocks.
-                    for threads in [1usize, 2, 3, 4, 7] {
-                        let got = scan_device(&state, &grid, device, threads);
-                        let at = format!("device {device} threads {threads}");
-                        prop_assert_eq!(got.evaluated, scored, "{}", at);
-                        prop_assert_eq!(key(got.winner()), key(want), "{}", at);
-                    }
+                    let (got, examined) = scan_device(&state, &grid, device);
+                    prop_assert_eq!(examined, scored, "device {}", device);
+                    prop_assert_eq!(key(got), key(want), "device {}", device);
                     if let Some(c) = want {
                         state.apply(device, c.cfg);
                     }
@@ -882,14 +727,6 @@ pub(crate) mod tests {
             let offers = offers_around(m, o, s, &offsets);
             check_rule_contract(DeviceScan::new(m, o), &around(m, s), &around(o, s), &offers)?;
         }
-    }
-
-    #[test]
-    fn with_threads_zero_means_available_parallelism() {
-        let ef = EfLora::default().with_threads(0);
-        assert_eq!(ef.threads(), lora_parallel::available_threads());
-        assert_eq!(EfLora::default().threads(), 1);
-        assert_eq!(EfLora::default().with_threads(3).threads(), 3);
     }
 
     #[test]

@@ -325,9 +325,7 @@ fn scan_and_apply<M: Borrow<NetworkModel>>(
     device: usize,
 ) -> u64 {
     let mut rule = Repair::new(state.min_ee(), state.ee(device));
-    let examined = state
-        .prepare_scan(device)
-        .walk(grid, 0..grid.len(), &mut rule);
+    let examined = state.scan(device, grid, &mut rule);
     if let Some(cfg) = rule.best {
         state.apply(device, cfg);
     }

@@ -136,9 +136,8 @@ impl SpatialEfLora {
         self
     }
 
-    /// Sets the cell fan-out worker count (`0` = host parallelism). It
-    /// sets nothing else: every cell solve, and the dense fallback's
-    /// candidate scan, runs on one thread.
+    /// Sets the cell fan-out worker count (`0` = host parallelism). Every
+    /// cell solve, and the dense fallback, runs on one thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
@@ -219,7 +218,6 @@ impl SpatialEfLora {
                 let report = self
                     .inner
                     .clone()
-                    .with_threads(1)
                     .with_ordering(cell_ordering(self.inner.ordering(), cell))
                     .allocate_with_report(ctx)?;
                 Ok((report.allocation, report.candidates_evaluated, 0))

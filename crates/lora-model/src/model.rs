@@ -41,7 +41,7 @@
 //! one a fresh build over the changed population gives.
 
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lora_phy::energy::RadioEnergyModel;
 use lora_phy::link::noise_floor_dbm;
@@ -54,7 +54,6 @@ use crate::contention::{group_count, group_index, overlap_from_load};
 use crate::error::ModelError;
 use crate::interference::{group_density, laplace_transform};
 use crate::pdr::{pdr_exponent, prr, PdrForm};
-use crate::scan::Scan;
 
 /// Allocation-independent model of one deployment.
 ///
@@ -709,87 +708,40 @@ pub(crate) struct Bound {
     /// its first read at an argument and then served until the argument
     /// moves. This keeps the Poisson tail out of the per-candidate inner
     /// loop, out of every entry nobody reads, and out of every entry a
-    /// move left unchanged, while producing bit-identical values.
-    theta: ThetaMemo,
+    /// move left unchanged, while producing bit-identical values. Flat
+    /// `[device][gateway]`.
+    theta: Vec<Cell<ThetaEntry>>,
 }
 
-// `ModelState` must stay `Sync` and `Clone`, and a `Scan` `Sync`, because
-// the parallel dense scan shares one `Scan`, and through it `&ModelState`,
-// across worker threads. Both ways of holding the model keep that.
-const _: () = {
-    const fn assert_sync_clone<T: Sync + Clone>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_sync_clone::<ModelState<&'static NetworkModel>>();
-    assert_sync_clone::<ModelState<NetworkModel>>();
-    assert_sync::<Scan<'static>>();
-};
-
-/// `θ_{i,k}` of every device and gateway, each entry computed on demand
-/// by [`Bound::theta`] and kept with the bits of the argument it was
-/// computed at.
+/// One memoised `θ_{i,k}`, computed on demand by [`Bound::theta`]: the
+/// bits of the argument it was computed at, then `θ` itself.
 ///
 /// An entry needs no invalidation, churn included: `θ` is a pure function
 /// of its argument, so an entry whose stored argument equals the live one
 /// holds exactly the `θ` a fresh computation gives, whichever device and
-/// state it was computed for, and any other entry is recomputed. A new
+/// state it was computed for, and any other entry is recomputed. An empty
 /// entry stores NaN bits as its argument, which no live argument has
-/// (`max` drops NaN).
+/// (`max` drops NaN). For the same reason a clone copies the memo as it
+/// stands.
 ///
-/// The entries are atomics so that a shared `&ModelState` stays `Sync`:
-/// the parallel dense scan reads, and therefore fills, entries from
-/// several workers at once. A filler stores `θ` `Relaxed` and then the
-/// argument `Release`; a reader loads the argument `Acquire` and then
-/// `θ`, so a reader that finds its argument there also sees the `θ`
-/// stored before it. `Λ` and `q` only move through `&mut ModelState`, so
-/// workers that race on one entry store identical bits.
-#[derive(Debug)]
-struct ThetaMemo {
-    /// Flat `[device][gateway]`.
-    entries: Vec<ThetaEntry>,
-}
-
-/// One memoised `θ`: its argument's bits, then its own.
-#[derive(Debug)]
+/// Reads fill entries through a shared `&ModelState`, so each entry sits
+/// in a [`Cell`], and a state is not `Sync`.
+#[derive(Debug, Clone, Copy)]
 struct ThetaEntry {
-    arg: AtomicU64,
-    theta: AtomicU64,
+    arg: u64,
+    theta: f64,
 }
 
 impl ThetaEntry {
-    fn empty() -> Self {
-        ThetaEntry {
-            arg: AtomicU64::new(f64::NAN.to_bits()),
-            theta: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ThetaMemo {
-    fn empty(entries: usize) -> Self {
-        ThetaMemo {
-            entries: (0..entries).map(|_| ThetaEntry::empty()).collect(),
-        }
-    }
-
-    /// Resizes to `entries` entries, appending empty ones or dropping the
-    /// last ones.
-    fn resize(&mut self, entries: usize) {
-        self.entries.resize_with(entries, ThetaEntry::empty);
-    }
-}
-
-/// A clone starts with an empty memo. Copying an entry while another
-/// thread fills it could pair the entry's old argument with the `θ` of
-/// the argument being stored, so the clone recomputes what it reads
-/// instead.
-impl Clone for ThetaMemo {
-    fn clone(&self) -> Self {
-        ThetaMemo::empty(self.entries.len())
-    }
+    /// An entry no live argument matches.
+    const EMPTY: ThetaEntry = ThetaEntry {
+        arg: f64::NAN.to_bits(),
+        theta: 0.0,
+    };
 }
 
 /// The candidate-independent parts of a candidate scan, computed by
-/// [`Bound::scan_cache`] and held by a [`Scan`].
+/// [`Bound::scan_cache`] at the start of [`ModelState::scan`].
 ///
 /// During one scan of device `i` the allocation is fixed, so the parts
 /// of a candidate's evaluation that do not depend on the candidate can be
@@ -797,14 +749,14 @@ impl Clone for ThetaMemo {
 /// smallest cached group minima, and, per SF, the easiest channel's
 /// contention — the smallest overlap `h` and, per gateway, the smallest
 /// co-group interference `i` would meet on any of that SF's channels.
-/// Preparing costs `O(old-group members × gateways + SFs × channels ×
+/// Building it costs `O(old-group members × gateways + SFs × channels ×
 /// gateways)`; [`Bound::min_ee_if_scanned`] then evaluates a
 /// candidate in `O(new-group members × gateways)` with arithmetic
 /// expressions identical to [`ModelState::min_ee_if`] — same values,
 /// fewer recomputations — and [`Bound::own_ee_clearing`] bounds a
 /// candidate's own EE once per (SF, TP) from the easiest channel. The
-/// [`Scan`] holding the cache borrows the state, so the state cannot
-/// change while the cache is in use.
+/// scan holds the state by shared reference, so the state cannot change
+/// while the cache is in use.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanCache {
     /// The device being scanned.
@@ -813,7 +765,7 @@ pub(crate) struct ScanCache {
     /// leaves (`∞` when it is the sole member) — the candidate-independent
     /// part 2 of [`ModelState::min_ee_if`] for cross-group moves.
     exit_min: f64,
-    /// Contention group of `device` at prepare time.
+    /// Contention group of `device` when the scan starts.
     g_old: usize,
     /// Smallest cached `group_min` over groups other than `g_old`, and
     /// its group index; `other_min2` is the runner-up. Together they
@@ -837,9 +789,9 @@ pub(crate) struct ScanCache {
 /// so a scan's own-EE tests run the radio energy model at most once per
 /// (SF, TP) pair, 42 at most, instead of once per candidate.
 ///
-/// A memo belongs to one [`ScanCache`] and one walk: walks that share a
-/// [`Scan`] keep one each. It stores values, not verdicts, so it stays
-/// valid while the rule's acceptance bar moves.
+/// A table belongs to one [`ScanCache`], and so to one scan. It stores
+/// values, not verdicts, so it stays valid while the rule's acceptance
+/// bar moves.
 #[derive(Debug)]
 pub(crate) struct OwnEeBounds<'s> {
     scan: &'s ScanCache,
@@ -1088,7 +1040,7 @@ impl Bound {
             lambda: vec![0.0; g],
             ee: vec![0.0; n],
             group_min: vec![f64::INFINITY; n_groups],
-            theta: ThetaMemo::empty(n * g),
+            theta: vec![Cell::new(ThetaEntry::EMPTY); n * g],
         };
         bound.push_own_terms(model, 0);
         bound.fold(model);
@@ -1183,18 +1135,20 @@ impl Bound {
     }
 
     /// `θ_{i,k}` at the live `Λ` and `q`, from the memo when its entry
-    /// was computed at the same argument; [`ThetaMemo`] explains the
-    /// orderings.
+    /// was computed at the same argument.
     fn theta(&self, model: &NetworkModel, i: usize, k: usize) -> f64 {
         let entry = i * model.gateway_count() + k;
         let arg = (self.lambda[k] - self.q[entry]).max(0.0);
-        let memo = &self.theta.entries[entry];
-        if memo.arg.load(Ordering::Acquire) == arg.to_bits() {
-            return f64::from_bits(memo.theta.load(Ordering::Relaxed));
+        let memo = &self.theta[entry];
+        let held = memo.get();
+        if held.arg == arg.to_bits() {
+            return held.theta;
         }
         let theta = poisson_at_most(arg, OTHERS_BUDGET);
-        memo.theta.store(theta.to_bits(), Ordering::Relaxed);
-        memo.arg.store(arg.to_bits(), Ordering::Release);
+        memo.set(ThetaEntry {
+            arg: arg.to_bits(),
+            theta,
+        });
         theta
     }
 
@@ -1790,7 +1744,9 @@ impl ModelState<NetworkModel> {
             .extend((first..n).map(|i| model.seed_config(i, tp)));
         bound.push_own_terms(model, first);
         bound.rederive_changed_intervals(model, &before);
-        bound.theta.resize(n * model.gateway_count());
+        bound
+            .theta
+            .resize(n * model.gateway_count(), Cell::new(ThetaEntry::EMPTY));
         bound.ee.resize(n, 0.0);
         bound.fold(model);
     }
@@ -1817,7 +1773,7 @@ impl ModelState<NetworkModel> {
         retain_rows(&mut bound.q, leaving, g);
         bound.rederive_changed_intervals(model, &before);
         let n = bound.alloc.len();
-        bound.theta.resize(n * g);
+        bound.theta.resize(n * g, Cell::new(ThetaEntry::EMPTY));
         bound.ee.truncate(n);
         bound.fold(model);
     }
@@ -2316,8 +2272,8 @@ mod tests {
     /// Whether a read of `θ_{i,k}` now would be served by the memo: its
     /// entry holds the live argument.
     fn memo_holds<M: Borrow<NetworkModel>>(state: &ModelState<M>, i: usize, k: usize) -> bool {
-        let entry = &state.bound.theta.entries[i * state.model().gateway_count() + k];
-        entry.arg.load(Ordering::Relaxed) == live_theta_arg(state, i, k).to_bits()
+        let entry = state.bound.theta[i * state.model().gateway_count() + k].get();
+        entry.arg == live_theta_arg(state, i, k).to_bits()
     }
 
     /// Reads every `θ` of `state` in a shuffled order, checks each against
@@ -2854,9 +2810,22 @@ mod tests {
                         state.refresh();
                         format!("after a refresh at step {step}")
                     }
-                    // Walk on from a clone, which starts with an empty memo.
+                    // Walk on from a clone, which keeps every entry the
+                    // original held.
                     1 => {
-                        state = state.clone();
+                        let clone = state.clone();
+                        for i in 0..sites.len() {
+                            for k in 0..gateways {
+                                prop_assert!(
+                                    !memo_holds(&state, i, k) || memo_holds(&clone, i, k),
+                                    "theta({}, {}) dropped by a clone at step {}",
+                                    i,
+                                    k,
+                                    step
+                                );
+                            }
+                        }
+                        state = clone;
                         format!("after a clone at step {step}")
                     }
                     2 => {
@@ -2903,58 +2872,6 @@ mod tests {
                 };
                 check_theta_is_live(&state.clone(), &mut rng, &at)?;
                 check_theta_is_live(&state, &mut rng, &at)?;
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_theta_fills_agree() {
-        let config = SimConfig::default();
-        let topo = Topology::disc(150, 3, 3_000.0, &config, 41);
-        let model = NetworkModel::new(&config, &topo);
-        let mut rng = ChaCha12Rng::seed_from_u64(41);
-        let alloc = (0..150)
-            .map(|_| random_config(&mut rng, model.channel_count()))
-            .collect();
-        let mut state = model.state(alloc).unwrap();
-        // The move shifts Λ: the memo holds stale arguments for every
-        // entry but those of the two touched groups, which it refilled.
-        state.apply(
-            17,
-            TxConfig::new(SpreadingFactor::Sf10, TxPowerDbm::new(8.0), 3),
-        );
-        let g = model.gateway_count();
-        let reference: Vec<u64> = (0..150)
-            .flat_map(|i| (0..g).map(move |k| (i, k)))
-            .map(|(i, k)| live_theta(&state, i, k).to_bits())
-            .collect();
-        let stale = (0..150)
-            .flat_map(|i| (0..g).map(move |k| (i, k)))
-            .filter(|&(i, k)| !memo_holds(&state, i, k))
-            .count();
-        assert!(stale > 0, "the move left no entry to fill");
-        let barrier = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let (state, barrier, reference) = (&state, &barrier, &reference);
-                scope.spawn(move || {
-                    let mut order: Vec<(usize, usize)> =
-                        (0..150).flat_map(|i| (0..g).map(move |k| (i, k))).collect();
-                    order.shuffle(&mut ChaCha12Rng::seed_from_u64(worker));
-                    barrier.wait();
-                    for (i, k) in order {
-                        assert_eq!(
-                            state.theta(i, k).to_bits(),
-                            reference[i * g + k],
-                            "worker {worker}: theta({i}, {k})"
-                        );
-                    }
-                });
-            }
-        });
-        for i in 0..150 {
-            for k in 0..g {
-                assert!(memo_holds(&state, i, k), "theta({i}, {k}) not kept");
             }
         }
     }

@@ -5,12 +5,10 @@
 //!
 //! ## The walk
 //!
-//! [`ModelState::prepare_scan`] computes the candidate-independent parts
-//! of one device's scan once and returns a [`Scan`] that borrows the
-//! state, so the state cannot change while the scan is in use.
-//! [`Scan::walk`] then visits a range of the grid. Each candidate that
-//! survives the skip rules is scored by its predicted network minimum
-//! `min` and the mover's own EE `own`, bit for bit what
+//! [`ModelState::scan`] computes the candidate-independent parts of one
+//! device's scan once and then visits the whole grid in order. Each
+//! candidate that survives the skip rules is scored by its predicted
+//! network minimum `min` and the mover's own EE `own`, bit for bit what
 //! [`ModelState::min_ee_if`] and [`ModelState::ee_if`] return, and
 //! offered to the rule ([`Rule::offer`]).
 //!
@@ -59,17 +57,8 @@
 //! triage of its largest cap is [`Triage::Skip`], or [`Triage::OwnBar`]
 //! with every column failing: by the [`Rule`] contract, the per-candidate
 //! rules would then skip every candidate of the block.
-//!
-//! A walk over a range that starts or ends inside a block decides the
-//! block rules on the whole block, every channel's cap and every column's
-//! verdict, but counts and scans only its own share. The whole block's
-//! caps and verdicts are a stricter condition than its share's, so when
-//! they skip the block, the per-candidate rules would skip every candidate
-//! of the share too, and where a range's boundaries fall changes no rule's
-//! result.
 
 use std::borrow::Borrow;
-use std::ops::Range;
 
 use lora_phy::{SpreadingFactor, TxConfig};
 
@@ -89,21 +78,19 @@ pub enum Triage {
 }
 
 /// A scored candidate: its predicted network minimum, the mover's own EE,
-/// its index in the grid, and the configuration itself.
+/// and the configuration itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// The network minimum EE after the move, bits/mJ.
     pub min: f64,
     /// The moved device's own EE after the move, bits/mJ.
     pub own: f64,
-    /// The candidate's index in the walked grid.
-    pub idx: usize,
     /// The candidate configuration.
     pub cfg: TxConfig,
 }
 
-/// An acceptance rule, which [`Scan::walk`] offers every candidate it
-/// cannot prove the rule would refuse.
+/// An acceptance rule, which [`ModelState::scan`] offers every candidate
+/// it cannot prove the rule would refuse.
 ///
 /// The walk's block and column skips are exact only under this contract:
 ///
@@ -133,116 +120,84 @@ pub trait Rule {
     fn offer(&mut self, candidate: Candidate) -> bool;
 }
 
-/// One device's candidate scan, prepared by [`ModelState::prepare_scan`].
-///
-/// A scan borrows the state it was prepared from, so the state cannot
-/// move or refresh while the scan is alive:
-///
-/// ```compile_fail
-/// # use lora_model::NetworkModel;
-/// # use lora_phy::TxConfig;
-/// # use lora_sim::{SimConfig, Topology};
-/// # let config = SimConfig::default();
-/// # let topology = Topology::disc(10, 1, 3_000.0, &config, 1);
-/// # let model = NetworkModel::new(&config, &topology);
-/// let mut state = model.state(vec![TxConfig::default(); 10]).unwrap();
-/// let scan = state.prepare_scan(3);
-/// state.apply(5, TxConfig::default()); // `state` is borrowed by `scan`
-/// drop(scan);
-/// ```
-///
-/// A scan is `Sync`: workers may walk disjoint ranges of one grid at once.
-#[derive(Debug)]
-pub struct Scan<'s> {
-    model: &'s NetworkModel,
-    state: &'s Bound,
-    cache: ScanCache,
-}
-
 impl<M: Borrow<NetworkModel>> ModelState<M> {
-    /// Prepares the candidate scan of device `i` against the current
-    /// allocation: the minimum EE of `i`'s old group after it leaves, the
-    /// two smallest cached group minima, and per SF the easiest contention
-    /// any channel offers.
-    pub fn prepare_scan(&self, i: usize) -> Scan<'_> {
-        let model = self.model();
-        Scan {
-            model,
-            state: &self.bound,
-            cache: self.bound.scan_cache(model, i),
-        }
+    /// Scans device `i`'s candidates on `grid` against the current
+    /// allocation (see the module docs), offering `rule` every candidate
+    /// the skip rules cannot rule out, and returns how many candidates it
+    /// examined: all but the device's own configuration. `grid` must be in
+    /// canonical order (SF, then channel, then TP level) over the model's
+    /// channels, with the same TP levels on every channel.
+    pub fn scan<R: Rule>(&self, i: usize, grid: &[TxConfig], rule: &mut R) -> u64 {
+        walk(self.model(), &self.bound, i, grid, rule)
     }
 }
 
-impl Scan<'_> {
-    /// Walks `grid[range]` (see the module docs), offering `rule` every
-    /// candidate the skip rules cannot rule out, and returns how many
-    /// candidates of the range it examined: all but the scanned device's
-    /// own configuration. `grid` must be in canonical order (SF, then
-    /// channel, then TP level) over the model's channels, with the same
-    /// TP levels on every channel.
-    pub fn walk<R: Rule>(&self, grid: &[TxConfig], range: Range<usize>, rule: &mut R) -> u64 {
-        let (model, state) = (self.model, self.state);
-        let cache = &self.cache;
-        let current = state.alloc()[cache.device];
-        let mut own_bounds = OwnEeBounds::new(cache);
-        let mut blocks = SfBlocks::new(grid, model.channel_count(), current);
-        let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
-        let mut examined = 0;
-        let mut next = range.start;
-        while next < range.end {
-            let (block, max_cap) = blocks.enter(model, state, cache, next, range.end);
-            next = block.end;
-            verdicts.forget();
-            let skip_block = match rule.triage(max_cap) {
-                Triage::Skip => true,
-                Triage::OwnBar => verdicts.all_fail(|column| {
-                    state.own_ee_may_clear(model, &mut own_bounds, blocks.column(column), |own| {
-                        rule.clears(own)
-                    })
-                }),
-                Triage::Exact => false,
-            };
-            if skip_block {
-                examined += blocks.count(block);
-                continue;
-            }
-            for (idx, cap, column) in blocks.candidates(block) {
-                examined += 1;
-                let cfg = grid[idx];
-                let own = match rule.triage(cap) {
-                    Triage::Skip => continue,
-                    Triage::OwnBar => {
-                        let clears = |own| rule.clears(own);
-                        if !verdicts.clears(column, || {
-                            state.own_ee_may_clear(model, &mut own_bounds, cfg, clears)
-                        }) {
-                            continue;
-                        }
-                        let Some(own) = state.own_ee_clearing(model, &mut own_bounds, cfg, clears)
-                        else {
-                            continue;
-                        };
-                        own
+/// [`ModelState::scan`] on the state's kernel. It is generic over the rule
+/// only: the kernel it calls, on [`Bound`], is compiled once, in this
+/// crate, however a state holds its model.
+fn walk<R: Rule>(
+    model: &NetworkModel,
+    state: &Bound,
+    i: usize,
+    grid: &[TxConfig],
+    rule: &mut R,
+) -> u64 {
+    if grid.is_empty() {
+        return 0;
+    }
+    let cache = state.scan_cache(model, i);
+    let mut own_bounds = OwnEeBounds::new(&cache);
+    let mut blocks = SfBlocks::new(grid, model.channel_count(), state.alloc()[i]);
+    let mut verdicts = ColumnVerdicts::new(blocks.tp_levels());
+    let mut examined = 0;
+    for sf in 0..SpreadingFactor::ALL.len() {
+        let max_cap = blocks.enter(model, state, &cache, sf);
+        verdicts.forget();
+        let skip_block = match rule.triage(max_cap) {
+            Triage::Skip => true,
+            Triage::OwnBar => verdicts.all_fail(|column| {
+                state.own_ee_may_clear(model, &mut own_bounds, blocks.column(column), |own| {
+                    rule.clears(own)
+                })
+            }),
+            Triage::Exact => false,
+        };
+        if skip_block {
+            examined += blocks.count();
+            continue;
+        }
+        for (cfg, cap, column) in blocks.candidates() {
+            examined += 1;
+            let own = match rule.triage(cap) {
+                Triage::Skip => continue,
+                Triage::OwnBar => {
+                    let clears = |own| rule.clears(own);
+                    if !verdicts.clears(column, || {
+                        state.own_ee_may_clear(model, &mut own_bounds, cfg, clears)
+                    }) {
+                        continue;
                     }
-                    Triage::Exact => state.own_ee(model, &mut own_bounds, cfg),
-                };
-                let Some(min) = state.min_ee_if_scanned(model, cache, cfg, own, rule.floor())
-                else {
-                    continue;
-                };
-                if rule.offer(Candidate {
-                    min,
-                    own: own.ee,
-                    idx,
-                    cfg,
-                }) {
-                    verdicts.forget();
+                    let Some(own) = state.own_ee_clearing(model, &mut own_bounds, cfg, clears)
+                    else {
+                        continue;
+                    };
+                    own
                 }
+                Triage::Exact => state.own_ee(model, &mut own_bounds, cfg),
+            };
+            let Some(min) = state.min_ee_if_scanned(model, &cache, cfg, own, rule.floor()) else {
+                continue;
+            };
+            if rule.offer(Candidate {
+                min,
+                own: own.ee,
+                cfg,
+            }) {
+                verdicts.forget();
             }
         }
-        examined
     }
+    examined
 }
 
 /// One device's walk over the SF blocks of a canonical candidate grid:
@@ -252,6 +207,8 @@ impl Scan<'_> {
 #[derive(Debug)]
 struct SfBlocks<'g> {
     grid: &'g [TxConfig],
+    /// Candidates per SF block.
+    block_len: usize,
     /// TP levels per channel.
     n_tp: usize,
     /// Grid index of the scanned device's configuration, which walks skip
@@ -283,6 +240,7 @@ impl<'g> SfBlocks<'g> {
             .map(|level| column + level);
         SfBlocks {
             grid,
+            block_len,
             n_tp,
             current,
             start: 0,
@@ -295,20 +253,10 @@ impl<'g> SfBlocks<'g> {
         self.n_tp
     }
 
-    /// Enters the SF block holding grid index `idx` and computes the cap
-    /// of each of its channels from `cache`. Returns the block's
-    /// candidates from `idx` on, clipped to `..end`, and the largest cap
-    /// over the whole block.
-    fn enter(
-        &mut self,
-        model: &NetworkModel,
-        state: &Bound,
-        cache: &ScanCache,
-        idx: usize,
-        end: usize,
-    ) -> (Range<usize>, f64) {
-        let block_len = self.caps.len() * self.n_tp;
-        self.start = idx - idx % block_len;
+    /// Enters the block of the SF with index `sf` and computes the cap of
+    /// each of its channels from `cache`. Returns the largest cap.
+    fn enter(&mut self, model: &NetworkModel, state: &Bound, cache: &ScanCache, sf: usize) -> f64 {
+        self.start = sf * self.block_len;
         let mut max_cap = f64::NEG_INFINITY;
         for (channel, cap) in self.caps.iter_mut().enumerate() {
             *cap = state.untouched_groups_min(
@@ -318,7 +266,7 @@ impl<'g> SfBlocks<'g> {
             );
             max_cap = max_cap.max(*cap);
         }
-        (idx..end.min(self.start + block_len), max_cap)
+        max_cap
     }
 
     /// The entered block's candidate on channel 0 at TP column `column`,
@@ -327,14 +275,13 @@ impl<'g> SfBlocks<'g> {
         self.grid[self.start + column]
     }
 
-    /// The candidates of `range`, a part of the entered block, that a walk
-    /// counts (all but the device's own configuration), each as its grid
-    /// index, its channel's cap and its TP column.
-    fn candidates(&self, range: Range<usize>) -> impl Iterator<Item = (usize, f64, usize)> + '_ {
-        let pos = range.start - self.start;
-        let (mut channel, mut column) = (pos / self.n_tp, pos % self.n_tp);
-        range.filter_map(move |idx| {
-            let candidate = (idx, self.caps[channel], column);
+    /// The entered block's candidates that a walk counts (all but the
+    /// device's own configuration), in grid order, each with its
+    /// channel's cap and its TP column.
+    fn candidates(&self) -> impl Iterator<Item = (TxConfig, f64, usize)> + '_ {
+        let (mut channel, mut column) = (0, 0);
+        (self.start..self.start + self.block_len).filter_map(move |idx| {
+            let candidate = (self.grid[idx], self.caps[channel], column);
             column += 1;
             if column == self.n_tp {
                 column = 0;
@@ -344,11 +291,13 @@ impl<'g> SfBlocks<'g> {
         })
     }
 
-    /// How many candidates of `range` a walk counts: all but the device's
-    /// own configuration.
-    fn count(&self, range: Range<usize>) -> u64 {
-        let own = self.current.is_some_and(|idx| range.contains(&idx));
-        (range.len() - usize::from(own)) as u64
+    /// How many of the entered block's candidates a walk counts: all but
+    /// the device's own configuration.
+    fn count(&self) -> u64 {
+        let own = self
+            .current
+            .is_some_and(|idx| (self.start..self.start + self.block_len).contains(&idx));
+        (self.block_len - usize::from(own)) as u64
     }
 }
 

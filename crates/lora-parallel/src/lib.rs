@@ -1,20 +1,19 @@
 //! Deterministic scoped-thread fan-out for the EF-LoRa workspace.
 //!
 //! Every parallel site in this repository — replication fan-out in the
-//! bench harness, the EF-LoRa candidate scan, the sharded planner's cell
-//! solves, attenuation-matrix construction — goes through
-//! [`par_map_indexed`], which has one defining property: **the result is
-//! a pure function of the input, independent of the worker count and of
-//! the schedule**. Index `i` of the output always holds `f(i)`. Workers
-//! claim indices from a shared atomic counter (single indices, or small
-//! contiguous blocks on long inputs), so a worker that drew cheap items
-//! claims more of them instead of idling while another finishes a fixed
-//! share; each claimed block comes back tagged with its first index and
-//! the blocks are reassembled in index order. `threads = 1` and
-//! `threads = 64` therefore produce byte-identical vectors. Determinism
-//! reduces to `f` itself being a pure function of its index — which the
-//! call sites guarantee by deriving any randomness from per-index seeds
-//! computed up front.
+//! bench harness, the sharded planner's cell solves, attenuation-matrix
+//! construction — goes through [`par_map_indexed`], which has one
+//! defining property: **the result is a pure function of the input,
+//! independent of the worker count and of the schedule**. Index `i` of
+//! the output always holds `f(i)`. Workers claim indices from a shared
+//! atomic counter (single indices, or small contiguous blocks on long
+//! inputs), so a worker that drew cheap items claims more of them
+//! instead of idling while another finishes a fixed share; each claimed
+//! block comes back tagged with its first index and the blocks are
+//! reassembled in index order. `threads = 1` and `threads = 64` therefore
+//! produce byte-identical vectors. Determinism reduces to `f` itself
+//! being a pure function of its index — which the call sites guarantee by
+//! deriving any randomness from per-index seeds computed up front.
 //!
 //! Built on `std::thread::scope` and one `AtomicUsize` only: no
 //! per-worker queues, no external dependency, no `unsafe`.
@@ -63,27 +62,6 @@ pub fn threads_from_env() -> usize {
         }),
         Err(_) => available_threads(),
     }
-}
-
-/// Splits `len` items into at most `chunks` contiguous ranges of
-/// near-equal size (the first `len % chunks` ranges get one extra item).
-/// Empty ranges are never produced; fewer than `chunks` ranges come back
-/// when `len < chunks`.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
 }
 
 /// Claims per worker a long input is cut into: blocks of
@@ -152,23 +130,6 @@ mod tests {
     use super::*;
     use std::sync::{Condvar, Mutex};
     use std::time::Duration;
-
-    #[test]
-    fn chunking_covers_all_indices_without_overlap() {
-        for len in [0usize, 1, 2, 7, 16, 100] {
-            for chunks in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(len, chunks);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(
-                    flat,
-                    (0..len).collect::<Vec<_>>(),
-                    "len={len} chunks={chunks}"
-                );
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                assert!(ranges.len() <= chunks.max(1));
-            }
-        }
-    }
 
     #[test]
     fn every_index_runs_exactly_once_under_skewed_costs() {

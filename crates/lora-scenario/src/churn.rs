@@ -38,7 +38,7 @@ use ef_lora::{seed_newcomers, AllocationContext, IncrementalAllocator};
 use lora_model::{ModelState, NetworkModel};
 use lora_phy::path_loss::LinkEnvironment;
 use lora_phy::TxConfig;
-use lora_sim::{DeviceSite, Position, SimConfig, Topology};
+use lora_sim::{DeviceSite, Position, SimConfig, SimError, Topology};
 
 use crate::error::ScenarioError;
 use crate::spatial::{sample_n_positions, SPATIAL_TAG};
@@ -223,8 +223,11 @@ pub struct StagedEvent {
 ///
 /// # Errors
 ///
-/// [`ScenarioError::UnknownClass`] for a class name outside the class
-/// list (raised before any mutation).
+/// Raised before any mutation or draw: [`ScenarioError::UnknownClass`] for
+/// a class name outside the class list, and [`SimError::TopologyTooLarge`]
+/// for a `Join` that would grow the dense attenuation matrix past
+/// [`lora_sim::attenuation_budget_from_env`], the budget
+/// [`NetworkModel::try_new`] holds a model to.
 pub fn stage_event(
     ctx: &ChurnContext<'_>,
     config: &mut SimConfig,
@@ -236,6 +239,7 @@ pub fn stage_event(
     let (joined, left, migrated, warning, adjust) = match &event.event {
         ChurnKind::Join { class, count } => {
             let class_idx = class_index(ctx.classes, class)?;
+            check_join_fits(pop.sites.len(), *count, ctx.gateways.len())?;
             let mut spatial_rng = ChaCha12Rng::seed_from_u64(join_seed);
             let positions = sample_n_positions(&mut spatial_rng, ctx.spatial, ctx.radius_m, *count);
             let p = ctx.classes[class_idx].p_los.unwrap_or(config.p_los);
@@ -334,6 +338,35 @@ pub fn stage_event(
     })
 }
 
+/// Refuses a join of `joining` devices to `devices` devices and
+/// `gateways` gateways when the grown dense `[device][gateway]`
+/// attenuation matrix would exceed [`lora_sim::attenuation_budget_from_env`]:
+/// the rule [`NetworkModel::try_new`] applies, checked before the join
+/// draws a position or allocates anything, in arithmetic that cannot
+/// overflow.
+///
+/// # Errors
+///
+/// [`SimError::TopologyTooLarge`], with the device count and byte need
+/// saturated at their type's maximum where they overflow.
+fn check_join_fits(devices: usize, joining: usize, gateways: usize) -> Result<(), ScenarioError> {
+    let budget_bytes = lora_sim::attenuation_budget_from_env();
+    let grown = devices.checked_add(joining);
+    let required = grown
+        .and_then(|n| u64::try_from(n).ok())
+        .and_then(|n| n.checked_mul(u64::try_from(gateways).ok()?))
+        .and_then(|cells| cells.checked_mul(8));
+    match required {
+        Some(bytes) if bytes <= budget_bytes => Ok(()),
+        _ => Err(ScenarioError::Sim(SimError::TopologyTooLarge {
+            devices: grown.unwrap_or(usize::MAX),
+            gateways,
+            required_bytes: required.unwrap_or(u64::MAX),
+            budget_bytes,
+        })),
+    }
+}
+
 /// Runs the incremental allocator for a staged event and assembles the
 /// outcome: the second half of [`apply_event`].
 ///
@@ -398,9 +431,8 @@ pub fn finish_event<M: Borrow<NetworkModel>>(
 ///
 /// # Errors
 ///
-/// [`ScenarioError::UnknownClass`] for a class name outside the class
-/// list; [`ScenarioError::Alloc`] if the incremental allocator rejects
-/// the adjusted deployment.
+/// [`stage_event`]'s refusals; [`ScenarioError::Alloc`] if the
+/// incremental allocator rejects the adjusted deployment.
 pub fn apply_event(
     ctx: &ChurnContext<'_>,
     config: &mut SimConfig,
@@ -473,6 +505,43 @@ mod tests {
         let mut b = event_churn_rng(7, 1);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
         assert_ne!(event_join_seed(7, 0), event_join_seed(7, 1));
+    }
+
+    #[test]
+    fn join_budget_matches_the_models_and_cannot_overflow() {
+        let budget_bytes = lora_sim::attenuation_budget_from_env();
+        let fit = usize::try_from(budget_bytes / 8).unwrap();
+        // At the budget a join fits; one device more does not.
+        assert_eq!(check_join_fits(0, fit, 1), Ok(()));
+        assert_eq!(check_join_fits(fit / 2, fit - fit / 2, 1), Ok(()));
+        assert_eq!(
+            check_join_fits(1, fit, 1),
+            Err(ScenarioError::Sim(SimError::TopologyTooLarge {
+                devices: fit + 1,
+                gateways: 1,
+                required_bytes: (fit as u64 + 1) * 8,
+                budget_bytes,
+            }))
+        );
+        // Overflowing counts and byte needs saturate instead of wrapping.
+        assert_eq!(
+            check_join_fits(1, usize::MAX, 3),
+            Err(ScenarioError::Sim(SimError::TopologyTooLarge {
+                devices: usize::MAX,
+                gateways: 3,
+                required_bytes: u64::MAX,
+                budget_bytes,
+            }))
+        );
+        assert_eq!(
+            check_join_fits(0, usize::MAX / 2, 8),
+            Err(ScenarioError::Sim(SimError::TopologyTooLarge {
+                devices: usize::MAX / 2,
+                gateways: 8,
+                required_bytes: u64::MAX,
+                budget_bytes,
+            }))
+        );
     }
 
     #[test]

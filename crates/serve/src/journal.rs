@@ -957,6 +957,54 @@ mod tests {
     }
 
     #[test]
+    fn recover_replays_a_refused_oversize_join() {
+        // The write-ahead path journals an oversize join before the state
+        // refuses it. The refusal leaves the state and its mutation
+        // counter as they were, so the next event carries the same stamp,
+        // and recovery replays the refusal to the live state.
+        use crate::protocol::Response;
+        use crate::server::{respond_journaled, ServerOptions};
+
+        let dir = TempDir::new("journal-oversize");
+        let path = dir.path().join("wal.journal");
+        let options = ServerOptions::default();
+        let mut live = ServeState::new(smoke_spec(), &EfLora::default()).unwrap();
+        let mut journal = Some(Journal::create(&path, FsyncPolicy::Never, &genesis()).unwrap());
+        let mut send = |live: &mut ServeState, count| {
+            let JournalRecord::Mutation { request, .. } = mutation(0, count) else {
+                unreachable!()
+            };
+            respond_journaled(live, &options, &mut journal, request).0
+        };
+        assert!(matches!(
+            send(&mut live, 2),
+            Response::Churned { joined: 2, .. }
+        ));
+        let before = live.snapshot();
+        let refused = send(&mut live, usize::MAX);
+        assert!(matches!(refused, Response::Error { .. }), "{refused:?}");
+        assert_eq!(live.snapshot(), before);
+        assert!(matches!(
+            send(&mut live, 3),
+            Response::Churned { joined: 3, .. }
+        ));
+
+        let stamps: Vec<u64> = scan(&path)
+            .unwrap()
+            .records
+            .iter()
+            .filter_map(|record| match record {
+                JournalRecord::Mutation { applied, .. } => Some(*applied),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stamps, vec![0, 1, 1]);
+        let recovered = recover(&path, None, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovered.info.replayed, 3);
+        assert_eq!(recovered.state.snapshot(), live.snapshot());
+    }
+
+    #[test]
     fn recover_prefers_a_good_snapshot_and_survives_a_corrupt_one() {
         let dir = TempDir::new("journal-fallback");
         let jpath = dir.path().join("wal.journal");

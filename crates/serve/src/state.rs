@@ -785,6 +785,35 @@ mod tests {
     }
 
     #[test]
+    fn an_oversize_join_is_refused_before_any_mutation() {
+        // Joins whose attenuation matrix would outgrow the byte budget:
+        // one whose device count overflows, one that would ask for 16 TiB
+        // of positions. Each is refused, typed, with the state as it was,
+        // and the next event applies as if neither had come.
+        let mut state = smoke_state();
+        let mut twin = smoke_state();
+        let before = state.snapshot();
+        for count in [usize::MAX, 1 << 40] {
+            let refused = state.apply_churn(&join(count));
+            assert!(
+                matches!(
+                    refused,
+                    Err(ScenarioError::Sim(
+                        lora_sim::SimError::TopologyTooLarge { .. }
+                    ))
+                ),
+                "join of {count}: {refused:?}"
+            );
+            assert_eq!(state.snapshot(), before, "join of {count}");
+        }
+        assert_eq!(
+            state.apply_churn(&join(3)).unwrap(),
+            twin.apply_churn(&join(3)).unwrap()
+        );
+        assert_eq!(state.snapshot(), twin.snapshot());
+    }
+
+    #[test]
     fn snapshot_restore_round_trips_queries() {
         let mut state = smoke_state();
         for i in 0..6u32 {
